@@ -64,6 +64,8 @@ func (a *annealer) Solve(ctx context.Context, p *model.Problem, report func(Incu
 				cand.copyFrom(scratch)
 				cur = obj
 				t.offer(cand, cur, i)
+			} else {
+				ev.undo()
 			}
 			continue
 		}
@@ -78,6 +80,7 @@ func (a *annealer) Solve(ctx context.Context, p *model.Problem, report func(Incu
 			t.offer(cand, cur, i+1)
 		} else {
 			revert(cand, u)
+			ev.undo()
 		}
 		temp *= a.cooling
 	}

@@ -43,11 +43,14 @@ func (l *lns) Solve(ctx context.Context, p *model.Problem, report func(Incumbent
 	if polished := c.polish(ev, scratch); polished < cur {
 		cand.copyFrom(scratch)
 		cur = polished
+	} else {
+		ev.undo()
 	}
 	t.offer(cand, cur, 0)
 
 	r := rng.Derive(l.seed, "portfolio/"+l.name)
 	trial := c.cloneCandidate(cand)
+	buf := newShakeBuf(c)
 	budget := l.iters
 	if budget <= 0 {
 		budget = math.MaxInt
@@ -62,7 +65,7 @@ func (l *lns) Solve(ctx context.Context, p *model.Problem, report func(Incumbent
 		case 0:
 			l.closeNode(c, trial, r)
 		case 1:
-			if !l.shake(c, trial, r) {
+			if !l.shake(c, trial, r, buf) {
 				continue
 			}
 		case 2:
@@ -81,9 +84,13 @@ func (l *lns) Solve(ctx context.Context, p *model.Problem, report func(Incumbent
 				if polished := c.polish(ev, scratch); polished < obj {
 					cand.copyFrom(scratch)
 					cur = polished
+				} else {
+					ev.undo()
 				}
 				t.offer(cand, cur, i+1)
 			}
+		} else {
+			ev.undo()
 		}
 	}
 	return t.solution(i)
@@ -105,10 +112,20 @@ func (l *lns) closeNode(c *compiled, trial *candidate, r *rng.Stream) {
 	}
 }
 
+// shakeBuf is shake's scratch, reused across one Solve's iterations.
+type shakeBuf struct {
+	perm []int     // per VNF
+	load []float64 // per node
+}
+
+func newShakeBuf(c *compiled) *shakeBuf {
+	return &shakeBuf{perm: make([]int, len(c.vnfIDs)), load: make([]float64, len(c.nodeIDs))}
+}
+
 // shake unplaces a random destroy-fraction of VNFs and re-places them
 // best-fit in demand order with a randomized tie among feasible nodes;
 // false when the repair dead-ends (trial must be discarded).
-func (l *lns) shake(c *compiled, trial *candidate, r *rng.Stream) bool {
+func (l *lns) shake(c *compiled, trial *candidate, r *rng.Stream, buf *shakeBuf) bool {
 	v := len(c.vnfIDs)
 	if v == 0 || len(c.nodeIDs) < 2 {
 		return false
@@ -117,7 +134,13 @@ func (l *lns) shake(c *compiled, trial *candidate, r *rng.Stream) bool {
 	if k < 1 {
 		k = 1
 	}
-	perm := r.Perm(v)
+	// r.Perm(v) into the reused buffer: the identity shuffled by the same
+	// draws, so the permutation is the one Perm would return.
+	perm := buf.perm
+	for i := range perm {
+		perm[i] = i
+	}
+	r.Shuffle(v, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 	removed := perm[:k]
 	for _, f := range removed {
 		trial.nodeOf[f] = -1
@@ -125,7 +148,8 @@ func (l *lns) shake(c *compiled, trial *candidate, r *rng.Stream) bool {
 	// Repair in demand-descending order, best-fit: a coin flip between the
 	// two smallest feasible residuals keeps the repair greedy but
 	// diversified.
-	load := make([]float64, len(c.nodeIDs))
+	load := buf.load
+	clear(load)
 	for g, ng := range trial.nodeOf {
 		if ng >= 0 {
 			load[ng] += c.demand[g]

@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"nfvchain/internal/model"
@@ -125,6 +126,11 @@ type compiled struct {
 
 	chains [][]int // per request: chain as VNF indices
 	pos    [][]int // per request: item index of the request within each chain VNF
+	// reqsOf lists, per VNF, the requests whose chain contains it, indexed
+	// like items: ItemsFor walks requests in order and Validate rejects a
+	// VNF repeated within one chain, so item i belongs to request
+	// reqsOf[f][i] and each request appears at most once.
+	reqsOf [][]int
 
 	// movable lists VNF indices with ≥1 item and ≥2 instances — the ones
 	// scheduling moves can act on. demandOrder sorts VNF indices by total
@@ -179,7 +185,12 @@ func compile(p *model.Problem, obj Objective) (*compiled, error) {
 			c.movable = append(c.movable, i)
 		}
 	}
-	for _, r := range p.Requests {
+	reqs := make([]int, totalItems(c.items))
+	c.reqsOf = make([][]int, len(c.items))
+	for f, items := range c.items {
+		c.reqsOf[f] = carve(&reqs, len(items))
+	}
+	for ri, r := range p.Requests {
 		chain := make([]int, len(r.Chain))
 		pos := make([]int, len(r.Chain))
 		for j, fid := range r.Chain {
@@ -187,6 +198,7 @@ func compile(p *model.Problem, obj Objective) (*compiled, error) {
 			chain[j] = f
 			pos[j] = itemPos[f][r.ID]
 			c.rawW[f][pos[j]] = r.Rate
+			c.reqsOf[f][pos[j]] = ri
 		}
 		c.chains = append(c.chains, chain)
 		c.pos = append(c.pos, pos)
@@ -290,89 +302,269 @@ func (c *compiled) applyPlacement(pl *model.Placement, cand *candidate) {
 	}
 }
 
-// evaluator scores candidates against the compiled objective, reusing
-// scratch across calls so the metaheuristic inner loops stay allocation-
-// lean.
+// evaluator scores candidates against the compiled objective
+// incrementally. It keeps a snapshot of the last candidate it scored —
+// placement, assignment rows, the W(f,k) rows of Eq. 11 and, per request,
+// the chain's W sum, node span and Eq. 16 latency — and on each call
+// rescores only what differs from that snapshot: a changed assignment row
+// recomputes that VNF's W row and the W sums of its requests, a changed
+// node recomputes only their spans. Every cached number comes from the
+// same expression, evaluated in the same order, as a full rescoring, and
+// the total is re-summed over all requests rather than patched with
+// deltas, so value is bit-identical to scoring from scratch and a search
+// follows the same trajectory. undo rolls the snapshot back over the last
+// call so a rejected move is not rescored twice. An evaluator is owned by
+// one solver and is never shared across goroutines.
 type evaluator struct {
 	c     *compiled
 	stamp []int // per node, epoch marks for distinct-node counting
 	epoch int
-	eff   [][]float64 // per VNF instance: Λ (effective)
-	raw   [][]float64 // per VNF instance: Σλ (raw)
-	w     [][]float64 // per VNF instance: W(f,k)
+	eff   []float64 // scratch Λ (effective) of the VNF being rescored
+	raw   []float64 // scratch Σλ (raw) of the VNF being rescored
+
+	// Snapshot of the last scored candidate and its cached terms.
+	nodeOf []int
+	assign [][]int
+	w      [][]float64 // per VNF instance: W(f,k)
+	wsum   []float64   // per request: Σ W along the chain, in chain order
+	span   []int       // per request: distinct nodes the chain visits
+	lat    []float64   // per request: wsum + (span−1)·L
+	val    float64
+
+	mark []uint8 // per request: dirtyWsum|dirtySpan while rescoring
+	j    journal
+}
+
+// journal holds what the last value call overwrote in the snapshot. The
+// previous assignment and W rows are kept by swapping row slices, so
+// neither recording nor undoing copies a row.
+type journal struct {
+	ok     bool  // holds the last call and has not been undone
+	nodes  []int // VNFs whose node changed
+	nodeOf []int // per VNF: previous node
+	rows   []int // VNFs whose assignment row changed
+	assign [][]int
+	w      [][]float64
+	reqs   []int // requests rescored
+	wsum   []float64
+	span   []int
+	lat    []float64
+	val    float64
+}
+
+const (
+	dirtyWsum uint8 = 1 << iota
+	dirtySpan
+)
+
+// carve cuts an n-element slice off the front of *buf, so that many rows
+// share one allocation.
+func carve[T any](buf *[]T, n int) []T {
+	s := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return s
+}
+
+func totalItems(items [][]scheduling.Item) int {
+	n := 0
+	for _, it := range items {
+		n += len(it)
+	}
+	return n
 }
 
 func newEvaluator(c *compiled) *evaluator {
-	e := &evaluator{c: c, stamp: make([]int, len(c.nodeIDs))}
+	nV, nN, nR := len(c.vnfIDs), len(c.nodeIDs), len(c.chains)
+	nInst, maxInst := 0, 0
+	for _, m := range c.inst {
+		nInst += m
+		maxInst = max(maxInst, m)
+	}
+	nItems := totalItems(c.items)
+	ints := make([]int, nN+4*nV+2*nItems+3*nR)
+	floats := make([]float64, 2*maxInst+2*nInst+4*nR)
+	intRows := make([][]int, 2*nV)
+	floatRows := make([][]float64, 2*nV)
+	e := &evaluator{
+		c:      c,
+		stamp:  carve(&ints, nN),
+		eff:    carve(&floats, maxInst),
+		raw:    carve(&floats, maxInst),
+		nodeOf: carve(&ints, nV),
+		assign: carve(&intRows, nV),
+		w:      carve(&floatRows, nV),
+		wsum:   carve(&floats, nR),
+		span:   carve(&ints, nR),
+		lat:    carve(&floats, nR),
+		mark:   make([]uint8, nR),
+		j: journal{
+			nodes:  carve(&ints, nV)[:0],
+			nodeOf: carve(&ints, nV),
+			rows:   carve(&ints, nV)[:0],
+			assign: carve(&intRows, nV),
+			w:      carve(&floatRows, nV),
+			reqs:   carve(&ints, nR)[:0],
+			wsum:   carve(&floats, nR),
+			span:   carve(&ints, nR),
+			lat:    carve(&floats, nR),
+		},
+	}
 	for f := range c.vnfIDs {
-		e.eff = append(e.eff, make([]float64, c.inst[f]))
-		e.raw = append(e.raw, make([]float64, c.inst[f]))
-		e.w = append(e.w, make([]float64, c.inst[f]))
+		// The empty snapshot matches no candidate (node and instance −1),
+		// so the first call scores everything.
+		e.nodeOf[f] = -1
+		e.assign[f], e.j.assign[f] = carve(&ints, len(c.items[f])), carve(&ints, len(c.items[f]))
+		for i := range e.assign[f] {
+			e.assign[f][i] = -1
+		}
+		e.w[f], e.j.w[f] = carve(&floats, c.inst[f]), carve(&floats, c.inst[f])
 	}
 	return e
 }
 
 // value computes the scalar objective of cand: NodeWeight·(nodes in
 // service) + LatencyWeight·(mean Eq. 16 latency), with UnstablePenalty
-// standing in for Eq. 11 on overloaded instances.
+// standing in for Eq. 11 on overloaded instances. cand becomes the
+// snapshot the next call is diffed against.
 func (e *evaluator) value(cand *candidate) float64 {
-	c := e.c
+	c, j := e.c, &e.j
+	j.ok, j.val = true, e.val
+	j.nodes, j.rows, j.reqs = j.nodes[:0], j.rows[:0], j.reqs[:0]
+	for f, n := range cand.nodeOf {
+		if n != e.nodeOf[f] {
+			j.nodes = append(j.nodes, f)
+			j.nodeOf[f], e.nodeOf[f] = e.nodeOf[f], n
+			e.markReqs(f, dirtySpan)
+		}
+		if !slices.Equal(cand.assign[f], e.assign[f]) {
+			j.rows = append(j.rows, f)
+			e.assign[f], j.assign[f] = j.assign[f], e.assign[f]
+			e.w[f], j.w[f] = j.w[f], e.w[f]
+			copy(e.assign[f], cand.assign[f])
+			e.rescoreVNF(f)
+			e.markReqs(f, dirtyWsum)
+		}
+	}
+	if len(j.nodes) == 0 && len(j.rows) == 0 {
+		return e.val
+	}
+	for _, r := range j.reqs {
+		j.wsum[r], j.span[r], j.lat[r] = e.wsum[r], e.span[r], e.lat[r]
+		e.rescoreRequest(r)
+	}
 	e.epoch++
 	nodes := 0
-	for _, n := range cand.nodeOf {
+	for _, n := range e.nodeOf {
 		if e.stamp[n] != e.epoch {
 			e.stamp[n] = e.epoch
 			nodes++
 		}
 	}
-	for f := range c.vnfIDs {
-		eff, raw, w := e.eff[f], e.raw[f], e.w[f]
-		for k := range eff {
-			eff[k], raw[k] = 0, 0
-		}
-		items := c.items[f]
-		asg := cand.assign[f]
-		for i := range items {
-			k := asg[i]
-			eff[k] += items[i].Weight
-			raw[k] += c.rawW[f][i]
-		}
-		mu := c.mu[f]
-		for k := range w {
-			switch {
-			case raw[k] <= 0:
-				w[k] = 0
-			case eff[k] >= mu:
-				w[k] = c.obj.UnstablePenalty * (1 + eff[k]/mu)
-			default:
-				rho := eff[k] / mu
-				w[k] = rho / ((1 - rho) * raw[k])
-			}
-		}
-	}
 	var total float64
-	for r, chain := range c.chains {
-		var lat float64
-		e.epoch++
-		span := 0
-		for j, f := range chain {
-			lat += e.w[f][cand.assign[f][c.pos[r][j]]]
-			n := cand.nodeOf[f]
-			if e.stamp[n] != e.epoch {
-				e.stamp[n] = e.epoch
-				span++
-			}
-		}
-		if span > 1 {
-			lat += float64(span-1) * c.obj.LinkDelay
-		}
+	for _, lat := range e.lat {
 		total += lat
 	}
 	mean := 0.0
 	if len(c.chains) > 0 {
 		mean = total / float64(len(c.chains))
 	}
-	return c.obj.NodeWeight*float64(nodes) + c.obj.LatencyWeight*mean
+	e.val = c.obj.NodeWeight*float64(nodes) + c.obj.LatencyWeight*mean
+	return e.val
+}
+
+// markReqs flags every request through VNF f for rescoring.
+func (e *evaluator) markReqs(f int, dirty uint8) {
+	for _, r := range e.c.reqsOf[f] {
+		if e.mark[r] == 0 {
+			e.j.reqs = append(e.j.reqs, r)
+		}
+		e.mark[r] |= dirty
+	}
+}
+
+// rescoreVNF recomputes the snapshot's W row of VNF f from its assignment.
+func (e *evaluator) rescoreVNF(f int) {
+	c := e.c
+	w := e.w[f]
+	eff, raw := e.eff[:len(w)], e.raw[:len(w)]
+	for k := range eff {
+		eff[k], raw[k] = 0, 0
+	}
+	items := c.items[f]
+	asg := e.assign[f]
+	for i := range items {
+		k := asg[i]
+		eff[k] += items[i].Weight
+		raw[k] += c.rawW[f][i]
+	}
+	mu := c.mu[f]
+	for k := range w {
+		switch {
+		case raw[k] <= 0:
+			w[k] = 0
+		case eff[k] >= mu:
+			w[k] = c.obj.UnstablePenalty * (1 + eff[k]/mu)
+		default:
+			rho := eff[k] / mu
+			w[k] = rho / ((1 - rho) * raw[k])
+		}
+	}
+}
+
+// rescoreRequest recomputes the flagged terms of request r and its
+// latency, then clears its flags.
+func (e *evaluator) rescoreRequest(r int) {
+	c := e.c
+	chain := c.chains[r]
+	dirty := e.mark[r]
+	e.mark[r] = 0
+	if dirty&dirtyWsum != 0 {
+		var wsum float64
+		for j, f := range chain {
+			wsum += e.w[f][e.assign[f][c.pos[r][j]]]
+		}
+		e.wsum[r] = wsum
+	}
+	if dirty&dirtySpan != 0 {
+		e.epoch++
+		span := 0
+		for _, f := range chain {
+			n := e.nodeOf[f]
+			if e.stamp[n] != e.epoch {
+				e.stamp[n] = e.epoch
+				span++
+			}
+		}
+		e.span[r] = span
+	}
+	lat := e.wsum[r]
+	if e.span[r] > 1 {
+		lat += float64(e.span[r]-1) * c.obj.LinkDelay
+	}
+	e.lat[r] = lat
+}
+
+// undo rolls the snapshot back to before the last value call, which the
+// caller pairs with reverting the candidate that call scored. It is a
+// no-op when nothing was scored since the last undo; undoing is never
+// needed for correctness, only to keep the next diff small.
+func (e *evaluator) undo() {
+	j := &e.j
+	if !j.ok {
+		return
+	}
+	j.ok = false
+	for _, f := range j.nodes {
+		e.nodeOf[f] = j.nodeOf[f]
+	}
+	for _, f := range j.rows {
+		e.assign[f], j.assign[f] = j.assign[f], e.assign[f]
+		e.w[f], j.w[f] = j.w[f], e.w[f]
+	}
+	for _, r := range j.reqs {
+		e.wsum[r], e.span[r], e.lat[r] = j.wsum[r], j.span[r], j.lat[r]
+	}
+	e.val = j.val
 }
 
 // fits reports whether moving VNF f onto node n keeps every resource
