@@ -3,9 +3,16 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test race bench bench-json serve-smoke profile clean
+.PHONY: check fmt build vet lint test race bench bench-json serve-smoke profile clean
 
-check: build vet race
+check: fmt build vet race
+
+# Formatting gate. Only tracked files are checked, so untracked build trees
+# (such as the benchmark's .bench_build/) are skipped.
+fmt:
+	@files=$$(git ls-files '*.go') && [ -n "$$files" ] || { echo "fmt: no tracked Go files"; exit 1; }; \
+	out=$$(gofmt -l $$files); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 # Static analysis beyond vet. staticcheck and govulncheck are optional local
 # tools (CI installs pinned versions); skip with a hint when absent so the

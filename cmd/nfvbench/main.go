@@ -10,10 +10,12 @@
 //
 // The scenario set mirrors the hot paths of the pipeline: the discrete-event
 // simulator at small and large horizons (with and without drop-retransmit
-// loss feedback) and the KK-family partitioners at growing request counts.
+// loss feedback), the KK-family partitioners at growing request counts, and
+// the Solution document codec every solve job runs.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -294,8 +296,62 @@ func scenarios() []scenario {
 		scenario{"KKForward/n=250", func(b *testing.B) { partitionBench(b, scheduling.KKForward{}, 250, 5) }},
 		scenario{"CKK/n=40", func(b *testing.B) { partitionBench(b, scheduling.CKK{MaxNodes: 20_000}, 40, 4) }},
 		scenario{"Portfolio/anytime-race", portfolioAnytimeRace},
+		scenario{"Codec/solution-encode", codecSolutionEncode},
+		scenario{"Codec/solution-decode", codecSolutionDecode},
 	)
 	return out
+}
+
+// codecSolution solves a 500-request §V-A instance (demand scaled to 60% of
+// capacity) with the default pipeline: the Solution document nfvd serves for
+// a typical solve job.
+func codecSolution(b *testing.B) *core.Solution {
+	cfg := workload.DefaultConfig()
+	cfg.Seed = 21
+	cfg.NumRequests = 500
+	prob, err := workload.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scale := 0.6 * prob.TotalCapacity() / prob.TotalDemand()
+	for i := range prob.VNFs {
+		prob.VNFs[i].Demand *= scale
+	}
+	sol, err := core.Optimize(prob, core.Options{Seed: 21, LinkDelay: 0.001})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sol
+}
+
+// codecSolutionEncode measures Solution.WriteJSON, the indented document
+// every solve job returns.
+func codecSolutionEncode(b *testing.B) {
+	sol := codecSolution(b)
+	var buf bytes.Buffer
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := sol.WriteJSON(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// codecSolutionDecode measures core.ReadSolutionJSON, validation included,
+// as a client decodes a served solve result.
+func codecSolutionDecode(b *testing.B) {
+	var buf bytes.Buffer
+	if err := codecSolution(b).WriteJSON(&buf); err != nil {
+		b.Fatal(err)
+	}
+	doc := buf.Bytes()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.ReadSolutionJSON(bytes.NewReader(doc)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // portfolioAnytimeRace measures the full anytime-racing path (compile, the

@@ -1,72 +1,119 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"nfvchain/internal/model"
+	"nfvchain/internal/wirejson"
 )
 
-// solutionJSON is the stable on-disk form of a Solution. The problem itself
-// is stored alongside so a solution file is self-contained.
-type solutionJSON struct {
-	Problem             *model.Problem    `json:"problem"`
-	Placement           *model.Placement  `json:"placement"`
-	PlacementIterations int               `json:"placementIterations"`
-	Schedule            *model.Schedule   `json:"schedule"`
-	Rejected            []model.RequestID `json:"rejected,omitempty"`
-	RejectionRate       float64           `json:"rejectionRate"`
-	LinkDelay           float64           `json:"linkDelay"`
-}
+// The stable on-disk form of a Solution is one JSON object with the members
+// below, in this order. The problem itself is stored alongside so a solution
+// file is self-contained; "rejected" is omitted when empty.
+var solutionFields = wirejson.NewFields("problem", "placement", "placementIterations",
+	"schedule", "rejected", "rejectionRate", "linkDelay")
 
-// WriteJSON serializes the solution (with its problem) as indented JSON.
+// WriteJSON serializes the solution (with its problem) as indented JSON,
+// byte for byte what encoding/json's indented Encoder writes for it.
 func (s *Solution) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(solutionJSON{
-		Problem:             s.Problem,
-		Placement:           s.Placement,
-		PlacementIterations: s.PlacementIterations,
-		Schedule:            s.Schedule,
-		Rejected:            s.Rejected,
-		RejectionRate:       s.RejectionRate,
-		LinkDelay:           s.LinkDelay,
-	}); err != nil {
+	if err := wirejson.Encode(w, s.appendWire); err != nil {
 		return fmt.Errorf("core: encode solution: %w", err)
 	}
 	return nil
 }
 
+func (s *Solution) appendWire(w *wirejson.Writer) {
+	w.BeginObject()
+	w.Key("problem")
+	if s.Problem == nil {
+		w.Null()
+	} else {
+		s.Problem.AppendWire(w)
+	}
+	w.Key("placement")
+	if s.Placement == nil {
+		w.Null()
+	} else {
+		s.Placement.AppendWire(w)
+	}
+	w.Key("placementIterations")
+	w.Int(s.PlacementIterations)
+	w.Key("schedule")
+	if s.Schedule == nil {
+		w.Null()
+	} else {
+		s.Schedule.AppendWire(w)
+	}
+	if len(s.Rejected) > 0 {
+		w.Key("rejected")
+		w.BeginArray()
+		for _, r := range s.Rejected {
+			w.String(string(r))
+		}
+		w.EndArray()
+	}
+	w.Key("rejectionRate")
+	w.Float(s.RejectionRate)
+	w.Key("linkDelay")
+	w.Float(s.LinkDelay)
+	w.EndObject()
+}
+
 // ReadSolutionJSON parses a solution written by WriteJSON and validates its
 // internal consistency (problem validity, placement feasibility, schedule
-// completeness modulo rejections).
+// completeness modulo rejections). Decoding is strict: an unknown or
+// repeated field is an error. As with a json.Decoder, only the first JSON
+// value is read; anything after it is ignored.
 func ReadSolutionJSON(r io.Reader) (*Solution, error) {
-	var raw solutionJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&raw); err != nil {
+	var sol Solution
+	if err := wirejson.Decode(r, sol.decodeWire); err != nil {
 		return nil, fmt.Errorf("core: decode solution: %w", err)
 	}
-	if raw.Problem == nil || raw.Placement == nil || raw.Schedule == nil {
+	if sol.Problem == nil || sol.Placement == nil || sol.Schedule == nil {
 		return nil, fmt.Errorf("core: solution file missing problem, placement or schedule")
 	}
-	if err := raw.Problem.Validate(); err != nil {
+	if err := sol.Problem.Validate(); err != nil {
 		return nil, fmt.Errorf("core: solution problem: %w", err)
 	}
-	if err := raw.Placement.Validate(raw.Problem); err != nil {
+	if err := sol.Placement.Validate(sol.Problem); err != nil {
 		return nil, fmt.Errorf("core: solution placement: %w", err)
 	}
-	if err := raw.Schedule.ValidatePartial(raw.Problem); err != nil {
+	if err := sol.Schedule.ValidatePartial(sol.Problem); err != nil {
 		return nil, fmt.Errorf("core: solution schedule: %w", err)
 	}
-	return &Solution{
-		Problem:             raw.Problem,
-		Placement:           raw.Placement,
-		PlacementIterations: raw.PlacementIterations,
-		Schedule:            raw.Schedule,
-		Rejected:            raw.Rejected,
-		RejectionRate:       raw.RejectionRate,
-		LinkDelay:           raw.LinkDelay,
-	}, nil
+	return &sol, nil
+}
+
+// decodeWire reads the solution envelope into s.
+func (s *Solution) decodeWire(r *wirejson.Reader) {
+	var seen uint64
+	r.Object(func(key []byte) {
+		switch r.Field(solutionFields, key, &seen) {
+		case 0:
+			if !r.Null() {
+				s.Problem = new(model.Problem)
+				s.Problem.DecodeWire(r)
+			}
+		case 1:
+			if !r.Null() {
+				s.Placement = new(model.Placement)
+				s.Placement.DecodeWire(r)
+			}
+		case 2:
+			s.PlacementIterations = r.Int()
+		case 3:
+			if !r.Null() {
+				s.Schedule = new(model.Schedule)
+				s.Schedule.DecodeWire(r)
+			}
+		case 4:
+			s.Rejected = wirejson.Slice(r, func(id *model.RequestID) { *id = model.RequestID(r.Str()) })
+		case 5:
+			s.RejectionRate = r.Float()
+		case 6:
+			s.LinkDelay = r.Float()
+		}
+	})
+
 }

@@ -1,31 +1,305 @@
 package model
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+
+	"nfvchain/internal/wirejson"
 )
 
-// WriteJSON serializes the problem as indented JSON.
+// The codec below writes and reads exactly the documents encoding/json
+// produces and accepts for these types (struct tags in model.go, placement.go
+// and schedule.go), through internal/wirejson instead of reflection. A
+// repeated key is the one input encoding/json merges and this codec rejects.
+// The differential tests keep encoding/json as the oracle.
+
+// WriteJSON serializes the problem as indented JSON, byte for byte what a
+// json.Encoder with SetIndent("", "  ") writes.
 func (p *Problem) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(p); err != nil {
+	if err := wirejson.Encode(w, p.AppendWire); err != nil {
 		return fmt.Errorf("model: encode problem: %w", err)
 	}
 	return nil
 }
 
-// ReadJSON parses a problem from JSON and validates it.
+// ReadJSON parses a problem from JSON and validates it. Decoding is strict:
+// an unknown or repeated field is an error. As with a json.Decoder, only
+// the first JSON value is read; anything after it is ignored.
 func ReadJSON(r io.Reader) (*Problem, error) {
 	var p Problem
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p); err != nil {
+	if err := wirejson.Decode(r, p.DecodeWire); err != nil {
 		return nil, fmt.Errorf("model: decode problem: %w", err)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("model: invalid problem: %w", err)
 	}
 	return &p, nil
+}
+
+// MarshalJSON encodes the problem as json.Marshal would by reflection.
+func (p Problem) MarshalJSON() ([]byte, error) { return wirejson.Marshal(p.AppendWire) }
+
+// UnmarshalJSON decodes a problem strictly (unknown or repeated fields are
+// errors), whether or not the calling json.Decoder disallows unknown fields.
+func (p *Problem) UnmarshalJSON(data []byte) error { return wirejson.Unmarshal(data, p.DecodeWire) }
+
+// MarshalJSON encodes the placement as json.Marshal would by reflection.
+func (pl Placement) MarshalJSON() ([]byte, error) { return wirejson.Marshal(pl.AppendWire) }
+
+// UnmarshalJSON decodes a placement strictly.
+func (pl *Placement) UnmarshalJSON(data []byte) error { return wirejson.Unmarshal(data, pl.DecodeWire) }
+
+// MarshalJSON encodes the schedule as json.Marshal would by reflection.
+func (s Schedule) MarshalJSON() ([]byte, error) { return wirejson.Marshal(s.AppendWire) }
+
+// UnmarshalJSON decodes a schedule strictly.
+func (s *Schedule) UnmarshalJSON(data []byte) error { return wirejson.Unmarshal(data, s.DecodeWire) }
+
+var (
+	problemFields   = wirejson.NewFields("nodes", "vnfs", "requests")
+	nodeFields      = wirejson.NewFields("id", "name", "capacity", "extras")
+	vnfFields       = wirejson.NewFields("id", "name", "category", "instances", "demand", "serviceRate", "extras")
+	requestFields   = wirejson.NewFields("id", "chain", "rate", "deliveryProb")
+	placementFields = wirejson.NewFields("nodeOf")
+	scheduleFields  = wirejson.NewFields("instanceOf")
+)
+
+// AppendWire writes the problem as a JSON object.
+func (p *Problem) AppendWire(w *wirejson.Writer) {
+	w.BeginObject()
+	w.Key("nodes")
+	appendSlice(w, p.Nodes, (*Node).appendWire)
+	w.Key("vnfs")
+	appendSlice(w, p.VNFs, (*VNF).appendWire)
+	w.Key("requests")
+	appendSlice(w, p.Requests, (*Request).appendWire)
+	w.EndObject()
+}
+
+// DecodeWire reads a problem object into p; null leaves p unchanged.
+func (p *Problem) DecodeWire(r *wirejson.Reader) {
+	var seen uint64
+	r.Object(func(key []byte) {
+		switch r.Field(problemFields, key, &seen) {
+		case 0:
+			p.Nodes = wirejson.Slice(r, func(n *Node) { n.decodeWire(r) })
+		case 1:
+			p.VNFs = wirejson.Slice(r, func(f *VNF) { f.decodeWire(r) })
+		case 2:
+			p.Requests = wirejson.Slice(r, func(q *Request) { q.decodeWire(r) })
+		}
+	})
+}
+
+// appendSlice writes a slice as an array, or null when it is nil.
+func appendSlice[T any](w *wirejson.Writer, s []T, elem func(*T, *wirejson.Writer)) {
+	if s == nil {
+		w.Null()
+		return
+	}
+	w.BeginArray()
+	for i := range s {
+		elem(&s[i], w)
+	}
+	w.EndArray()
+}
+
+func appendFloats(w *wirejson.Writer, xs []float64) {
+	appendSlice(w, xs, func(x *float64, w *wirejson.Writer) { w.Float(*x) })
+}
+
+func decodeFloats(r *wirejson.Reader) []float64 {
+	return wirejson.Slice(r, func(x *float64) { *x = r.Float() })
+}
+
+func (n *Node) appendWire(w *wirejson.Writer) {
+	w.BeginObject()
+	w.Key("id")
+	w.String(string(n.ID))
+	if n.Name != "" {
+		w.Key("name")
+		w.String(n.Name)
+	}
+	w.Key("capacity")
+	w.Float(n.Capacity)
+	if len(n.Extras) > 0 {
+		w.Key("extras")
+		appendFloats(w, n.Extras)
+	}
+	w.EndObject()
+}
+
+func (n *Node) decodeWire(r *wirejson.Reader) {
+	var seen uint64
+	r.Object(func(key []byte) {
+		switch r.Field(nodeFields, key, &seen) {
+		case 0:
+			n.ID = NodeID(r.Str())
+		case 1:
+			n.Name = r.Str()
+		case 2:
+			n.Capacity = r.Float()
+		case 3:
+			n.Extras = decodeFloats(r)
+		}
+	})
+}
+
+func (f *VNF) appendWire(w *wirejson.Writer) {
+	w.BeginObject()
+	w.Key("id")
+	w.String(string(f.ID))
+	if f.Name != "" {
+		w.Key("name")
+		w.String(f.Name)
+	}
+	if f.Category != "" {
+		w.Key("category")
+		w.String(f.Category)
+	}
+	w.Key("instances")
+	w.Int(f.Instances)
+	w.Key("demand")
+	w.Float(f.Demand)
+	w.Key("serviceRate")
+	w.Float(f.ServiceRate)
+	if len(f.Extras) > 0 {
+		w.Key("extras")
+		appendFloats(w, f.Extras)
+	}
+	w.EndObject()
+}
+
+func (f *VNF) decodeWire(r *wirejson.Reader) {
+	var seen uint64
+	r.Object(func(key []byte) {
+		switch r.Field(vnfFields, key, &seen) {
+		case 0:
+			f.ID = VNFID(r.Str())
+		case 1:
+			f.Name = r.Str()
+		case 2:
+			f.Category = r.Str()
+		case 3:
+			f.Instances = r.Int()
+		case 4:
+			f.Demand = r.Float()
+		case 5:
+			f.ServiceRate = r.Float()
+		case 6:
+			f.Extras = decodeFloats(r)
+		}
+	})
+}
+
+func (q *Request) appendWire(w *wirejson.Writer) {
+	w.BeginObject()
+	w.Key("id")
+	w.String(string(q.ID))
+	w.Key("chain")
+	appendSlice(w, q.Chain, func(f *VNFID, w *wirejson.Writer) { w.String(string(*f)) })
+	w.Key("rate")
+	w.Float(q.Rate)
+	w.Key("deliveryProb")
+	w.Float(q.DeliveryProb)
+	w.EndObject()
+}
+
+func (q *Request) decodeWire(r *wirejson.Reader) {
+	var seen uint64
+	r.Object(func(key []byte) {
+		switch r.Field(requestFields, key, &seen) {
+		case 0:
+			q.ID = RequestID(r.Str())
+		case 1:
+			q.Chain = wirejson.Slice(r, func(f *VNFID) { *f = VNFID(r.Str()) })
+		case 2:
+			q.Rate = r.Float()
+		case 3:
+			q.DeliveryProb = r.Float()
+		}
+	})
+}
+
+// AppendWire writes the placement as a JSON object, map keys sorted.
+func (pl *Placement) AppendWire(w *wirejson.Writer) {
+	w.BeginObject()
+	w.Key("nodeOf")
+	if pl.NodeOf == nil {
+		w.Null()
+	} else {
+		w.BeginObject()
+		for _, f := range sortedKeys(pl.NodeOf, nil) {
+			w.Key(string(f))
+			w.String(string(pl.NodeOf[f]))
+		}
+		w.EndObject()
+	}
+	w.EndObject()
+}
+
+// DecodeWire reads a placement object into pl; null leaves pl unchanged.
+func (pl *Placement) DecodeWire(r *wirejson.Reader) {
+	var seen uint64
+	r.Object(func(key []byte) {
+		if r.Field(placementFields, key, &seen) < 0 {
+			return
+		}
+		pl.NodeOf = wirejson.Map(r, func(m map[VNFID]NodeID, f VNFID) { m[f] = NodeID(r.Str()) })
+	})
+}
+
+// AppendWire writes the schedule as a JSON object, map keys sorted at both
+// levels.
+func (s *Schedule) AppendWire(w *wirejson.Writer) {
+	w.BeginObject()
+	w.Key("instanceOf")
+	if s.InstanceOf == nil {
+		w.Null()
+	} else {
+		w.BeginObject()
+		var vnfs []VNFID
+		for _, id := range sortedKeys(s.InstanceOf, nil) {
+			w.Key(string(id))
+			m := s.InstanceOf[id]
+			if m == nil {
+				w.Null()
+				continue
+			}
+			w.BeginObject()
+			vnfs = sortedKeys(m, vnfs[:0])
+			for _, f := range vnfs {
+				w.Key(string(f))
+				w.Int(m[f])
+			}
+			w.EndObject()
+		}
+		w.EndObject()
+	}
+	w.EndObject()
+}
+
+// DecodeWire reads a schedule object into s; null leaves s unchanged.
+func (s *Schedule) DecodeWire(r *wirejson.Reader) {
+	var seen uint64
+	r.Object(func(key []byte) {
+		if r.Field(scheduleFields, key, &seen) < 0 {
+			return
+		}
+		s.InstanceOf = wirejson.Map(r, func(m map[RequestID]map[VNFID]int, id RequestID) {
+			m[id] = wirejson.Map(r, func(m map[VNFID]int, f VNFID) { m[f] = r.Int() })
+		})
+	})
+}
+
+// sortedKeys appends m's keys to dst in increasing byte order, the order
+// encoding/json writes map members in.
+func sortedKeys[K ~string, V any](m map[K]V, dst []K) []K {
+	dst = slices.Grow(dst, len(m))
+	for k := range m {
+		dst = append(dst, k)
+	}
+	slices.Sort(dst)
+	return dst
 }

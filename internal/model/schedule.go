@@ -77,12 +77,7 @@ func (s *Schedule) Validate(p *Problem) error {
 			}
 		}
 	}
-	for r := range s.InstanceOf {
-		if _, ok := p.Request(r); !ok {
-			return fmt.Errorf("schedule: unknown request %s", r)
-		}
-	}
-	return nil
+	return s.checkKnownRequests(p)
 }
 
 // ValidatePartial is Validate for post-admission schedules: a request may be
@@ -113,8 +108,31 @@ func (s *Schedule) ValidatePartial(p *Problem) error {
 			}
 		}
 	}
+	return s.checkKnownRequests(p)
+}
+
+// checkKnownRequests reports a scheduled request the problem does not
+// define, in linear time and without allocating (simulators validate their
+// schedule on every Reset). With distinct request IDs, as Problem.Validate
+// requires, every schedule key is a known request exactly when as many of
+// the problem's requests appear in the schedule as it has keys; any other
+// count takes the exact search, which names the unknown request.
+func (s *Schedule) checkKnownRequests(p *Problem) error {
+	matched := 0
+	for _, r := range p.Requests {
+		if _, ok := s.InstanceOf[r.ID]; ok {
+			matched++
+		}
+	}
+	if matched == len(s.InstanceOf) {
+		return nil
+	}
+	known := make(map[RequestID]struct{}, len(p.Requests))
+	for _, r := range p.Requests {
+		known[r.ID] = struct{}{}
+	}
 	for r := range s.InstanceOf {
-		if _, ok := p.Request(r); !ok {
+		if _, ok := known[r]; !ok {
 			return fmt.Errorf("schedule: unknown request %s", r)
 		}
 	}

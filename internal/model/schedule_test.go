@@ -103,6 +103,26 @@ func TestScheduleValidatePartial(t *testing.T) {
 		s.Assign("ghost", "fw", 0)
 		checkErr(t, s.ValidatePartial(p), "unknown request")
 	})
+	t.Run("unknown request in place of an absent one rejected", func(t *testing.T) {
+		s := testSchedule()
+		delete(s.InstanceOf, "r2")
+		s.Assign("ghost", "fw", 0)
+		checkErr(t, s.ValidatePartial(p), "unknown request")
+	})
+	t.Run("empty row of a known request allowed", func(t *testing.T) {
+		s := testSchedule()
+		s.InstanceOf["r2"] = map[VNFID]int{}
+		if err := s.ValidatePartial(p); err != nil {
+			t.Errorf("ValidatePartial: %v", err)
+		}
+	})
+	t.Run("no allocation", func(t *testing.T) {
+		// Simulators validate their schedule on every Reset.
+		s := testSchedule()
+		if n := testing.AllocsPerRun(100, func() { _ = s.ValidatePartial(p) }); n != 0 {
+			t.Errorf("ValidatePartial allocates %v times", n)
+		}
+	})
 }
 
 func TestScheduleInstanceLoads(t *testing.T) {

@@ -5,8 +5,8 @@ import (
 	"hash/fnv"
 	"testing"
 
-	"nfvchain/internal/rng"
 	"nfvchain/internal/model"
+	"nfvchain/internal/rng"
 )
 
 func TestCompatProbe(t *testing.T) {

@@ -345,8 +345,8 @@ func TestInjectUnpopOrdering(t *testing.T) {
 func TestExpectedEventsTraceWeighting(t *testing.T) {
 	problem := &model.Problem{
 		Requests: []model.Request{
-			{ID: "long", Chain: []model.VNFID{"a", "b", "c", "d"}, Rate: 1, DeliveryProb: 1},  // cost 2*4+2 = 10
-			{ID: "short", Chain: []model.VNFID{"a"}, Rate: 1, DeliveryProb: 1},                // cost 2*1+2 = 4
+			{ID: "long", Chain: []model.VNFID{"a", "b", "c", "d"}, Rate: 1, DeliveryProb: 1}, // cost 2*4+2 = 10
+			{ID: "short", Chain: []model.VNFID{"a"}, Rate: 1, DeliveryProb: 1},               // cost 2*1+2 = 4
 		},
 	}
 	trace := &workload.Trace{Horizon: 100}

@@ -1,0 +1,255 @@
+package wirejson
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// writeAny writes a value of the shapes encoding/json decodes into any
+// (nil, string, float64, []any, map[string]any) through the Writer.
+func writeAny(w *Writer, v any) {
+	switch v := v.(type) {
+	case nil:
+		w.Null()
+	case string:
+		w.String(v)
+	case float64:
+		w.Float(v)
+	case int:
+		w.Int(v)
+	case []any:
+		w.BeginArray()
+		for _, e := range v {
+			writeAny(w, e)
+		}
+		w.EndArray()
+	case map[string]any:
+		keys := make([]string, 0, len(v))
+		for k := range v {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		w.BeginObject()
+		for _, k := range keys {
+			w.Key(k)
+			writeAny(w, v[k])
+		}
+		w.EndObject()
+	default:
+		panic(fmt.Sprintf("writeAny: %T", v))
+	}
+}
+
+// oracle returns encoding/json's compact and indented encodings of v.
+func oracle(t *testing.T, v any) (compact, indented []byte) {
+	t.Helper()
+	compact, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return compact, buf.Bytes()
+}
+
+// checkWriter compares both Writer modes with encoding/json on v.
+func checkWriter(t *testing.T, v any) {
+	t.Helper()
+	compact, indented := oracle(t, v)
+	got, err := Marshal(func(w *Writer) { writeAny(w, v) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, compact) {
+		t.Errorf("compact %#v:\n got %s\nwant %s", v, got, compact)
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, func(w *Writer) { writeAny(w, v) }); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), indented) {
+		t.Errorf("indented %#v:\n got %q\nwant %q", v, buf.Bytes(), indented)
+	}
+}
+
+var trickyStrings = []string{
+	"", "plain", "<script>&amp;</script>", `quote " and backslash \`,
+	"\x00\x01\b\f\n\r\t\x1f\x7f", "line\u2028para\u2029end", "bad \xff utf8 \xe2\x80",
+	"\xed\xa0\x80 raw surrogate", "sécurité ✓ 🙂", "\ufffd literal replacement",
+}
+
+func TestWriterStrings(t *testing.T) {
+	for _, s := range trickyStrings {
+		checkWriter(t, s)
+		checkWriter(t, map[string]any{s: s})
+	}
+	for c := 0; c < 256; c++ {
+		checkWriter(t, string([]byte{'a', byte(c), 'z'}))
+	}
+}
+
+func TestWriterFloats(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1e-6, 1e-7, 9.99999e-7, 1e20, 1e21,
+		-1e21, 123456789.125, 5e-324, math.MaxFloat64, -math.SmallestNonzeroFloat64, 1e-300}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for len(vals) < 2000 {
+		if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+			vals = append(vals, f)
+		}
+	}
+	for _, f := range vals {
+		checkWriter(t, f)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Marshal(func(w *Writer) { w.Float(bad) }); err == nil {
+			t.Errorf("Float(%v) encoded", bad)
+		}
+	}
+}
+
+func TestWriterNesting(t *testing.T) {
+	checkWriter(t, []any{})
+	checkWriter(t, map[string]any{})
+	checkWriter(t, []any{nil, []any{}, map[string]any{}, map[string]any{"a": []any{}}})
+	checkWriter(t, map[string]any{"b": 1.5, "a": []any{"x", nil, 2.0}, "c": map[string]any{"d": nil}})
+	// Deeper than the writer's one-append indentation run.
+	var deep any = "leaf"
+	for i := 0; i < 40; i++ {
+		deep = []any{float64(i), map[string]any{"k": deep}}
+	}
+	checkWriter(t, deep)
+}
+
+func TestReaderStrings(t *testing.T) {
+	lits := []string{
+		`""`, `"plain"`, `"\"\\\/\b\f\n\r\t"`, `"\u0041\u00e9\u2028"`, `"\ud83d\ude00"`,
+		`"\ud83d"`, `"\ude00"`, `"\ud83d\ud83d\ude00"`, `"\ud83dx"`, `"\ud83d\u0041"`,
+		`"\ud83d\n"`, "\"bad \xff utf8\"", "\"raw \xed\xa0\x80\"", "\"\u2028 raw\"",
+		`"\x"`, `"\u12"`, `"\u12g4"`, "\"ctl \x01\"", `"unterminated`, `"\`, `"a\"`,
+		"\"tab\there\"", `"\uD83D\uDE00"`, `null`, `1`, `{}`, `"x" "y"`,
+	}
+	for _, lit := range lits {
+		var want string
+		wantErr := json.Unmarshal([]byte(lit), &want)
+		var got string
+		gotErr := Unmarshal([]byte(lit), func(r *Reader) { got = r.Str() })
+		if (gotErr == nil) != (wantErr == nil) || wantErr == nil && got != want {
+			t.Errorf("%q: got (%q, %v), want (%q, %v)", lit, got, gotErr, want, wantErr)
+		}
+	}
+}
+
+func TestReaderNumbers(t *testing.T) {
+	lits := []string{
+		"0", "-0", "7", "-12", "1.0", "1e2", "1E+2", "2.5e-3", "-", "01", "1.", ".5", "+1",
+		"0x10", "1_000", "Infinity", "NaN", "null", "nul", "99999999999999999999",
+		"9223372036854775807", "-9223372036854775808", "1e400", "-1e400", "1e-400",
+		"5e-324", "0.1", " 3 ", "3 4", "1e", "1e+", "-01", `"1"`, "true",
+	}
+	for _, lit := range lits {
+		var wantI int
+		wantIErr := json.Unmarshal([]byte(lit), &wantI)
+		var gotI int
+		gotIErr := Unmarshal([]byte(lit), func(r *Reader) { gotI = r.Int() })
+		if (gotIErr == nil) != (wantIErr == nil) || wantIErr == nil && gotI != wantI {
+			t.Errorf("int %q: got (%d, %v), want (%d, %v)", lit, gotI, gotIErr, wantI, wantIErr)
+		}
+		var wantF float64
+		wantFErr := json.Unmarshal([]byte(lit), &wantF)
+		var gotF float64
+		gotFErr := Unmarshal([]byte(lit), func(r *Reader) { gotF = r.Float() })
+		if (gotFErr == nil) != (wantFErr == nil) || wantFErr == nil && math.Float64bits(gotF) != math.Float64bits(wantF) {
+			t.Errorf("float %q: got (%v, %v), want (%v, %v)", lit, gotF, gotFErr, wantF, wantFErr)
+		}
+	}
+}
+
+// TestReaderFields checks key matching against encoding/json on a struct
+// with the same names: exact first, then case folding (including the
+// Kelvin sign and the long s), with unknown fields rejected.
+func TestReaderFields(t *testing.T) {
+	type target struct {
+		Name      string  `json:"name"`
+		Kind      string  `json:"kind"`
+		LinkDelay float64 `json:"linkDelay"`
+	}
+	fields := NewFields("name", "kind", "linkDelay")
+	docs := []string{
+		`{"name":"a","kind":"b","linkDelay":1}`,
+		`{"NAME":"a","Kind":"b","LINKDELAY":1}`,
+		`{"\u006eame":"a"}`,
+		"{\"\u212aind\":\"kelvin\"}",
+		"{\"name\u017f\":\"long s\"}",
+		"{\"linkdelay\":2,\"ſ\":1}",
+		`{"bogus":1}`,
+		`{"name":"a",}`,
+		`{"name" "a"}`,
+		`{"name":"a"} trailing`,
+		`{"name":null,"kind":null,"linkDelay":null}`,
+		`null`,
+		`[]`,
+	}
+	for _, doc := range docs {
+		var want target
+		dec := json.NewDecoder(strings.NewReader(doc))
+		dec.DisallowUnknownFields()
+		wantErr := dec.Decode(&want)
+		if wantErr == nil && dec.More() {
+			wantErr = errors.New("trailing data")
+		}
+		var got target
+		gotErr := Unmarshal([]byte(doc), func(r *Reader) {
+			var seen uint64
+			r.Object(func(key []byte) {
+				switch r.Field(fields, key, &seen) {
+				case 0:
+					got.Name = r.Str()
+				case 1:
+					got.Kind = r.Str()
+				case 2:
+					got.LinkDelay = r.Float()
+				}
+			})
+		})
+		if (gotErr == nil) != (wantErr == nil) || wantErr == nil && got != want {
+			t.Errorf("%s: got (%+v, %v), want (%+v, %v)", doc, got, gotErr, want, wantErr)
+		}
+	}
+	err := Unmarshal([]byte(`{"name":"a","NAME":"b"}`), func(r *Reader) {
+		var seen uint64
+		r.Object(func(key []byte) {
+			if r.Field(fields, key, &seen) >= 0 {
+				_ = r.Str()
+			}
+		})
+	})
+	if !errors.Is(err, ErrDuplicateKey) {
+		t.Errorf("repeated field: got %v, want ErrDuplicateKey", err)
+	}
+}
+
+// TestDecodeIgnoresTrailingData pins the json.Decoder behaviour Decode
+// keeps: bytes after the first complete value are not examined.
+func TestDecodeIgnoresTrailingData(t *testing.T) {
+	var got []float64
+	err := Decode(strings.NewReader(`[1, 2] garbage {`), func(r *Reader) {
+		got = Slice(r, func(x *float64) { *x = r.Float() })
+	})
+	if err != nil || !slices.Equal(got, []float64{1, 2}) {
+		t.Errorf("got (%v, %v)", got, err)
+	}
+	if err := Decode(strings.NewReader(" "), func(r *Reader) { r.array(func() {}) }); err == nil {
+		t.Error("empty input accepted")
+	}
+}
