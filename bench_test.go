@@ -293,9 +293,8 @@ func BenchmarkSimulatorLargeHorizon(b *testing.B) {
 }
 
 // BenchmarkSimulatorDeepHorizon stretches the fleet workload to a 300 s
-// horizon — roughly 4.5M events, ten times BenchmarkSimulatorLargeHorizon —
-// which pushes AgendaAuto past its expected-event threshold onto the ladder
-// queue. One reused Simulator serves every iteration, so allocs/op is the
+// horizon — roughly 4.5M events, ten times BenchmarkSimulatorLargeHorizon.
+// One reused Simulator serves every iteration, so allocs/op is the
 // steady-state sweep cost.
 func BenchmarkSimulatorDeepHorizon(b *testing.B) {
 	prob, sched := largeHorizonFixture()
@@ -317,11 +316,11 @@ func BenchmarkSimulatorDeepHorizon(b *testing.B) {
 // BenchmarkSimulatorStreamReplay runs the fleet workload through the
 // streaming arrival path: per-request renewal sources superposed by a
 // MergedStream feed Config.TraceStream one row at a time, with the
-// ExpectedArrivals hint sizing the agenda up front. Same event volume as
-// BenchmarkSimulatorLargeHorizon, but the simulator holds one staged
-// arrival per cursor instead of the whole trace. CI runs one iteration as
-// a smoke test of the pull-based path; the trajectory numbers live in
-// results/BENCH.json (Simulator/stream-replay).
+// ExpectedArrivals hint sizing the latency samples up front. Same event
+// volume as BenchmarkSimulatorLargeHorizon, but the simulator holds one
+// staged arrival per cursor instead of the whole trace. CI runs one
+// iteration as a smoke test of the pull-based path; the trajectory numbers
+// live in results/BENCH.json (Simulator/stream-replay).
 func BenchmarkSimulatorStreamReplay(b *testing.B) {
 	prob, sched := largeHorizonFixture()
 	sim := simulate.NewSimulator()

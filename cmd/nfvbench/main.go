@@ -167,7 +167,7 @@ func run(args []string) error {
 		return fmt.Errorf("no scenario matches -run %q", *runFilter)
 	}
 	if *compare != "" {
-		return compareBaseline(*compare, doc.Benchmarks, *nsTol)
+		return compareBaseline(*compare, doc.Benchmarks, *nsTol, *runFilter != "")
 	}
 
 	if dir := filepath.Dir(*out); dir != "." {
@@ -190,9 +190,12 @@ func run(args []string) error {
 // compareBaseline diffs the fresh measurements against a recorded baseline
 // file, printing one line per scenario, and fails on any allocs/op increase
 // or an ns/op regression beyond tol (a fraction, e.g. 0.15 = +15%).
-// Scenarios present on only one side are reported but never fail the gate,
-// so adding a scenario does not require regenerating the baseline first.
-func compareBaseline(path string, got []benchResult, tol float64) error {
+// A scenario missing from the baseline is reported but never fails the
+// gate, so adding a scenario does not require regenerating the baseline
+// first. A baseline row the run did not produce is reported as "(not run)";
+// when filtered is false (no -run filter) it also fails the gate, so a
+// deleted or renamed scenario cannot slip out of the comparison unnoticed.
+func compareBaseline(path string, got []benchResult, tol float64, filtered bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -207,7 +210,9 @@ func compareBaseline(path string, got []benchResult, tol float64) error {
 	}
 	var regressions []string
 	compared := 0
+	ran := make(map[string]bool, len(got))
 	for _, g := range got {
+		ran[g.Name] = true
 		b, ok := baseline[g.Name]
 		if !ok {
 			fmt.Printf("%-34s %14.0f ns/op %8d allocs/op   (no baseline entry)\n",
@@ -240,11 +245,22 @@ func compareBaseline(path string, got []benchResult, tol float64) error {
 		fmt.Printf("%-34s ns/op %12.0f -> %12.0f (%+6.1f%%)   allocs/op %6d -> %6d   %s\n",
 			g.Name, b.NsPerOp, g.NsPerOp, 100*dNs, b.AllocsPerOp, g.AllocsPerOp, verdict)
 	}
+	for _, b := range base.Benchmarks {
+		if ran[b.Name] {
+			continue
+		}
+		fmt.Printf("%-34s %14.0f ns/op %8d allocs/op   (not run)\n",
+			b.Name, b.NsPerOp, b.AllocsPerOp)
+		if !filtered {
+			regressions = append(regressions, fmt.Sprintf(
+				"%s: in the baseline but not run (deleted or renamed scenario?)", b.Name))
+		}
+	}
 	if compared == 0 {
 		return fmt.Errorf("no scenario in common with baseline %s", path)
 	}
 	if len(regressions) > 0 {
-		return fmt.Errorf("performance regressions against %s:\n  %s",
+		return fmt.Errorf("benchmark gate failed against %s:\n  %s",
 			path, strings.Join(regressions, "\n  "))
 	}
 	fmt.Printf("compared %d scenarios against %s: no regressions (ns/op tolerance %+.0f%%, allocs/op strict)\n",
@@ -274,8 +290,6 @@ func scenarios() []scenario {
 		{"Simulator/large-horizon", simulatorLargeHorizon},
 		{"Simulator/large-horizon-reuse", simulatorLargeHorizonReuse},
 		{"Simulator/deep-horizon", simulatorDeepHorizon},
-		{"Simulator/agenda-ab/heap", func(b *testing.B) { simulatorAgendaAB(b, simulate.AgendaHeap) }},
-		{"Simulator/agenda-ab/ladder", func(b *testing.B) { simulatorAgendaAB(b, simulate.AgendaLadder) }},
 		{"Simulator/stream-replay", simulatorStreamReplay},
 		{"Simulator/bursty-classes", simulatorBurstyClasses},
 		{"Simulator/drop-retransmit", simulatorDropRetransmit},
@@ -491,34 +505,14 @@ func simulatorLargeHorizonReuse(b *testing.B) {
 }
 
 // simulatorDeepHorizon stretches the fleet workload to a 300 s horizon —
-// about 4.5M events, ten times the large-horizon run — which pushes
-// AgendaAuto past its expected-event threshold onto the ladder queue. Reuses
-// one Simulator so allocs/op reflects steady-state sweeps.
+// about 4.5M events, ten times the large-horizon run. Reuses one Simulator
+// so allocs/op reflects steady-state sweeps.
 func simulatorDeepHorizon(b *testing.B) {
 	prob, sched := fleetFixture()
 	sim := simulate.NewSimulator()
 	warmed(b, func(seed uint64) {
 		if err := sim.Reset(simulate.Config{
 			Problem: prob, Schedule: sched, Horizon: 300, Warmup: 2, Seed: seed,
-		}); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sim.Run(); err != nil {
-			b.Fatal(err)
-		}
-	})
-}
-
-// simulatorAgendaAB pins the deep-horizon workload to one agenda backend, so
-// the heap and ladder scenarios differ only in the pending-event queue —
-// the direct A/B behind AgendaAuto's threshold.
-func simulatorAgendaAB(b *testing.B, kind simulate.AgendaKind) {
-	prob, sched := fleetFixture()
-	sim := simulate.NewSimulator()
-	warmed(b, func(seed uint64) {
-		if err := sim.Reset(simulate.Config{
-			Problem: prob, Schedule: sched, Horizon: 300, Warmup: 2, Seed: seed,
-			Agenda: kind,
 		}); err != nil {
 			b.Fatal(err)
 		}

@@ -60,7 +60,6 @@ func runTo(args []string, stdout io.Writer) error {
 		solOut     = fs.String("out", "", "with -demo/-solve: write the solution (problem+placement+schedule) as JSON")
 		simulateIt = fs.Bool("simulate", false, "with -demo: also run the discrete-event simulator")
 		jsonOut    = fs.Bool("json", false, "with -simulate: write the simulation Results JSON to stdout (the nfvd wire format) instead of the text report; progress goes to stderr")
-		agendaStr  = fs.String("agenda", "auto", "with -simulate: event-queue backend: auto|heap|ladder (results are bit-identical under every choice)")
 		placer     = fs.String("placer", "bfdsu", "placement algorithm: bfdsu|ffd|bfd|wfd|nah|exact")
 		scheduler  = fs.String("scheduler", "rckk", "scheduling algorithm: rckk|cga|ckk|roundrobin|exact")
 		solver     = fs.String("solver", "", `with -demo/-solve: race a solver portfolio instead of one placer+scheduler pair: "portfolio" (default lineup) or "portfolio:spec,spec,..." — e.g. "portfolio:greedy,sa:iters=20000;t0=2.0,lns" (commas separate specs, semicolons separate a spec's parameters)`)
@@ -143,11 +142,7 @@ func runTo(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		agenda, err := nfvchain.ParseAgendaKind(*agendaStr)
-		if err != nil {
-			return err
-		}
-		return runSolve(*solve, *seed, *simulateIt, *solOut, algs, *improve, pf, faults, ctrl, agenda, wl, out)
+		return runSolve(*solve, *seed, *simulateIt, *solOut, algs, *improve, pf, faults, ctrl, wl, out)
 	case *demo:
 		algs, err := chooseAlgorithms(*placer, *scheduler, *seed)
 		if err != nil {
@@ -158,10 +153,6 @@ func runTo(args []string, stdout io.Writer) error {
 			return err
 		}
 		ctrl, err := chooseControl(*controlStr, *controlInt, *preemptInt, *preemptGroup, *preemptRec, *preemptLead, faults)
-		if err != nil {
-			return err
-		}
-		agenda, err := nfvchain.ParseAgendaKind(*agendaStr)
 		if err != nil {
 			return err
 		}
@@ -195,9 +186,9 @@ func runTo(args []string, stdout io.Writer) error {
 				router:      router,
 				workers:     *clusterWork,
 			}
-			return runClusterDemo(*seed, *vnfs, *requests, *nodes, *simulateIt, algs, agenda, cc, out)
+			return runClusterDemo(*seed, *vnfs, *requests, *nodes, *simulateIt, algs, cc, out)
 		}
-		return runDemo(*seed, *vnfs, *requests, *nodes, *simulateIt, *solOut, algs, *improve, pf, faults, ctrl, agenda, wl, out)
+		return runDemo(*seed, *vnfs, *requests, *nodes, *simulateIt, *solOut, algs, *improve, pf, faults, ctrl, wl, out)
 	case *fig != "":
 		cfg := experiment.DefaultConfig()
 		if *fast {
@@ -363,8 +354,8 @@ func (w workloadOptions) validate(simulateIt bool) error {
 // classes installs per-request generator sources (reporting the class mix);
 // trace-stream first makes a one-pass streaming analysis over the CSV —
 // reporting workload-realism KPIs and learning the exact arrival count for
-// the agenda-sizing hint — then attaches a fresh cursor for constant-memory
-// replay. The returned cleanup closes any file the replay cursor holds open.
+// the ExpectedArrivals hint, which sizes the latency-sample reservation —
+// then attaches a fresh cursor for constant-memory replay. The returned cleanup closes any file the replay cursor holds open.
 func applyWorkload(simCfg *nfvchain.SimulationConfig, wl workloadOptions, sol *nfvchain.Solution, seed uint64, rep io.Writer) (func(), error) {
 	noop := func() {}
 	switch wl.mode {
@@ -432,7 +423,7 @@ func applyWorkload(simCfg *nfvchain.SimulationConfig, wl workloadOptions, sol *n
 	return noop, nil
 }
 
-func runSolve(path string, seed uint64, simulate bool, solOut string, algs algorithms, improve bool, pf portfolioOptions, faults faultOptions, ctrl controlOptions, agenda nfvchain.AgendaKind, wl workloadOptions, out output) error {
+func runSolve(path string, seed uint64, simulate bool, solOut string, algs algorithms, improve bool, pf portfolioOptions, faults faultOptions, ctrl controlOptions, wl workloadOptions, out output) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("open %s: %w", path, err)
@@ -446,10 +437,10 @@ func runSolve(path string, seed uint64, simulate bool, solOut string, algs algor
 	}
 	fmt.Fprintf(out.report(), "problem: %d VNFs, %d requests, %d nodes (from %s)\n",
 		len(p.VNFs), len(p.Requests), len(p.Nodes), path)
-	return solveAndReport(p, seed, simulate, solOut, algs, improve, pf, faults, ctrl, agenda, wl, out)
+	return solveAndReport(p, seed, simulate, solOut, algs, improve, pf, faults, ctrl, wl, out)
 }
 
-func runDemo(seed uint64, vnfs, requests, nodes int, simulate bool, solOut string, algs algorithms, improve bool, pf portfolioOptions, faults faultOptions, ctrl controlOptions, agenda nfvchain.AgendaKind, wl workloadOptions, out output) error {
+func runDemo(seed uint64, vnfs, requests, nodes int, simulate bool, solOut string, algs algorithms, improve bool, pf portfolioOptions, faults faultOptions, ctrl controlOptions, wl workloadOptions, out output) error {
 	cfg := nfvchain.DefaultWorkloadConfig()
 	cfg.Seed = seed
 	cfg.NumVNFs = vnfs
@@ -470,7 +461,7 @@ func runDemo(seed uint64, vnfs, requests, nodes int, simulate bool, solOut strin
 	}
 	fmt.Fprintf(out.report(), "workload: %d VNFs, %d requests, %d nodes (seed %d)\n",
 		len(p.VNFs), len(p.Requests), len(p.Nodes), seed)
-	return solveAndReport(p, seed, simulate, solOut, algs, improve, pf, faults, ctrl, agenda, wl, out)
+	return solveAndReport(p, seed, simulate, solOut, algs, improve, pf, faults, ctrl, wl, out)
 }
 
 // clusterOptions bundles the -datacenters/-wan-latency/-route/-global-fraction
@@ -486,7 +477,7 @@ type clusterOptions struct {
 // runClusterDemo partitions a generated workload across N datacenters, solves
 // each region with the two-phase pipeline, and (with -simulate) composes the
 // per-region simulators under one global clock with WAN entry-hop latency.
-func runClusterDemo(seed uint64, vnfs, requests, nodes int, simulate bool, algs algorithms, agenda nfvchain.AgendaKind, cc clusterOptions, out output) error {
+func runClusterDemo(seed uint64, vnfs, requests, nodes int, simulate bool, algs algorithms, cc clusterOptions, out output) error {
 	rep := out.report()
 	cfg := nfvchain.DefaultWorkloadConfig()
 	cfg.Seed = seed
@@ -533,7 +524,7 @@ func runClusterDemo(seed uint64, vnfs, requests, nodes int, simulate bool, algs 
 		return nil
 	}
 	res, err := nfvchain.SimulateCluster(cs, nfvchain.ClusterSimConfig{
-		Sim:        nfvchain.SimulationConfig{Horizon: 60, Warmup: 10, Seed: seed, Agenda: agenda},
+		Sim:        nfvchain.SimulationConfig{Horizon: 60, Warmup: 10, Seed: seed},
 		WANLatency: cc.wanLatency,
 		Router:     cc.router,
 		Seed:       seed,
@@ -681,7 +672,7 @@ func chooseAlgorithms(placer, scheduler string, seed uint64) (algorithms, error)
 	return out, nil
 }
 
-func solveAndReport(p *model.Problem, seed uint64, simulate bool, solOut string, algs algorithms, improve bool, pf portfolioOptions, faults faultOptions, ctrl controlOptions, agenda nfvchain.AgendaKind, wl workloadOptions, out output) error {
+func solveAndReport(p *model.Problem, seed uint64, simulate bool, solOut string, algs algorithms, improve bool, pf portfolioOptions, faults faultOptions, ctrl controlOptions, wl workloadOptions, out output) error {
 	rep := out.report()
 	var sol *nfvchain.Solution
 	var err error
@@ -744,7 +735,7 @@ func solveAndReport(p *model.Problem, seed uint64, simulate bool, solOut string,
 	if !simulate {
 		return nil
 	}
-	simCfg := nfvchain.SimulationConfig{Horizon: 60, Warmup: 10, Seed: seed, Agenda: agenda}
+	simCfg := nfvchain.SimulationConfig{Horizon: 60, Warmup: 10, Seed: seed}
 	closeWorkload, err := applyWorkload(&simCfg, wl, sol, seed, rep)
 	if err != nil {
 		return err
@@ -811,8 +802,8 @@ func solveAndReport(p *model.Problem, seed uint64, simulate bool, solOut string,
 	if qs, ok := stats.PercentilesOK(res.LatencySamples, 50, 95, 99); ok {
 		tail = fmt.Sprintf("p50 %.6fs, p95 %.6fs, p99 %.6fs", qs[0], qs[1], qs[2])
 	}
-	fmt.Fprintf(rep, "simulated (agenda %s): %d packets delivered, %d retransmitted, mean latency %.6fs, %s\n",
-		res.Agenda, res.Delivered, res.Retransmissions, res.Latency.Mean(), tail)
+	fmt.Fprintf(rep, "simulated: %d packets delivered, %d retransmitted, mean latency %.6fs, %s\n",
+		res.Delivered, res.Retransmissions, res.Latency.Mean(), tail)
 	if faults.mtbf > 0 || ctrl.preempt != nil {
 		var downtime float64
 		for _, dt := range res.Downtime {

@@ -73,24 +73,6 @@ func TestRunDemoAlgorithmSelection(t *testing.T) {
 	}
 }
 
-func TestRunDemoAgendaSelection(t *testing.T) {
-	base := []string{"-demo", "-simulate", "-requests", "20", "-vnfs", "6", "-nodes", "4"}
-	for _, kind := range []string{"auto", "heap", "ladder"} {
-		if err := run(append(base, "-agenda", kind)); err != nil {
-			t.Errorf("agenda %s: %v", kind, err)
-		}
-	}
-	err := run(append(base, "-agenda", "calendar"))
-	if err == nil {
-		t.Fatal("unknown agenda kind accepted")
-	}
-	for _, want := range []string{"calendar", "auto|heap|ladder"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("agenda error %q missing %q", err, want)
-		}
-	}
-}
-
 // TestRunDemoSimulateJSON pins -json to emitting exactly the daemon's
 // Results wire format on stdout: parseable by ReadResultsJSON and free of
 // the human report lines.

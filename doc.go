@@ -61,7 +61,7 @@
 // per-request sources). The engine stages one arrival event per
 // live cursor and re-pulls after each dispatch, so multi-million-arrival
 // replays run in O(#requests) long-lived memory; ExpectedArrivals pre-sizes
-// the event agenda, and AnalyzeArrivals computes per-flow rate, burstiness
+// the latency-sample slice, and AnalyzeArrivals computes per-flow rate, burstiness
 // and a Poisson KS test from any cursor in one pass. Streamed replay is
 // bit-identical to materializing the same trace, and explicit Poisson
 // sources on the canonical streams are bit-identical to the built-in tier

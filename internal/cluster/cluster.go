@@ -67,8 +67,8 @@ type Config struct {
 	// to the barrier in one batch (simulate.Simulator.DrainUntil) — inline
 	// when Workers == 1, fanned out across min(Workers, N) goroutines when a
 	// window carries enough events to pay for the handoff. Results are
-	// bit-identical across every Workers value; like AgendaKind this is
-	// purely a performance knob. The windowed driver assumes routing
+	// bit-identical across every Workers value, so this is purely a
+	// performance knob. The windowed driver assumes routing
 	// policies read DCState.Pending only for datacenters with CanServe —
 	// every built-in policy does — because datacenters no global flow can
 	// reach are drained ahead of the barrier.

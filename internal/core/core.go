@@ -114,18 +114,14 @@ type SimulationConfig struct {
 	// absent requests keep the flat-Poisson default. Mutually exclusive
 	// with Trace and TraceStream.
 	Sources map[model.RequestID]simulate.ArrivalSource
-	// ExpectedArrivals hints the total arrival count for streamed runs
-	// (agenda sizing, sample pre-allocation); 0 falls back to the offered-
-	// rate estimate.
+	// ExpectedArrivals hints the total arrival count for streamed runs; it
+	// only sizes the latency-sample reservation. 0 falls back to the
+	// offered-rate estimate.
 	ExpectedArrivals int
 	// ServiceDist selects the service-time distribution (zero value =
 	// exponential, the paper's assumption).
 	ServiceDist simulate.ServiceDist
-	// Agenda selects the event-queue backend (zero value AgendaAuto picks
-	// by expected event count). Pop order is identical under every kind,
-	// so results are bit-for-bit reproducible regardless of the choice.
-	Agenda simulate.AgendaKind
-	Seed   uint64
+	Seed        uint64
 
 	// FaultPlan injects node failures; nil (the zero value) disables fault
 	// injection and keeps runs bit-identical to historical ones.
@@ -188,7 +184,6 @@ func simConfig(sol *Solution, cfg SimulationConfig) simulate.Config {
 		Sources:          cfg.Sources,
 		ExpectedArrivals: cfg.ExpectedArrivals,
 		ServiceDist:      cfg.ServiceDist,
-		Agenda:           cfg.Agenda,
 		Seed:             cfg.Seed,
 		FaultPlan:        cfg.FaultPlan,
 		FailurePolicy:    cfg.FailurePolicy,

@@ -191,6 +191,38 @@ func TestServedSimulateBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSimulateLegacyAgendaIgnored keeps old clients working: the agenda
+// spellings nfvd once honoured are still accepted, and each yields the same
+// result bytes as a request without the field (the simulator has one event
+// queue). An unknown spelling is still a 400 (see TestValidationErrors).
+func TestSimulateLegacyAgendaIgnored(t *testing.T) {
+	p := testProblem(t)
+	_, c := newTestServer(t, Config{Workers: 2})
+	ctx := context.Background()
+	run := func(agenda string) []byte {
+		t.Helper()
+		st, err := c.Simulate(ctx, SimulateRequest{Problem: p, Options: SolveOptions{Seed: 5},
+			Sim: SimOptions{Horizon: 5, Warmup: 1, Seed: 7, Agenda: agenda}})
+		if err != nil {
+			t.Fatalf("agenda %q: %v", agenda, err)
+		}
+		if st, err = c.Wait(ctx, st.ID); err != nil || st.State != StateDone {
+			t.Fatalf("agenda %q: wait: %v, state %s", agenda, err, st.State)
+		}
+		got, err := c.ResultBytes(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	want := run("")
+	for _, agenda := range []string{"auto", "heap", "ladder"} {
+		if got := run(agenda); !bytes.Equal(got, want) {
+			t.Errorf("agenda %q: result bytes differ from a request without the field", agenda)
+		}
+	}
+}
+
 // TestCacheHit asserts a duplicate submission — even with different JSON
 // formatting — answers instantly from the cache with the hit counter bumped.
 func TestCacheHit(t *testing.T) {

@@ -142,8 +142,9 @@ type SimOptions struct {
 	RetransmitDelay float64 `json:"retransmitDelay,omitempty"`
 	// ServiceDist: exponential|deterministic|lognormal ("" = exponential).
 	ServiceDist string `json:"serviceDist,omitempty"`
-	// Agenda: auto|heap|ladder ("" = auto); results are bit-identical under
-	// every choice.
+	// Agenda is accepted for compatibility and ignored: the simulator has
+	// one event queue. Older clients may still send auto|heap|ladder; any
+	// other value is rejected.
 	Agenda string `json:"agenda,omitempty"`
 	Seed   uint64 `json:"seed,omitempty"`
 	// FaultPlan optionally injects node failures (requires the solution to
@@ -179,12 +180,10 @@ func (o SimOptions) simConfig() (core.SimulationConfig, error) {
 	default:
 		return cfg, fmt.Errorf("unknown service distribution %q (want exponential|deterministic|lognormal)", o.ServiceDist)
 	}
-	if o.Agenda != "" {
-		kind, err := simulate.ParseAgendaKind(o.Agenda)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Agenda = kind
+	switch o.Agenda {
+	case "", "auto", "heap", "ladder":
+	default:
+		return cfg, fmt.Errorf("unknown agenda %q (want auto|heap|ladder)", o.Agenda)
 	}
 	switch o.FailurePolicy {
 	case "", "drop":

@@ -121,7 +121,7 @@ func TestResultsJSONRoundTrip(t *testing.T) {
 	}
 	if back.Generated != res.Generated || back.Delivered != res.Delivered ||
 		back.Dropped != res.Dropped || back.InFlight != res.InFlight ||
-		back.FailureDrops != res.FailureDrops || back.Agenda != res.Agenda {
+		back.FailureDrops != res.FailureDrops {
 		t.Errorf("scalar counters drifted: got %+v", back)
 	}
 	if back.Latency != res.Latency {
@@ -162,5 +162,28 @@ func TestReadResultsJSONStrict(t *testing.T) {
 	}
 	if _, err := ReadResultsJSON(strings.NewReader(`not json`)); err == nil {
 		t.Error("malformed JSON accepted")
+	}
+}
+
+// TestReadResultsJSONLegacyAgenda keeps older documents readable: the golden
+// fixture with its "heap" agenda swapped for the "ladder" an older writer
+// could record still decodes, and re-encodes to the golden bytes. Unknown
+// spellings stay rejected (TestReadResultsJSONStrict).
+func TestReadResultsJSONLegacyAgenda(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "results.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const heap = `"agenda": "heap"`
+	if !bytes.Contains(golden, []byte(heap)) {
+		t.Fatalf("golden fixture lacks %s", heap)
+	}
+	ladder := bytes.Replace(golden, []byte(heap), []byte(`"agenda": "ladder"`), 1)
+	back, err := ReadResultsJSON(bytes.NewReader(ladder))
+	if err != nil {
+		t.Fatalf("legacy ladder document rejected: %v", err)
+	}
+	if got := encodeResults(t, back); !bytes.Equal(got, golden) {
+		t.Error("legacy ladder document does not re-encode to the golden bytes")
 	}
 }

@@ -105,12 +105,11 @@ type Config struct {
 	Sources map[model.RequestID]ArrivalSource
 
 	// ExpectedArrivals hints the total number of external arrivals the run
-	// will admit, sizing the AgendaAuto backend choice and the
-	// latency-sample reservation when the exact count is unknowable up
-	// front (TraceStream replay, custom Sources). 0 falls back to the
-	// offered-rate estimate Σ Rate·Horizon from the problem, which is exact
-	// in expectation for the flat-Poisson default and mean-preserving
-	// generator classes. Ignored when Trace is set (the count is exact).
+	// will admit. It only sizes the up-front LatencySamples reservation
+	// (capped at 2 Mi samples), for runs whose arrival count is unknowable
+	// up front (TraceStream replay, custom Sources). 0 falls back to the
+	// offered-rate estimate Σ Rate·(Horizon−Warmup) over the scheduled
+	// requests. Ignored when Trace is set (its length is used instead).
 	ExpectedArrivals int
 
 	// InjectOnly lists requests whose external arrivals are supplied by the
@@ -161,65 +160,7 @@ type Config struct {
 	// be trusted when the M/M/1 assumption is violated.
 	ServiceDist ServiceDist
 
-	// Agenda selects the pending-event queue implementation (see AgendaKind).
-	// Every kind pops events in the identical (time, seq) order, so Results
-	// are bit-identical across kinds — this is purely a performance knob.
-	// The zero value AgendaAuto picks by expected event count.
-	Agenda AgendaKind
-
 	Seed uint64
-}
-
-// expectedEvents estimates the run's total event count from the offered
-// load: per admitted packet, one source event, one arrival plus one service
-// completion per chain stage, and one delivery check. Trace-mode runs weight
-// each request's per-packet cost by its actual share of the trace — a trace
-// skewed toward long-chain requests generates correspondingly more events —
-// rather than assuming arrivals divide uniformly across requests; arrivals
-// naming unknown requests are skipped at seeding time and count nothing.
-// Streaming modes (TraceStream, Sources) cannot enumerate arrivals up
-// front: they scale the rate-weighted mean per-arrival cost by the
-// ExpectedArrivals hint when one is given, and otherwise fall back to the
-// problem's offered rates — exact in expectation for the Poisson default
-// and for mean-preserving generator classes.
-func (cfg *Config) expectedEvents() float64 {
-	if cfg.Trace != nil {
-		cost := make(map[model.RequestID]float64, len(cfg.Problem.Requests))
-		for _, r := range cfg.Problem.Requests {
-			cost[r.ID] = float64(2*len(r.Chain) + 2)
-		}
-		var total float64
-		for _, a := range cfg.Trace.Arrivals {
-			total += cost[a.Request]
-		}
-		return total
-	}
-	var rate, weighted float64
-	for _, r := range cfg.Problem.Requests {
-		rate += r.Rate
-		weighted += r.Rate * float64(2*len(r.Chain)+2)
-	}
-	if cfg.ExpectedArrivals > 0 && rate > 0 {
-		return float64(cfg.ExpectedArrivals) * weighted / rate
-	}
-	return weighted * cfg.Horizon
-}
-
-// resolveAgenda returns the concrete backend the run starts on: the
-// configured kind, or — for AgendaAuto — the 4-ary heap on small runs and
-// the ladder queue once the expected event count clears agendaAutoThreshold.
-// An AgendaAuto run that starts on the heap additionally migrates to the
-// ladder at runtime if its observed pending population crosses
-// agendaAdaptivePending (see agenda.migrateToLadder); Results.Agenda reports
-// the backend the run finished on.
-func (cfg *Config) resolveAgenda() AgendaKind {
-	if cfg.Agenda != AgendaAuto {
-		return cfg.Agenda
-	}
-	if cfg.expectedEvents() >= agendaAutoThreshold {
-		return AgendaLadder
-	}
-	return AgendaHeap
 }
 
 // DropPolicy selects the fate of packets arriving at a full buffer.
@@ -281,10 +222,6 @@ func (d ServiceDist) sample(s *rng.Stream, mu float64) float64 {
 // Results aggregates one run's measurements.
 type Results struct {
 	Horizon, Warmup float64
-
-	// Agenda is the resolved agenda kind the run executed with (never
-	// AgendaAuto). Diagnostic only — it affects no measurement.
-	Agenda AgendaKind
 
 	// Generated counts external packet arrivals admitted before the
 	// horizon (retransmissions are not new packets).
@@ -727,11 +664,6 @@ func (sim *Simulator) Reset(cfg Config) error {
 	default:
 		return fmt.Errorf("simulate: unknown service distribution %d", cfg.ServiceDist)
 	}
-	switch cfg.Agenda {
-	case AgendaAuto, AgendaHeap, AgendaLadder:
-	default:
-		return fmt.Errorf("simulate: unknown agenda kind %d", cfg.Agenda)
-	}
 	if cfg.Trace != nil && cfg.TraceStream != nil {
 		return errors.New("simulate: Trace and TraceStream are mutually exclusive")
 	}
@@ -790,7 +722,7 @@ func (sim *Simulator) Reset(cfg Config) error {
 	s.preemptStream = nil
 	s.preemptGroup = s.preemptGroup[:0]
 	s.preemptAt = 0
-	s.agenda.reset(cfg.resolveAgenda(), cfg.Agenda == AgendaAuto)
+	s.agenda.reset()
 	s.packets = s.packets[:0]
 	s.packetFree = s.packetFree[:0]
 	s.requests = s.requests[:0]
@@ -1177,7 +1109,6 @@ func (s *simulation) resetResults() {
 	*r = Results{
 		Horizon:                s.cfg.Horizon,
 		Warmup:                 s.cfg.Warmup,
-		Agenda:                 s.agenda.kind,
 		LatencySamples:         r.LatencySamples[:0],
 		Utilization:            r.Utilization,
 		MeanJobs:               r.MeanJobs,
@@ -1637,9 +1568,6 @@ func (s *simulation) advance(pid int32) {
 // finalize folds in-flight busy time, normalizes utilizations, and publishes
 // the per-instance and per-request aggregates kept out of the hot loop.
 func (s *simulation) finalize() {
-	// Re-read the agenda kind: an adaptive AgendaAuto run may have migrated
-	// heap→ladder mid-run (Results.Agenda reports the final backend).
-	s.results.Agenda = s.agenda.kind
 	s.results.InFlight = s.live
 	span := s.cfg.Horizon - s.cfg.Warmup
 	for i := range s.instances {

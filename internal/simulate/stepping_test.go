@@ -31,54 +31,50 @@ func steppingFixture(t *testing.T) (*model.Problem, *model.Schedule) {
 //	for sim.HasPendingEvents() { sim.ProcessNextEvent() }
 //	sim.Finalize()
 //
-// is bit-identical to Run under every AgendaKind — the contract the
-// ClusterSimulator composition rests on.
+// is bit-identical to Run — the contract the ClusterSimulator composition
+// rests on.
 func TestSteppingDifferential(t *testing.T) {
 	p, sched := steppingFixture(t)
-	for _, kind := range []AgendaKind{AgendaAuto, AgendaHeap, AgendaLadder} {
-		t.Run(kind.String(), func(t *testing.T) {
-			cfg := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7, Agenda: kind}
-			want, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sim Simulator
-			if err := sim.Reset(cfg); err != nil {
-				t.Fatal(err)
-			}
-			steps := 0
-			lastT := 0.0
-			for sim.HasPendingEvents() {
-				if pt := sim.PeekNextEventTime(); pt < lastT {
-					t.Fatalf("step %d: peeked time %v went backwards (last %v)", steps, pt, lastT)
-				} else {
-					lastT = pt
-				}
-				if !sim.ProcessNextEvent() {
-					t.Fatalf("step %d: HasPendingEvents true but ProcessNextEvent refused", steps)
-				}
-				steps++
-			}
-			if sim.ProcessNextEvent() {
-				t.Fatal("ProcessNextEvent advanced past a drained agenda")
-			}
-			if pt := sim.PeekNextEventTime(); !math.IsInf(pt, 1) {
-				t.Fatalf("drained PeekNextEventTime = %v, want +Inf", pt)
-			}
-			got, err := sim.Finalize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if steps == 0 {
-				t.Fatal("stepped run processed no events")
-			}
-			if fg, fw := fingerprintResults(got), fingerprintResults(want); fg != fw {
-				t.Errorf("stepped run fingerprint %#x != Run fingerprint %#x", fg, fw)
-			}
-			if _, err := sim.Finalize(); err == nil {
-				t.Error("second Finalize without Reset succeeded")
-			}
-		})
+	cfg := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7}
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sim Simulator
+	if err := sim.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	steps := 0
+	lastT := 0.0
+	for sim.HasPendingEvents() {
+		if pt := sim.PeekNextEventTime(); pt < lastT {
+			t.Fatalf("step %d: peeked time %v went backwards (last %v)", steps, pt, lastT)
+		} else {
+			lastT = pt
+		}
+		if !sim.ProcessNextEvent() {
+			t.Fatalf("step %d: HasPendingEvents true but ProcessNextEvent refused", steps)
+		}
+		steps++
+	}
+	if sim.ProcessNextEvent() {
+		t.Fatal("ProcessNextEvent advanced past a drained agenda")
+	}
+	if pt := sim.PeekNextEventTime(); !math.IsInf(pt, 1) {
+		t.Fatalf("drained PeekNextEventTime = %v, want +Inf", pt)
+	}
+	got, err := sim.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if steps == 0 {
+		t.Fatal("stepped run processed no events")
+	}
+	if fg, fw := fingerprintResults(got), fingerprintResults(want); fg != fw {
+		t.Errorf("stepped run fingerprint %#x != Run fingerprint %#x", fg, fw)
+	}
+	if _, err := sim.Finalize(); err == nil {
+		t.Error("second Finalize without Reset succeeded")
 	}
 }
 
@@ -336,113 +332,5 @@ func TestInjectUnpopOrdering(t *testing.T) {
 	if res.Generated != 2 || res.Delivered+res.InFlight != 2 {
 		t.Errorf("Generated=%d Delivered=%d InFlight=%d, want 2 accounted packets",
 			res.Generated, res.Delivered, res.InFlight)
-	}
-}
-
-// TestExpectedEventsTraceWeighting pins the corrected trace-mode estimate:
-// per-packet event cost is weighted by each request's actual share of the
-// trace, not the uniform mean over requests.
-func TestExpectedEventsTraceWeighting(t *testing.T) {
-	problem := &model.Problem{
-		Requests: []model.Request{
-			{ID: "long", Chain: []model.VNFID{"a", "b", "c", "d"}, Rate: 1, DeliveryProb: 1}, // cost 2*4+2 = 10
-			{ID: "short", Chain: []model.VNFID{"a"}, Rate: 1, DeliveryProb: 1},               // cost 2*1+2 = 4
-		},
-	}
-	trace := &workload.Trace{Horizon: 100}
-	for i := 0; i < 90; i++ {
-		trace.Arrivals = append(trace.Arrivals, workload.Arrival{Time: float64(i), Request: "long"})
-	}
-	for i := 0; i < 10; i++ {
-		trace.Arrivals = append(trace.Arrivals, workload.Arrival{Time: float64(i), Request: "short"})
-	}
-	// An arrival for an unknown request is skipped at seeding and must
-	// contribute nothing.
-	trace.Arrivals = append(trace.Arrivals, workload.Arrival{Time: 1, Request: "ghost"})
-	cfg := Config{Problem: problem, Trace: trace, Horizon: 100}
-	if got, want := cfg.expectedEvents(), 90.0*10+10*4; got != want {
-		t.Errorf("expectedEvents = %v, want %v (trace-weighted)", got, want)
-	}
-	// The old uniform-mean estimate would have said (90+10+1) * (10+4)/2 = 707.
-	cfg.Trace = nil
-	if got, want := cfg.expectedEvents(), 100.0*(10+4); got != want {
-		t.Errorf("rate-mode expectedEvents = %v, want %v", got, want)
-	}
-}
-
-// TestAgendaAdaptiveMigration drives the wrapper past agendaAdaptivePending
-// and asserts it migrates heap→ladder with the pop sequence intact.
-func TestAgendaAdaptiveMigration(t *testing.T) {
-	var a agenda
-	a.reset(AgendaHeap, true)
-	n := agendaAdaptivePending + 500
-	for i := 0; i < n; i++ {
-		// A deterministic scatter with duplicate times (seq tie-breaks).
-		a.push(event{time: float64(i%997) / 7, kind: evArrival, pkt: int32(i)})
-	}
-	if a.kind != AgendaLadder {
-		t.Fatalf("agenda kind after %d pushes = %v, want ladder (adaptive migration)", n, a.kind)
-	}
-	var lastT float64
-	var lastSeq uint64
-	for popped := 0; ; popped++ {
-		e, ok := a.pop()
-		if !ok {
-			if popped != n {
-				t.Fatalf("drained %d events, pushed %d", popped, n)
-			}
-			break
-		}
-		if popped > 0 && (e.time < lastT || (e.time == lastT && e.seq < lastSeq)) {
-			t.Fatalf("pop %d out of order: (%v,%d) after (%v,%d)", popped, e.time, e.seq, lastT, lastSeq)
-		}
-		lastT, lastSeq = e.time, e.seq
-	}
-	// A non-adaptive heap must never migrate.
-	a.reset(AgendaHeap, false)
-	for i := 0; i < n; i++ {
-		a.push(event{time: float64(i), kind: evArrival})
-	}
-	if a.kind != AgendaHeap {
-		t.Fatalf("non-adaptive agenda migrated to %v", a.kind)
-	}
-}
-
-// TestAgendaAutoAdaptiveRun pins the end-to-end adaptive behavior: a trace
-// whose seeded backlog exceeds agendaAdaptivePending makes an AgendaAuto run
-// finish on the ladder, with results bit-identical to both forced backends.
-func TestAgendaAutoAdaptiveRun(t *testing.T) {
-	p, sched := steppingFixture(t)
-	trace := &workload.Trace{Horizon: 10}
-	id := p.Requests[0].ID
-	n := agendaAdaptivePending + 1000
-	for i := 0; i < n; i++ {
-		trace.Arrivals = append(trace.Arrivals, workload.Arrival{
-			Time:    10 * float64(i) / float64(n),
-			Request: id,
-		})
-	}
-	base := Config{Problem: p, Schedule: sched, Horizon: 10, Warmup: 1, Seed: 7, Trace: trace}
-
-	auto := base
-	res, err := Run(auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Agenda != AgendaLadder {
-		t.Errorf("auto run finished on %v, want ladder (adaptive switch at %d pending)", res.Agenda, agendaAdaptivePending)
-	}
-	fAuto := fingerprintResults(res)
-
-	for _, kind := range []AgendaKind{AgendaHeap, AgendaLadder} {
-		forced := base
-		forced.Agenda = kind
-		fres, err := Run(forced)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f := fingerprintResults(fres); f != fAuto {
-			t.Errorf("forced %v fingerprint %#x != adaptive auto fingerprint %#x", kind, f, fAuto)
-		}
 	}
 }

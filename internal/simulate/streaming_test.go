@@ -3,7 +3,6 @@ package simulate
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"testing"
 
 	"nfvchain/internal/model"
@@ -54,31 +53,27 @@ func streamFixture(t *testing.T) (*model.Problem, *model.Schedule, *workload.Tra
 
 // TestStreamReplayMatchesMaterialized pins the tentpole identity: replaying a
 // trace through the streaming cursor is bit-identical to materializing it
-// into Config.Trace, under both agenda backends.
+// into Config.Trace.
 func TestStreamReplayMatchesMaterialized(t *testing.T) {
 	p, sched, tr := streamFixture(t)
-	for _, kind := range []AgendaKind{AgendaHeap, AgendaLadder} {
-		t.Run(fmt.Sprint(kind), func(t *testing.T) {
-			base := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7, Agenda: kind}
-			mat := base
-			mat.Trace = tr
-			resM, err := Run(mat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			str := base
-			str.TraceStream = &sliceCursor{arrivals: tr.Arrivals}
-			resS, err := Run(str)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fm, fs := fingerprintResults(resM), fingerprintResults(resS); fm != fs {
-				t.Errorf("streamed replay fingerprint %#x != materialized %#x", fs, fm)
-			}
-			if resM.Generated != resS.Generated {
-				t.Errorf("generated: streamed %d != materialized %d", resS.Generated, resM.Generated)
-			}
-		})
+	base := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7}
+	mat := base
+	mat.Trace = tr
+	resM, err := Run(mat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	str := base
+	str.TraceStream = &sliceCursor{arrivals: tr.Arrivals}
+	resS, err := Run(str)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fm, fs := fingerprintResults(resM), fingerprintResults(resS); fm != fs {
+		t.Errorf("streamed replay fingerprint %#x != materialized %#x", fs, fm)
+	}
+	if resM.Generated != resS.Generated {
+		t.Errorf("generated: streamed %d != materialized %d", resS.Generated, resM.Generated)
 	}
 }
 
@@ -257,25 +252,47 @@ func TestStreamConfigValidation(t *testing.T) {
 	}
 }
 
-// TestExpectedArrivalsHint pins the agenda-sizing satellite: with the hint
-// set, expectedEvents scales the per-arrival event cost by the hinted count
-// instead of the offered-rate estimate, and without it the historical
-// rate-based formula is untouched.
+// TestExpectedArrivalsHint pins what the hint still does: it sizes the
+// up-front LatencySamples reservation. The capacity follows the hint, falls
+// back to Σ Rate·(Horizon−Warmup) without one, follows the trace length under
+// Trace (which overrides the hint), and stops at the 2 Mi cap.
 func TestExpectedArrivalsHint(t *testing.T) {
 	prob, sched := singleQueueProblem(50, 150, 1)
-	base := Config{Problem: prob, Schedule: sched, Horizon: 100}
-	withoutHint := base.expectedEvents()
-	if withoutHint <= 0 {
-		t.Fatalf("rate-based estimate %v not positive", withoutHint)
+	tr := &workload.Trace{Horizon: 5}
+	for i := 0; i < 300; i++ {
+		tr.Arrivals = append(tr.Arrivals, workload.Arrival{Time: float64(i) / 60, Request: prob.Requests[0].ID})
 	}
-	hinted := base
-	hinted.ExpectedArrivals = 1_000_000
-	withHint := hinted.expectedEvents()
-	// 1M arrivals vs 50 pps * 100 s = 5000: the hint must scale the estimate
-	// by the arrival ratio (each arrival costs the same event multiple).
-	ratio := withHint / withoutHint
-	want := 1_000_000.0 / 5000.0
-	if ratio < 0.99*want || ratio > 1.01*want {
-		t.Errorf("hinted/unhinted event estimate ratio %v, want ~%v", ratio, want)
+	base := Config{Problem: prob, Schedule: sched, Horizon: 5, Warmup: 1, Seed: 3}
+	cases := []struct {
+		name    string
+		hint    int
+		trace   *workload.Trace
+		wantCap int
+	}{
+		{"hint", 1234, nil, 1234},
+		{"rate-fallback", 0, nil, 50 * (5 - 1)},
+		{"trace-length", 1234, tr, 300},
+		{"capped", 3 << 20, nil, 1 << 21},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			cfg.ExpectedArrivals = tc.hint
+			cfg.Trace = tc.trace
+			// A fresh simulator per case (a reused one keeps the largest
+			// reservation it has made), finalized before any event runs so
+			// no delivery can grow the slice past its reservation.
+			sim := NewSimulator()
+			if err := sim.Reset(cfg); err != nil {
+				t.Fatal(err)
+			}
+			res, err := sim.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cap(res.LatencySamples); got != tc.wantCap {
+				t.Errorf("cap(LatencySamples) = %d, want %d", got, tc.wantCap)
+			}
+		})
 	}
 }

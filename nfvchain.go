@@ -60,25 +60,7 @@ type (
 	ServiceDist = simulate.ServiceDist
 	// DropPolicy selects the simulator's full-buffer behavior.
 	DropPolicy = simulate.DropPolicy
-	// AgendaKind selects the simulator's event-queue backend. Every kind
-	// pops events in the same (time, seq) order, so simulation results are
-	// bit-identical regardless of the choice.
-	AgendaKind = simulate.AgendaKind
 )
-
-// Agenda kinds for SimulationConfig.Agenda.
-const (
-	// AgendaAuto picks the backend from the run's expected event count
-	// (the default).
-	AgendaAuto = simulate.AgendaAuto
-	// AgendaHeap forces the value-typed 4-ary min-heap.
-	AgendaHeap = simulate.AgendaHeap
-	// AgendaLadder forces the ladder queue (calendar-queue family).
-	AgendaLadder = simulate.AgendaLadder
-)
-
-// ParseAgendaKind parses a textual agenda kind (auto|heap|ladder).
-func ParseAgendaKind(s string) (AgendaKind, error) { return simulate.ParseAgendaKind(s) }
 
 // Service-time distributions for SimulationConfig.ServiceDist.
 const (
