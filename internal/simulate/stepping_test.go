@@ -35,47 +35,50 @@ func steppingFixture(t *testing.T) (*model.Problem, *model.Schedule) {
 // rests on.
 func TestSteppingDifferential(t *testing.T) {
 	p, sched := steppingFixture(t)
-	cfg := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7}
-	want, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sim Simulator
-	if err := sim.Reset(cfg); err != nil {
-		t.Fatal(err)
-	}
-	steps := 0
-	lastT := 0.0
-	for sim.HasPendingEvents() {
-		if pt := sim.PeekNextEventTime(); pt < lastT {
-			t.Fatalf("step %d: peeked time %v went backwards (last %v)", steps, pt, lastT)
-		} else {
-			lastT = pt
+	// The subtest is named for the agenda it runs on, the heap.
+	t.Run("heap", func(t *testing.T) {
+		cfg := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7}
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !sim.ProcessNextEvent() {
-			t.Fatalf("step %d: HasPendingEvents true but ProcessNextEvent refused", steps)
+		var sim Simulator
+		if err := sim.Reset(cfg); err != nil {
+			t.Fatal(err)
 		}
-		steps++
-	}
-	if sim.ProcessNextEvent() {
-		t.Fatal("ProcessNextEvent advanced past a drained agenda")
-	}
-	if pt := sim.PeekNextEventTime(); !math.IsInf(pt, 1) {
-		t.Fatalf("drained PeekNextEventTime = %v, want +Inf", pt)
-	}
-	got, err := sim.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if steps == 0 {
-		t.Fatal("stepped run processed no events")
-	}
-	if fg, fw := fingerprintResults(got), fingerprintResults(want); fg != fw {
-		t.Errorf("stepped run fingerprint %#x != Run fingerprint %#x", fg, fw)
-	}
-	if _, err := sim.Finalize(); err == nil {
-		t.Error("second Finalize without Reset succeeded")
-	}
+		steps := 0
+		lastT := 0.0
+		for sim.HasPendingEvents() {
+			if pt := sim.PeekNextEventTime(); pt < lastT {
+				t.Fatalf("step %d: peeked time %v went backwards (last %v)", steps, pt, lastT)
+			} else {
+				lastT = pt
+			}
+			if !sim.ProcessNextEvent() {
+				t.Fatalf("step %d: HasPendingEvents true but ProcessNextEvent refused", steps)
+			}
+			steps++
+		}
+		if sim.ProcessNextEvent() {
+			t.Fatal("ProcessNextEvent advanced past a drained agenda")
+		}
+		if pt := sim.PeekNextEventTime(); !math.IsInf(pt, 1) {
+			t.Fatalf("drained PeekNextEventTime = %v, want +Inf", pt)
+		}
+		got, err := sim.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if steps == 0 {
+			t.Fatal("stepped run processed no events")
+		}
+		if fg, fw := fingerprintResults(got), fingerprintResults(want); fg != fw {
+			t.Errorf("stepped run fingerprint %#x != Run fingerprint %#x", fg, fw)
+		}
+		if _, err := sim.Finalize(); err == nil {
+			t.Error("second Finalize without Reset succeeded")
+		}
+	})
 }
 
 // TestDrainUntilDifferential drives a full run as a sequence of DrainUntil

@@ -56,25 +56,28 @@ func streamFixture(t *testing.T) (*model.Problem, *model.Schedule, *workload.Tra
 // into Config.Trace.
 func TestStreamReplayMatchesMaterialized(t *testing.T) {
 	p, sched, tr := streamFixture(t)
-	base := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7}
-	mat := base
-	mat.Trace = tr
-	resM, err := Run(mat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	str := base
-	str.TraceStream = &sliceCursor{arrivals: tr.Arrivals}
-	resS, err := Run(str)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fm, fs := fingerprintResults(resM), fingerprintResults(resS); fm != fs {
-		t.Errorf("streamed replay fingerprint %#x != materialized %#x", fs, fm)
-	}
-	if resM.Generated != resS.Generated {
-		t.Errorf("generated: streamed %d != materialized %d", resS.Generated, resM.Generated)
-	}
+	// The subtest is named for the agenda it runs on, the heap.
+	t.Run("heap", func(t *testing.T) {
+		base := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7}
+		mat := base
+		mat.Trace = tr
+		resM, err := Run(mat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		str := base
+		str.TraceStream = &sliceCursor{arrivals: tr.Arrivals}
+		resS, err := Run(str)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fm, fs := fingerprintResults(resM), fingerprintResults(resS); fm != fs {
+			t.Errorf("streamed replay fingerprint %#x != materialized %#x", fs, fm)
+		}
+		if resM.Generated != resS.Generated {
+			t.Errorf("generated: streamed %d != materialized %d", resS.Generated, resM.Generated)
+		}
+	})
 }
 
 // TestStreamReplayFromCSV closes the loop through the file format: a CSV
