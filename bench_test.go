@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"nfvchain/internal/cluster"
-	"nfvchain/internal/dynamic"
 	"nfvchain/internal/experiment"
 	"nfvchain/internal/model"
 	"nfvchain/internal/placement"
@@ -473,37 +472,6 @@ func BenchmarkAblationLocality(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkDynamicAdmitDepart(b *testing.B) {
-	base := &model.Problem{
-		Nodes: []model.Node{{ID: "n1", Capacity: 10000}, {ID: "n2", Capacity: 10000}},
-		VNFs: []model.VNF{
-			{ID: "fw", Instances: 4, Demand: 50, ServiceRate: 10000},
-			{ID: "nat", Instances: 2, Demand: 30, ServiceRate: 10000},
-		},
-	}
-	ctrl, err := dynamic.New(dynamic.Config{Problem: base, SetupCost: dynamic.SetupCostClickOS})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now := float64(i)
-		id := model.RequestID(fmt.Sprintf("r%d", i))
-		out, err := ctrl.Admit(model.Request{
-			ID: id, Chain: []model.VNFID{"fw", "nat"}, Rate: 5, DeliveryProb: 0.98,
-		}, now)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out.Accepted {
-			if err := ctrl.Depart(id, now); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 }
 
 func BenchmarkImprovePlacement(b *testing.B) {

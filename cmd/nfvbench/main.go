@@ -33,7 +33,6 @@ import (
 	"nfvchain/internal/cluster"
 	"nfvchain/internal/control"
 	"nfvchain/internal/core"
-	"nfvchain/internal/dynamic"
 	"nfvchain/internal/model"
 	"nfvchain/internal/profiling"
 	"nfvchain/internal/repair"
@@ -743,7 +742,7 @@ func simulatorFailureChurn(b *testing.B) {
 		Placement: pl,
 		Schedule:  sched,
 		Mode:      repair.ModeRescheduleReplace,
-		SetupCost: dynamic.SetupCostClickOS,
+		SetupCost: repair.SetupCostClickOS,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -783,8 +782,8 @@ func simulatorPreemptionChurn(b *testing.B) {
 		Placement:     pl,
 		Schedule:      sched,
 		Policy:        control.PolicyAutoscaleMigrate,
-		SetupCost:     dynamic.SetupCostClickOS,
-		MigrationCost: dynamic.SetupCostClickOS,
+		SetupCost:     repair.SetupCostClickOS,
+		MigrationCost: repair.SetupCostClickOS,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -1,13 +1,12 @@
-// Autoscale: drive the online controller through a diurnal load pattern.
-// Requests arrive and depart over a simulated day; saturated VNFs scale out
-// by booting replicas (paying the setup cost the paper highlights — ~5s for
-// a middlebox VM vs ~30ms for a ClickOS-style platform), and idle replicas
-// are retired as load recedes.
+// Autoscale: drive the online pool manager through a diurnal load pattern.
+// Every flow follows the diurnal client class over a compressed "day";
+// saturated VNFs scale out by booting replicas (paying the setup cost the
+// paper highlights — ~5s for a middlebox VM vs ~30ms for a ClickOS-style
+// platform), and cold replicas are drained and retired as load recedes.
 package main
 
 import (
 	"fmt"
-	"math"
 	"os"
 
 	nfvchain "nfvchain"
@@ -21,7 +20,13 @@ func main() {
 }
 
 func run() error {
-	base := &nfvchain.Problem{
+	const (
+		day     = 60.0  // compressed diurnal period (simulated seconds)
+		horizon = 120.0 // two "days"
+		tick    = 1.0   // controller tick interval
+		seed    = 1
+	)
+	problem := &nfvchain.Problem{
 		Nodes: []nfvchain.Node{
 			{ID: "n1", Capacity: 400},
 			{ID: "n2", Capacity: 400},
@@ -29,8 +34,30 @@ func run() error {
 		},
 		VNFs: []nfvchain.VNF{
 			{ID: "Firewall", Instances: 2, Demand: 40, ServiceRate: 300},
-			{ID: "NAT", Instances: 1, Demand: 30, ServiceRate: 400},
+			{ID: "NAT", Instances: 2, Demand: 30, ServiceRate: 400},
 		},
+	}
+	for i := 1; i <= 12; i++ {
+		problem.Requests = append(problem.Requests, nfvchain.Request{
+			ID:           nfvchain.RequestID(fmt.Sprintf("flow%02d", i)),
+			Chain:        []nfvchain.VNFID{"Firewall", "NAT"},
+			Rate:         30,
+			DeliveryProb: 0.98,
+		})
+	}
+	sol, err := nfvchain.Optimize(problem, nfvchain.Options{Seed: seed})
+	if err != nil {
+		return err
+	}
+
+	// Only the diurnal cohort of the default client mix, on the compressed
+	// day: load swings ±80% around the mean once per period.
+	var diurnal []nfvchain.ClientClass
+	for _, c := range nfvchain.DefaultClientClasses() {
+		if c.Name == "diurnal" {
+			c.Period = day
+			diurnal = append(diurnal, c)
+		}
 	}
 
 	for _, platform := range []struct {
@@ -40,79 +67,44 @@ func run() error {
 		{"middlebox VM (5s boot)", nfvchain.SetupCostVM},
 		{"ClickOS (30ms boot)", nfvchain.SetupCostClickOS},
 	} {
-		ctrl, err := nfvchain.NewDynamicController(nfvchain.DynamicConfig{
-			Problem:      base,
-			Seed:         1,
-			SetupCost:    platform.setup,
-			RetireLinger: 600, // retire replicas idle for 10 minutes
+		ctrl, err := nfvchain.NewController(nfvchain.ControlConfig{
+			Problem:   sol.Problem,
+			Placement: sol.Placement,
+			Schedule:  sol.Schedule,
+			Policy:    nfvchain.ControlAutoscale,
+			SetupCost: platform.setup,
+			Seed:      seed,
+		})
+		if err != nil {
+			return err
+		}
+		// Sources are stateful cursors: build a fresh, identical set per run.
+		cw, err := nfvchain.BuildClassSources(sol.Problem, diurnal, seed)
+		if err != nil {
+			return err
+		}
+		sources := make(map[nfvchain.RequestID]nfvchain.ArrivalSource, len(cw.Sources))
+		for id, s := range cw.Sources {
+			sources[id] = s
+		}
+		res, err := nfvchain.Simulate(sol, nfvchain.SimulationConfig{
+			Horizon:         horizon,
+			Seed:            seed,
+			Sources:         sources,
+			Control:         ctrl,
+			ControlInterval: tick,
 		})
 		if err != nil {
 			return err
 		}
 
-		// 24 hours in 10-minute steps; load peaks mid-day. Each flow lives
-		// for 30 minutes, so the fleet sees continuous churn.
-		const (
-			day      = 24 * 3600.0
-			step     = 600.0
-			lifetime = 1800.0
-		)
-		type liveFlow struct {
-			id     nfvchain.RequestID
-			expiry float64
-		}
-		var active []liveFlow
-		reqNo := 0
-		var worstWait float64
-		for now := 0.0; now < day; now += step {
-			// Depart expired flows.
-			keep := active[:0]
-			for _, f := range active {
-				if f.expiry <= now {
-					if err := ctrl.Depart(f.id, now); err != nil {
-						return err
-					}
-				} else {
-					keep = append(keep, f)
-				}
-			}
-			active = keep
-
-			hour := now / 3600
-			// Diurnal target: 2 concurrent flows at night, 14 at the peak.
-			target := 2 + int(12*math.Pow(math.Sin(math.Pi*hour/24), 2))
-			for len(active) < target {
-				reqNo++
-				id := nfvchain.RequestID(fmt.Sprintf("flow%04d", reqNo))
-				out, err := ctrl.Admit(nfvchain.Request{
-					ID:           id,
-					Chain:        []nfvchain.VNFID{"Firewall", "NAT"},
-					Rate:         30,
-					DeliveryProb: 0.98,
-				}, now)
-				if err != nil {
-					return err
-				}
-				if !out.Accepted {
-					break // fleet exhausted at this step
-				}
-				active = append(active, liveFlow{id: id, expiry: now + lifetime})
-				if wait := out.ReadyAt - now; wait > worstWait {
-					worstWait = wait
-				}
-			}
-			if _, err := ctrl.MaybeScaleIn(now); err != nil {
-				return err
-			}
-		}
-
-		st := ctrl.Stats()
+		st := ctrl.StatsAt(horizon)
 		fmt.Printf("%s:\n", platform.name)
-		fmt.Printf("  admitted %d, rejected %d, scale-outs %d, retired %d\n",
-			st.Admitted, st.Rejected, st.ScaleOuts, st.Retired)
-		fmt.Printf("  setup time paid %.2fs total, worst admission wait %.3fs\n",
-			st.SetupSecs, worstWait)
-		fmt.Printf("  replicas still active at midnight: %d\n\n", st.ActiveReplica)
+		fmt.Printf("  scale-ups %d, scale-downs %d, setup time paid %.2fs\n",
+			st.ScaleUps, st.ScaleDowns, st.SetupSecs)
+		fmt.Printf("  delivered %d of %d packets, mean latency %.3fs\n",
+			res.Delivered, res.Generated, res.Latency.Mean())
+		fmt.Printf("  node-seconds %.0f over %.0fs\n\n", st.NodeSeconds, horizon)
 	}
 	return nil
 }

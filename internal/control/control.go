@@ -7,10 +7,11 @@
 //
 //   - Autoscaling: a VNF whose active instances run hot (mean ρ above
 //     Config.ScaleUpUtil) gains a replica — placed by the repair
-//     controller's BFDSU residual-capacity draw and paying the
-//     internal/dynamic boot cost before it serves; one running cold (mean ρ
-//     below Config.ScaleDownUtil, with slack to spare) drains and retires
-//     an instance, shrinking M_f without losing in-flight packets.
+//     controller's BFDSU residual-capacity draw and paying the boot cost
+//     (repair.SetupCostVM or repair.SetupCostClickOS) before it serves; one
+//     running cold (mean ρ below Config.ScaleDownUtil, with slack to spare)
+//     drains and retires an instance, shrinking M_f without losing
+//     in-flight packets.
 //
 //   - Migration: instances stranded on failed nodes, or crowded onto hot
 //     nodes, are moved to better hosts for an explicit migration cost
@@ -33,7 +34,6 @@
 package control
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -121,8 +121,8 @@ type Config struct {
 	TargetUtil float64
 
 	// SetupCost is the boot delay (seconds) a new replica pays before
-	// serving; zero defaults to dynamic.SetupCostVM (pass
-	// dynamic.SetupCostClickOS for the paper's lightweight alternative).
+	// serving; zero defaults to repair.SetupCostVM (pass
+	// repair.SetupCostClickOS for the paper's lightweight alternative).
 	SetupCost float64
 
 	// MigrationCost is the freeze+transfer delay (seconds) a migrating
@@ -225,7 +225,7 @@ func New(cfg Config) (*Controller, error) {
 		Seed:        cfg.Seed,
 	})
 	if err != nil {
-		return nil, errors.New("control: " + err.Error())
+		return nil, fmt.Errorf("control: %w", err)
 	}
 	if cfg.SetupCost == 0 {
 		cfg.SetupCost = rep.SetupCost()

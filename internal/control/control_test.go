@@ -1,11 +1,15 @@
 package control
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"nfvchain/internal/model"
+	"nfvchain/internal/repair"
 	"nfvchain/internal/scheduling"
 	"nfvchain/internal/simulate"
+	"nfvchain/internal/workload"
 )
 
 // hotFixture is a four-node deployment where each VNF starts with a single
@@ -151,6 +155,8 @@ func TestNewValidation(t *testing.T) {
 		"bad target util":     func(c Config) Config { c.TargetUtil = 1.5; return c },
 		"negative migration":  func(c Config) Config { c.MigrationCost = -1; return c },
 		"nil problem":         func(c Config) Config { c.Problem = nil; return c },
+		"NaN setup":           func(c Config) Config { c.SetupCost = math.NaN(); return c },
+		"+Inf setup":          func(c Config) Config { c.SetupCost = math.Inf(1); return c },
 	}
 	for name, mut := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -204,6 +210,69 @@ func TestScaleDownRetiresIdleCapacity(t *testing.T) {
 		t.Errorf("scale-down lost traffic: %+v", res)
 	}
 	checkConservation(t, res)
+}
+
+// TestDiurnalCycleGrowsAndShrinks runs one fault-free autoscaled deployment
+// through two periods of diurnal load: the pool must both grow into each peak
+// and shrink out of each trough, at either of the paper's setup costs, and
+// the slow VM boot must cost more latency than ClickOS's near-instant one.
+func TestDiurnalCycleGrowsAndShrinks(t *testing.T) {
+	const horizon = 120.0
+	prob := &model.Problem{
+		Nodes: []model.Node{{ID: "a", Capacity: 400}, {ID: "b", Capacity: 400}, {ID: "c", Capacity: 400}},
+		VNFs: []model.VNF{
+			{ID: "fw", Instances: 2, Demand: 40, ServiceRate: 300},
+			{ID: "nat", Instances: 2, Demand: 30, ServiceRate: 400},
+		},
+	}
+	for i := 0; i < 12; i++ {
+		prob.Requests = append(prob.Requests, model.Request{
+			ID: model.RequestID(fmt.Sprintf("r%02d", i)), Chain: []model.VNFID{"fw", "nat"}, Rate: 30, DeliveryProb: 1,
+		})
+	}
+	sched, err := scheduling.ScheduleAll(prob, scheduling.RCKK{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := model.NewPlacement()
+	pl.Assign("fw", "a")
+	pl.Assign("nat", "b")
+	diurnal := []workload.ClientClass{{Name: "diurnal", Weight: 1, Process: workload.ProcessDiurnal, Amplitude: 0.8, Period: 60}}
+
+	run := func(setup float64) (*simulate.Results, Stats) {
+		ctrl, err := New(Config{Problem: prob, Placement: pl, Schedule: sched, Policy: PolicyAutoscale, SetupCost: setup, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cw, err := workload.BuildSources(prob, diurnal, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs := make(map[model.RequestID]simulate.ArrivalSource, len(cw.Sources))
+		for id, s := range cw.Sources {
+			srcs[id] = s
+		}
+		res, err := simulate.Run(simulate.Config{
+			Problem: prob, Schedule: sched, Placement: pl, Horizon: horizon, Seed: 1,
+			Sources: srcs, Control: ctrl, ControlInterval: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkConservation(t, res)
+		return res, ctrl.StatsAt(horizon)
+	}
+
+	vm, vmStats := run(repair.SetupCostVM)
+	clickOS, clickStats := run(repair.SetupCostClickOS)
+	for name, st := range map[string]Stats{"VM": vmStats, "ClickOS": clickStats} {
+		if st.ScaleUps == 0 || st.ScaleDowns == 0 {
+			t.Errorf("%s: diurnal cycle did not both grow and shrink the pool: %+v", name, st)
+		}
+	}
+	if vm.Latency.Mean() <= clickOS.Latency.Mean() {
+		t.Errorf("VM boot mean latency %v not above ClickOS %v", vm.Latency.Mean(), clickOS.Latency.Mean())
+	}
 }
 
 // preemptionPlan is the shared correlated-loss scenario: roughly four events

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 
-	"nfvchain/internal/dynamic"
 	"nfvchain/internal/placement"
 	"nfvchain/internal/repair"
 	"nfvchain/internal/scheduling"
@@ -92,7 +91,7 @@ func Availability(cfg Config) (*Table, error) {
 					Placement: placed.Placement,
 					Schedule:  sched,
 					Mode:      mode,
-					SetupCost: dynamic.SetupCostClickOS,
+					SetupCost: repair.SetupCostClickOS,
 					Seed:      seed,
 				})
 				if err != nil {
@@ -165,7 +164,7 @@ func Availability(cfg Config) (*Table, error) {
 			replaceAtWorst, noneAtWorst, 100*(replaceAtWorst-noneAtWorst))
 	}
 	t.Note("replacements booted across all runs: %d (%d found no feasible node); setup cost %.3gs each (ClickOS)",
-		replacementsTotal, replacementsFailed, dynamic.SetupCostClickOS)
+		replacementsTotal, replacementsFailed, repair.SetupCostClickOS)
 	t.Note("reschedule-only tracks no-repair: the paper's placement co-locates all of a VNF's instances, so a node failure leaves no survivors to rebalance onto")
 	return t, nil
 }

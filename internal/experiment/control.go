@@ -5,9 +5,9 @@ import (
 	"sync"
 
 	"nfvchain/internal/control"
-	"nfvchain/internal/dynamic"
 	"nfvchain/internal/model"
 	"nfvchain/internal/placement"
+	"nfvchain/internal/repair"
 	"nfvchain/internal/scheduling"
 	"nfvchain/internal/simulate"
 	"nfvchain/internal/stats"
@@ -120,8 +120,8 @@ func Control(cfg Config) (*Table, error) {
 						Placement:     placed.Placement,
 						Schedule:      sched,
 						Policy:        policy,
-						SetupCost:     dynamic.SetupCostClickOS,
-						MigrationCost: dynamic.SetupCostClickOS,
+						SetupCost:     repair.SetupCostClickOS,
+						MigrationCost: repair.SetupCostClickOS,
 						Seed:          seed,
 					})
 					if err != nil {
@@ -190,7 +190,7 @@ func Control(cfg Config) (*Table, error) {
 			worst, migP99, migNodes, noneP99, noneNodes)
 	}
 	t.Note("preemptions take %d nodes down together for %.3gs with %.2gs advance notice; controller ticks every %.2gs (ClickOS boot/migration %.3gs)",
-		group, recovery, leadTime, interval, dynamic.SetupCostClickOS)
+		group, recovery, leadTime, interval, repair.SetupCostClickOS)
 	t.Note("shedding is the graceful-degradation valve: autoscale policies shed the admission fraction active capacity cannot cover at the target utilization instead of letting queues diverge")
 	return t, nil
 }

@@ -15,10 +15,10 @@
 //     common case here, since the paper's placement model hosts all M_f
 //     instances of a VNF on one node — replacement instances are placed
 //     onto surviving nodes by BFDSU (Algorithm 1) over their residual
-//     capacities, one replica at a time in the spirit of internal/dynamic's
-//     replicas-as-new-VNFs scale-out. Each replacement pays the paper's
-//     cited setup cost (dynamic.SetupCostVM ≈ 5 s for a middlebox VM,
-//     dynamic.SetupCostClickOS ≈ 30 ms) before it may serve.
+//     capacities, one replica at a time, each replica regarded as a new VNF
+//     as Section IV-A suggests. Each replacement pays the paper's cited
+//     setup cost (SetupCostVM ≈ 5 s for a middlebox VM, SetupCostClickOS ≈
+//     30 ms) before it may serve.
 //
 // On node recovery the controller rebalances affected VNFs again so the
 // returned capacity is re-integrated. All decisions are deterministic given
@@ -29,13 +29,20 @@ package repair
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
-	"nfvchain/internal/dynamic"
 	"nfvchain/internal/model"
 	"nfvchain/internal/placement"
 	"nfvchain/internal/scheduling"
 	"nfvchain/internal/simulate"
+)
+
+// Setup costs cited by the paper (seconds): the delay before a newly booted
+// instance may serve.
+const (
+	SetupCostVM      = 5.0   // booting a Linux VM per middlebox
+	SetupCostClickOS = 0.030 // ClickOS-style lightweight instantiation
 )
 
 // Mode selects how much of the repair machinery is active.
@@ -101,7 +108,7 @@ type Config struct {
 	Partitioner scheduling.Partitioner
 
 	// SetupCost is the boot delay (seconds) a replacement instance pays
-	// before serving; zero defaults to dynamic.SetupCostVM.
+	// before serving; zero defaults to SetupCostVM.
 	SetupCost float64
 
 	// Seed makes replacement draws deterministic.
@@ -164,11 +171,11 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Problem == nil || cfg.Placement == nil || cfg.Schedule == nil {
 		return nil, errors.New("repair: Problem, Placement and Schedule are required")
 	}
-	if cfg.SetupCost < 0 {
-		return nil, fmt.Errorf("repair: negative setup cost %v", cfg.SetupCost)
+	if cfg.SetupCost < 0 || math.IsNaN(cfg.SetupCost) || math.IsInf(cfg.SetupCost, 0) {
+		return nil, fmt.Errorf("repair: invalid setup cost %v", cfg.SetupCost)
 	}
 	if cfg.SetupCost == 0 {
-		cfg.SetupCost = dynamic.SetupCostVM
+		cfg.SetupCost = SetupCostVM
 	}
 	if err := cfg.Placement.Validate(cfg.Problem); err != nil {
 		return nil, fmt.Errorf("repair: %w", err)
@@ -442,7 +449,7 @@ func (c *Controller) Rebalance(f model.VNFID, instances []int, ctrl *simulate.Re
 
 // replace boots count replacement instances of f on surviving nodes, one
 // BFDSU placement per replica over the nodes' residual capacities (the
-// replicas-as-new-VNFs scale-out of internal/dynamic). Replicas that fit
+// paper's replicas-as-new-VNFs scale-out). Replicas that fit
 // nowhere are counted and skipped — partial recovery beats none.
 func (c *Controller) replace(f model.VNFID, count int, now float64, ctrl *simulate.RepairControl) {
 	vnf, ok := c.cfg.Problem.VNF(f)

@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"math"
 	"testing"
 
 	"nfvchain/internal/model"
@@ -90,6 +91,9 @@ func TestNewValidation(t *testing.T) {
 		"nil placement":  {Problem: prob, Schedule: sched},
 		"nil schedule":   {Problem: prob, Placement: pl},
 		"negative setup": {Problem: prob, Placement: pl, Schedule: sched, SetupCost: -1},
+		"NaN setup":      {Problem: prob, Placement: pl, Schedule: sched, SetupCost: math.NaN()},
+		"+Inf setup":     {Problem: prob, Placement: pl, Schedule: sched, SetupCost: math.Inf(1)},
+		"-Inf setup":     {Problem: prob, Placement: pl, Schedule: sched, SetupCost: math.Inf(-1)},
 	}
 	for name, cfg := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -1,7 +1,9 @@
 package scheduling
 
 import (
+	"slices"
 	"sort"
+	"strings"
 )
 
 // RCKK is the paper's Reverse Complete Karmarkar-Karp heuristic
@@ -163,12 +165,14 @@ func (sc *PartitionScratch) partitionList(items []Item, m int) []*partition {
 	for i := range sc.order {
 		sc.order[i] = i
 	}
-	sort.SliceStable(sc.order, func(a, b int) bool {
-		wa, wb := items[sc.order[a]].Weight, items[sc.order[b]].Weight
-		if wa != wb {
-			return wa > wb
+	slices.SortStableFunc(sc.order, func(a, b int) int {
+		switch wa, wb := items[a].Weight, items[b].Weight; {
+		case wa > wb:
+			return -1
+		case wa < wb:
+			return 1
 		}
-		return items[sc.order[a]].ID < items[sc.order[b]].ID
+		return strings.Compare(string(items[a].ID), string(items[b].ID))
 	})
 	sc.sums = grown(sc.sums, n*m)
 	clear(sc.sums)

@@ -134,7 +134,7 @@ func (s *simulation) preemptNotice() {
 		ids = append(ids, s.nodes[nid].id)
 	}
 	s.noticeIDs = ids
-	hook.PreemptionNotice(s.now, ids, s.preemptAt, &RepairControl{s: s})
+	hook.PreemptionNotice(s.now, ids, s.preemptAt, s.repairControl())
 }
 
 // preemptFire takes down the pending group (each node through the same
@@ -227,8 +227,8 @@ func (s *simulation) ctrlBusyNow(inst *instance) float64 {
 // controlTick runs one controller tick: hand the hook an observation window,
 // then roll the per-instance utilization marks and schedule the next tick.
 func (s *simulation) controlTick() {
-	cp := ControlPlane{RepairControl: RepairControl{s: s}, window: s.now - s.lastTick}
-	s.cfg.Control.Tick(s.now, &cp)
+	s.handle = ControlPlane{RepairControl: RepairControl{s: s}, window: s.now - s.lastTick}
+	s.cfg.Control.Tick(s.now, &s.handle)
 	for i := range s.instances {
 		inst := &s.instances[i]
 		inst.ctrlMark = s.ctrlBusyNow(inst)

@@ -216,7 +216,7 @@ func (s *simulation) nodeDown(nid int32, random bool) {
 			s.failInstance(iid)
 		}
 		if s.cfg.FaultHook != nil {
-			s.cfg.FaultHook.NodeDown(s.now, nd.id, &RepairControl{s: s})
+			s.cfg.FaultHook.NodeDown(s.now, nd.id, s.repairControl())
 		}
 	}
 	if random {
@@ -239,7 +239,7 @@ func (s *simulation) nodeUp(nid int32, random bool) {
 			s.instances[iid].down = false
 		}
 		if s.cfg.FaultHook != nil {
-			s.cfg.FaultHook.NodeUp(s.now, nd.id, &RepairControl{s: s})
+			s.cfg.FaultHook.NodeUp(s.now, nd.id, s.repairControl())
 		}
 	}
 	if random {
@@ -309,6 +309,14 @@ func (s *simulation) instanceReady(iid int32) {
 	if !inst.down && inst.busy < 0 && inst.qlen > 0 {
 		s.startService(inst, iid, inst.dequeue())
 	}
+}
+
+// repairControl returns the simulation's one hook handle as a RepairControl.
+// A handle is only valid inside the callback that received it, so every
+// hook invocation reuses it instead of allocating a fresh one.
+func (s *simulation) repairControl() *RepairControl {
+	s.handle = ControlPlane{RepairControl: RepairControl{s: s}}
+	return &s.handle.RepairControl
 }
 
 // RepairControl lets a FaultHook repair the running simulation at the

@@ -494,6 +494,9 @@ type simulation struct {
 	lastTick float64
 	shedFrac float64
 	shedAcc  float64
+	// handle is the one RepairControl/ControlPlane every hook callback
+	// receives (see repairControl).
+	handle ControlPlane
 
 	// Correlated-preemption state (cfg.FaultPlan.Preemption): the dedicated
 	// stream, the pending event's drawn group and time, and draw/notice

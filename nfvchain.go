@@ -7,7 +7,6 @@ import (
 	"nfvchain/internal/cluster"
 	"nfvchain/internal/control"
 	"nfvchain/internal/core"
-	"nfvchain/internal/dynamic"
 	"nfvchain/internal/experiment"
 	"nfvchain/internal/model"
 	"nfvchain/internal/placement"
@@ -184,6 +183,14 @@ const (
 	// RepairRescheduleReplace additionally boots replacement instances on
 	// surviving nodes, paying the configured setup cost.
 	RepairRescheduleReplace = repair.ModeRescheduleReplace
+)
+
+// Setup costs cited by the paper (seconds) for RepairConfig.SetupCost and
+// ControlConfig.SetupCost: a middlebox VM boot vs a ClickOS-style
+// lightweight instantiation.
+const (
+	SetupCostVM      = repair.SetupCostVM
+	SetupCostClickOS = repair.SetupCostClickOS
 )
 
 // NewRepairController builds a self-healing controller for one simulation
@@ -490,31 +497,6 @@ func NewChainRouter(g *Topology) (*ChainRouter, error) { return routing.NewRoute
 // snug fits weighted toward nodes close to each VNF's chain peers.
 func NewTopologyAwarePlacer(g *Topology, seed uint64) PlacementAlgorithm {
 	return &routing.TopologyAware{Topo: g, Seed: seed}
-}
-
-// Dynamic (online) operation.
-
-// DynamicConfig parameterizes the online controller.
-type DynamicConfig = dynamic.Config
-
-// DynamicController manages a live deployment: online admission, replica
-// scale-out with setup costs, and idle scale-in.
-type DynamicController = dynamic.Controller
-
-// AdmitOutcome describes one online admission.
-type AdmitOutcome = dynamic.AdmitOutcome
-
-// Setup costs cited by the paper (seconds): a middlebox VM boot vs a
-// ClickOS-style lightweight instantiation.
-const (
-	SetupCostVM      = dynamic.SetupCostVM
-	SetupCostClickOS = dynamic.SetupCostClickOS
-)
-
-// NewDynamicController places the base VNFs and returns an online
-// controller.
-func NewDynamicController(cfg DynamicConfig) (*DynamicController, error) {
-	return dynamic.New(cfg)
 }
 
 // AddMemoryDimension annotates a problem with a memory resource dimension,
