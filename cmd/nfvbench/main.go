@@ -16,6 +16,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -38,7 +39,9 @@ import (
 	"nfvchain/internal/repair"
 	"nfvchain/internal/rng"
 	"nfvchain/internal/scheduling"
+	"nfvchain/internal/service"
 	"nfvchain/internal/simulate"
+	"nfvchain/internal/wirejson"
 	"nfvchain/internal/workload"
 )
 
@@ -311,6 +314,9 @@ func scenarios() []scenario {
 		scenario{"Portfolio/anytime-race", portfolioAnytimeRace},
 		scenario{"Codec/solution-encode", codecSolutionEncode},
 		scenario{"Codec/solution-decode", codecSolutionDecode},
+		scenario{"Codec/results-encode", codecResultsEncode},
+		scenario{"Codec/results-decode", codecResultsDecode},
+		scenario{"Codec/simulate-request", codecSimulateRequest},
 	)
 	return out
 }
@@ -364,6 +370,124 @@ func codecSolutionDecode(b *testing.B) {
 		if _, err := core.ReadSolutionJSON(bytes.NewReader(doc)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// codecSimOptions are the options of a faulty simulate job as nfvd
+// receives them: MTBF 3 s / MTTR 30 ms faults with retransmission, 4 s
+// horizon, 0.5 s warmup.
+func codecSimOptions() service.SimOptions {
+	return service.SimOptions{
+		Horizon:         4,
+		Warmup:          0.5,
+		BufferSize:      64,
+		DropPolicy:      "retransmit",
+		RetransmitDelay: 0.01,
+		Seed:            21,
+		FaultPlan:       &simulate.FaultPlan{MTBF: 3, MTTR: 0.03},
+		FailurePolicy:   "retransmit",
+	}
+}
+
+// codecSimSolution solves a 200-request §V-A instance (demand scaled to
+// 60% of capacity): the solution a simulate job posts.
+func codecSimSolution(b *testing.B) *core.Solution {
+	cfg := workload.DefaultConfig()
+	cfg.Seed = 21
+	cfg.NumRequests = 200
+	prob, err := workload.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scale := 0.6 * prob.TotalCapacity() / prob.TotalDemand()
+	for i := range prob.VNFs {
+		prob.VNFs[i].Demand *= scale
+	}
+	sol, err := core.Optimize(prob, core.Options{Seed: 21, LinkDelay: 0.001})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sol
+}
+
+// codecResults simulates codecSimSolution under codecSimOptions: the
+// Results document (~1 MB) a simulate job returns.
+func codecResults(b *testing.B) *simulate.Results {
+	o := codecSimOptions()
+	res, err := core.Simulate(codecSimSolution(b), core.SimulationConfig{
+		Horizon:         o.Horizon,
+		Warmup:          o.Warmup,
+		BufferSize:      o.BufferSize,
+		DropPolicy:      simulate.DropRetransmit,
+		RetransmitDelay: o.RetransmitDelay,
+		Seed:            o.Seed,
+		FaultPlan:       o.FaultPlan,
+		FailurePolicy:   simulate.FailRetransmit,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+// codecResultsEncode measures Results.WriteJSON, the indented document
+// every simulate job returns.
+func codecResultsEncode(b *testing.B) {
+	res := codecResults(b)
+	var buf bytes.Buffer
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := res.WriteJSON(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// codecResultsDecode measures simulate.ReadResultsJSON, as a client
+// decodes a served simulate result.
+func codecResultsDecode(b *testing.B) {
+	var buf bytes.Buffer
+	if err := codecResults(b).WriteJSON(&buf); err != nil {
+		b.Fatal(err)
+	}
+	doc := buf.Bytes()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := simulate.ReadResultsJSON(bytes.NewReader(doc)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// codecSimulateRequest measures what nfvd does with a posted simulate body
+// before the job runs, bar validating the solution: the strict envelope
+// decode, then the result-cache key, a SHA-256 over the canonical compact
+// re-encoding. The body carries an indented solution document, as a client
+// posts one.
+func codecSimulateRequest(b *testing.B) {
+	var sol bytes.Buffer
+	if err := codecSimSolution(b).WriteJSON(&sol); err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(service.SimulateRequest{Solution: sol.Bytes(), Sim: codecSimOptions()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var req service.SimulateRequest
+		if err := wirejson.Unmarshal(body, req.DecodeWire); err != nil {
+			b.Fatal(err)
+		}
+		canon, err := wirejson.Marshal(req.AppendWire)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := sha256.New()
+		h.Write([]byte("simulate\x00"))
+		h.Write(canon)
+		h.Sum(nil)
 	}
 }
 

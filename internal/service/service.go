@@ -16,6 +16,7 @@ import (
 	"nfvchain/internal/portfolio"
 	"nfvchain/internal/simulate"
 	"nfvchain/internal/stats"
+	"nfvchain/internal/wirejson"
 )
 
 // Config parameterizes a Server. The zero value picks sensible defaults.
@@ -343,7 +344,7 @@ func (s *Server) submit(w http.ResponseWriter, kind, fp string, noCache bool, ex
 // handleSolve parses, validates and enqueues an optimization job.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req SolveRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, req.DecodeWire) {
 		return
 	}
 	if req.Problem == nil {
@@ -486,7 +487,7 @@ func (s *Server) submitAnytime(w http.ResponseWriter, req *SolveRequest) {
 // simulate-a-posted-solution) job.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, req.DecodeWire) {
 		return
 	}
 	if (req.Problem == nil) == (len(req.Solution) == 0) {
@@ -688,17 +689,25 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*job, bool) {
 	return j, true
 }
 
-// decodeBody strictly decodes a JSON request body, answering 4xx itself on
-// failure.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+// decodeBody reads the whole request body and strictly decodes it with
+// doc, answering 4xx itself on failure: 413 past MaxBodyBytes, 400 for
+// malformed JSON, an unknown or repeated field, or anything but whitespace
+// after the document.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, doc func(*wirejson.Reader)) bool {
+	var body bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
+		body.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, err.Error())
 			return false
 		}
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("read request: %v", err))
+		return false
+	}
+	if err := wirejson.Unmarshal(body.Bytes(), doc); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
 		return false
 	}

@@ -447,6 +447,25 @@ func TestValidationErrors(t *testing.T) {
 	if code, msg := post("/v1/simulate", fmt.Sprintf(`{"problem": %s, "sim": {"horizon": 1, "agenda": "calendar"}}`, pb)); code != http.StatusBadRequest || !strings.Contains(msg, "agenda") {
 		t.Errorf("bad agenda: got %d %q", code, msg)
 	}
+	// Only whitespace may follow the document: a second value is not
+	// silently dropped.
+	solve := fmt.Sprintf(`{"problem": %s}`, pb)
+	if code, msg := post("/v1/solve", solve+solve); code != http.StatusBadRequest || !strings.Contains(msg, "after top-level value") {
+		t.Errorf("two solve documents: got %d %q", code, msg)
+	}
+	if code, msg := post("/v1/solve", solve+" x"); code != http.StatusBadRequest || !strings.Contains(msg, "after top-level value") {
+		t.Errorf("trailing garbage: got %d %q", code, msg)
+	}
+	sim := fmt.Sprintf(`{"problem": %s, "sim": {"horizon": 1}}`, pb)
+	if code, msg := post("/v1/simulate", sim+`{"problem": null}`); code != http.StatusBadRequest || !strings.Contains(msg, "after top-level value") {
+		t.Errorf("two simulate documents: got %d %q", code, msg)
+	}
+	if code, msg := post("/v1/solve", solve+" \r\n\t"); code >= 300 {
+		t.Errorf("trailing whitespace: got %d %q", code, msg)
+	}
+	if code, msg := post("/v1/solve", `{"options": {}, "OPTIONS": {}}`); code != http.StatusBadRequest || !strings.Contains(msg, "duplicate key") {
+		t.Errorf("repeated field: got %d %q", code, msg)
+	}
 
 	if st, err := c.Job(context.Background(), "job-999"); err == nil {
 		t.Errorf("unknown job: got %+v, want 404 error", st)

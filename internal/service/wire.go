@@ -38,6 +38,18 @@ import (
 	"nfvchain/internal/placement"
 	"nfvchain/internal/scheduling"
 	"nfvchain/internal/simulate"
+	"nfvchain/internal/wirejson"
+)
+
+// The request documents have hand-written codecs over internal/wirejson
+// (below each type). They write exactly what encoding/json writes for the
+// struct tags, and read strictly: an unknown or repeated field is an error.
+// The differential tests keep encoding/json as the oracle.
+var (
+	solveOptionsFields    = wirejson.NewFields("placer", "scheduler", "linkDelay", "disableAdmissionControl", "seed")
+	solveRequestFields    = wirejson.NewFields("problem", "options", "portfolio", "deadline_ms")
+	simOptionsFields      = wirejson.NewFields("horizon", "warmup", "bufferSize", "dropPolicy", "retransmitDelay", "serviceDist", "agenda", "seed", "faultPlan", "failurePolicy")
+	simulateRequestFields = wirejson.NewFields("problem", "options", "solution", "sim")
 )
 
 // SolveOptions is the wire form of core.Options: algorithms by name so the
@@ -55,6 +67,51 @@ type SolveOptions struct {
 	DisableAdmissionControl bool `json:"disableAdmissionControl,omitempty"`
 	// Seed drives the seeded algorithms (BFDSU).
 	Seed uint64 `json:"seed,omitempty"`
+}
+
+// AppendWire writes the options as a JSON object, zero members omitted.
+func (o *SolveOptions) AppendWire(w *wirejson.Writer) {
+	w.BeginObject()
+	if o.Placer != "" {
+		w.Key("placer")
+		w.String(o.Placer)
+	}
+	if o.Scheduler != "" {
+		w.Key("scheduler")
+		w.String(o.Scheduler)
+	}
+	if o.LinkDelay != 0 {
+		w.Key("linkDelay")
+		w.Float(o.LinkDelay)
+	}
+	if o.DisableAdmissionControl {
+		w.Key("disableAdmissionControl")
+		w.Bool(true)
+	}
+	if o.Seed != 0 {
+		w.Key("seed")
+		w.Uint64(o.Seed)
+	}
+	w.EndObject()
+}
+
+// DecodeWire reads an options object into o; null leaves o unchanged.
+func (o *SolveOptions) DecodeWire(r *wirejson.Reader) {
+	var seen uint64
+	r.Object(func(key []byte) {
+		switch r.Field(solveOptionsFields, key, &seen) {
+		case 0:
+			o.Placer = r.Str()
+		case 1:
+			o.Scheduler = r.Str()
+		case 2:
+			o.LinkDelay = r.Float()
+		case 3:
+			o.DisableAdmissionControl = r.Bool()
+		case 4:
+			o.Seed = r.Uint64()
+		}
+	})
 }
 
 // coreOptions resolves the named algorithms into core.Options.
@@ -118,6 +175,63 @@ type SolveRequest struct {
 	DeadlineMS int `json:"deadline_ms,omitempty"`
 }
 
+// AppendWire writes the request as a JSON object.
+func (q *SolveRequest) AppendWire(w *wirejson.Writer) {
+	w.BeginObject()
+	w.Key("problem")
+	appendProblem(w, q.Problem)
+	w.Key("options")
+	q.Options.AppendWire(w)
+	if len(q.Portfolio) > 0 {
+		w.Key("portfolio")
+		w.BeginArray()
+		for _, spec := range q.Portfolio {
+			w.String(spec)
+		}
+		w.EndArray()
+	}
+	if q.DeadlineMS != 0 {
+		w.Key("deadline_ms")
+		w.Int(q.DeadlineMS)
+	}
+	w.EndObject()
+}
+
+// DecodeWire reads a request object into q; null leaves q unchanged.
+func (q *SolveRequest) DecodeWire(r *wirejson.Reader) {
+	var seen uint64
+	r.Object(func(key []byte) {
+		switch r.Field(solveRequestFields, key, &seen) {
+		case 0:
+			q.Problem = decodeProblem(r)
+		case 1:
+			q.Options.DecodeWire(r)
+		case 2:
+			q.Portfolio = wirejson.Slice(r, func(spec *string) { *spec = r.Str() })
+		case 3:
+			q.DeadlineMS = r.Int()
+		}
+	})
+}
+
+func appendProblem(w *wirejson.Writer, p *model.Problem) {
+	if p == nil {
+		w.Null()
+		return
+	}
+	p.AppendWire(w)
+}
+
+// decodeProblem reads a problem object, or null as nil.
+func decodeProblem(r *wirejson.Reader) *model.Problem {
+	if r.Null() {
+		return nil
+	}
+	p := new(model.Problem)
+	p.DecodeWire(r)
+	return p
+}
+
 // MaxDeadlineMS caps an anytime job's deadline (10 minutes).
 const MaxDeadlineMS = 600_000
 
@@ -152,6 +266,84 @@ type SimOptions struct {
 	FaultPlan *simulate.FaultPlan `json:"faultPlan,omitempty"`
 	// FailurePolicy: drop|retransmit ("" = drop). Ignored without FaultPlan.
 	FailurePolicy string `json:"failurePolicy,omitempty"`
+}
+
+// AppendWire writes the options as a JSON object, zero members other than
+// horizon omitted.
+func (o *SimOptions) AppendWire(w *wirejson.Writer) {
+	w.BeginObject()
+	w.Key("horizon")
+	w.Float(o.Horizon)
+	if o.Warmup != 0 {
+		w.Key("warmup")
+		w.Float(o.Warmup)
+	}
+	if o.BufferSize != 0 {
+		w.Key("bufferSize")
+		w.Int(o.BufferSize)
+	}
+	if o.DropPolicy != "" {
+		w.Key("dropPolicy")
+		w.String(o.DropPolicy)
+	}
+	if o.RetransmitDelay != 0 {
+		w.Key("retransmitDelay")
+		w.Float(o.RetransmitDelay)
+	}
+	if o.ServiceDist != "" {
+		w.Key("serviceDist")
+		w.String(o.ServiceDist)
+	}
+	if o.Agenda != "" {
+		w.Key("agenda")
+		w.String(o.Agenda)
+	}
+	if o.Seed != 0 {
+		w.Key("seed")
+		w.Uint64(o.Seed)
+	}
+	if o.FaultPlan != nil {
+		w.Key("faultPlan")
+		o.FaultPlan.AppendWire(w)
+	}
+	if o.FailurePolicy != "" {
+		w.Key("failurePolicy")
+		w.String(o.FailurePolicy)
+	}
+	w.EndObject()
+}
+
+// DecodeWire reads an options object into o; null leaves o unchanged.
+func (o *SimOptions) DecodeWire(r *wirejson.Reader) {
+	var seen uint64
+	r.Object(func(key []byte) {
+		switch r.Field(simOptionsFields, key, &seen) {
+		case 0:
+			o.Horizon = r.Float()
+		case 1:
+			o.Warmup = r.Float()
+		case 2:
+			o.BufferSize = r.Int()
+		case 3:
+			o.DropPolicy = r.Str()
+		case 4:
+			o.RetransmitDelay = r.Float()
+		case 5:
+			o.ServiceDist = r.Str()
+		case 6:
+			o.Agenda = r.Str()
+		case 7:
+			o.Seed = r.Uint64()
+		case 8:
+			if r.Null() {
+				return
+			}
+			o.FaultPlan = new(simulate.FaultPlan)
+			o.FaultPlan.DecodeWire(r)
+		case 9:
+			o.FailurePolicy = r.Str()
+		}
+	})
 }
 
 // simConfig resolves the named enums into a core.SimulationConfig.
@@ -205,6 +397,44 @@ type SimulateRequest struct {
 	// Solution is a core.Solution document (problem+placement+schedule).
 	Solution json.RawMessage `json:"solution,omitempty"`
 	Sim      SimOptions      `json:"sim"`
+}
+
+// AppendWire writes the request as a JSON object. The Solution, which must
+// be valid JSON (DecodeWire checks it), is written compacted as
+// encoding/json writes a json.RawMessage.
+func (q *SimulateRequest) AppendWire(w *wirejson.Writer) {
+	w.BeginObject()
+	if q.Problem != nil {
+		w.Key("problem")
+		q.Problem.AppendWire(w)
+	}
+	w.Key("options")
+	q.Options.AppendWire(w)
+	if len(q.Solution) > 0 {
+		w.Key("solution")
+		w.Raw(q.Solution)
+	}
+	w.Key("sim")
+	q.Sim.AppendWire(w)
+	w.EndObject()
+}
+
+// DecodeWire reads a request object into q; null leaves q unchanged. The
+// Solution is kept as its raw bytes (null included), checked only as JSON.
+func (q *SimulateRequest) DecodeWire(r *wirejson.Reader) {
+	var seen uint64
+	r.Object(func(key []byte) {
+		switch r.Field(simulateRequestFields, key, &seen) {
+		case 0:
+			q.Problem = decodeProblem(r)
+		case 1:
+			q.Options.DecodeWire(r)
+		case 2:
+			q.Solution = r.Raw()
+		case 3:
+			q.Sim.DecodeWire(r)
+		}
+	})
 }
 
 // JobState enumerates a job's lifecycle.
@@ -292,12 +522,17 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// fingerprint returns the SHA-256 content address of a request: the
-// endpoint kind plus the canonical re-marshaling of the parsed body, so
-// formatting differences (whitespace, field order) between semantically
+// fingerprint returns the SHA-256 content address of a request (a
+// *SolveRequest or *SimulateRequest): the endpoint kind plus the canonical
+// compact re-encoding of the parsed body — the bytes json.Marshal writes —
+// so formatting differences (whitespace, field order) between semantically
 // identical submissions do not split the cache.
 func fingerprint(kind string, req any) (string, error) {
-	canon, err := json.Marshal(req)
+	doc, ok := req.(interface{ AppendWire(*wirejson.Writer) })
+	if !ok {
+		return "", fmt.Errorf("service: fingerprint: %T has no wire form", req)
+	}
+	canon, err := wirejson.Marshal(doc.AppendWire)
 	if err != nil {
 		return "", fmt.Errorf("service: fingerprint: %w", err)
 	}

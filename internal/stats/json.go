@@ -1,46 +1,64 @@
 package stats
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
+
+	"nfvchain/internal/wirejson"
 )
 
-// summaryJSON is the stable wire form of a Summary. The internal Welford
-// state (n, mean, m2, min, max) is carried verbatim so a round trip is
-// exact: Merge, Variance and CI95 on a decoded Summary behave bit-for-bit
-// like on the original.
-type summaryJSON struct {
-	N    int     `json:"n"`
-	Mean float64 `json:"mean"`
-	M2   float64 `json:"m2"`
-	Min  float64 `json:"min"`
-	Max  float64 `json:"max"`
-}
+// The wire form of a Summary is its Welford state, {"n", "mean", "m2",
+// "min", "max"}, carried verbatim so a round trip is exact: Merge, Variance
+// and CI95 on a decoded Summary behave bit-for-bit like on the original.
+
+var summaryFields = wirejson.NewFields("n", "mean", "m2", "min", "max")
 
 // MarshalJSON encodes the summary's Welford state.
-func (s Summary) MarshalJSON() ([]byte, error) {
-	return json.Marshal(summaryJSON{N: s.n, Mean: s.mean, M2: s.m2, Min: s.min, Max: s.max})
-}
+func (s Summary) MarshalJSON() ([]byte, error) { return wirejson.Marshal(s.AppendWire) }
 
-// UnmarshalJSON decodes a summary written by MarshalJSON. Unknown fields are
-// rejected so wire-format drift fails loudly instead of silently zeroing
-// moments.
+// UnmarshalJSON decodes a summary written by MarshalJSON. Unknown and
+// repeated fields are rejected so wire-format drift fails loudly instead of
+// silently zeroing moments.
 func (s *Summary) UnmarshalJSON(data []byte) error {
-	var raw summaryJSON
-	if err := strictUnmarshal(data, &raw); err != nil {
+	if err := wirejson.Unmarshal(data, s.DecodeWire); err != nil {
 		return fmt.Errorf("stats: decode summary: %w", err)
 	}
-	if raw.N < 0 {
-		return fmt.Errorf("stats: decode summary: negative n %d", raw.N)
-	}
-	s.n, s.mean, s.m2, s.min, s.max = raw.N, raw.Mean, raw.M2, raw.Min, raw.Max
 	return nil
 }
 
-// strictUnmarshal is json.Unmarshal with DisallowUnknownFields.
-func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+// AppendWire writes the summary as a JSON object.
+func (s *Summary) AppendWire(w *wirejson.Writer) {
+	w.BeginObject()
+	w.Key("n")
+	w.Int(s.n)
+	w.Key("mean")
+	w.Float(s.mean)
+	w.Key("m2")
+	w.Float(s.m2)
+	w.Key("min")
+	w.Float(s.min)
+	w.Key("max")
+	w.Float(s.max)
+	w.EndObject()
+}
+
+// DecodeWire reads a summary object into s; null leaves s unchanged. A
+// negative count is an error.
+func (s *Summary) DecodeWire(r *wirejson.Reader) {
+	var seen uint64
+	r.Object(func(key []byte) {
+		switch r.Field(summaryFields, key, &seen) {
+		case 0:
+			if s.n = r.Int(); s.n < 0 {
+				r.Fail(fmt.Errorf("negative n %d", s.n))
+			}
+		case 1:
+			s.mean = r.Float()
+		case 2:
+			s.m2 = r.Float()
+		case 3:
+			s.min = r.Float()
+		case 4:
+			s.max = r.Float()
+		}
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"slices"
 	"strconv"
+	"strings"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -39,13 +40,21 @@ type Reader struct {
 	data []byte
 	pos  int
 	err  error
+	// depth counts the containers open at the current position.
+	depth int
 	// scratch holds a string whose escapes had to be rewritten.
 	scratch []byte
 	// recent caches decoded strings by hash, so a repeated one (the same
 	// VNF ID in many chains, placements and schedules) is not allocated
 	// again.
 	recent [512]string
+	// arena is the block new short strings are carved from.
+	arena strings.Builder
 }
+
+// arenaBlock is the size of the blocks short strings share; a longer
+// string gets an allocation of its own.
+const arenaBlock = 4096
 
 func newReader(data []byte) *Reader { return &Reader{data: data} }
 
@@ -94,14 +103,16 @@ func readAll(src io.Reader, buf []byte) ([]byte, error) {
 	}
 }
 
-// fail records err at the current offset unless an error is already set.
-func (r *Reader) fail(err error) {
+// Fail records err at the current offset unless an error is already set,
+// for a decoder that rejects a well-formed value (a negative count, a
+// repeated row).
+func (r *Reader) Fail(err error) {
 	if r.err == nil {
 		r.err = &decodeError{offset: r.pos, err: err}
 	}
 }
 
-func (r *Reader) failf(format string, args ...any) { r.fail(fmt.Errorf(format, args...)) }
+func (r *Reader) failf(format string, args ...any) { r.Fail(fmt.Errorf(format, args...)) }
 
 // unexpected reports the byte at the current offset (or the end of input)
 // where the grammar wanted something else.
@@ -150,11 +161,20 @@ func (r *Reader) Null() bool {
 	if r.err != nil || r.peek() != 'n' {
 		return false
 	}
-	if len(r.data)-r.pos < 4 || string(r.data[r.pos:r.pos+4]) != "null" {
-		r.unexpected("in literal null")
+	return r.literal("null")
+}
+
+// maxDepth is encoding/json's nesting limit: a value nested deeper than
+// this many containers is an error.
+const maxDepth = 10000
+
+// enter opens a container at the current offset, failing past maxDepth.
+func (r *Reader) enter() bool {
+	r.pos++
+	if r.depth++; r.depth > maxDepth {
+		r.failf("exceeded max depth")
 		return false
 	}
-	r.pos += 4
 	return true
 }
 
@@ -170,7 +190,13 @@ func (r *Reader) Object(member func(key []byte)) {
 		r.mismatch("object")
 		return
 	}
-	r.pos++
+	if r.enter() {
+		r.members(member)
+	}
+	r.depth--
+}
+
+func (r *Reader) members(member func(key []byte)) {
 	if r.peek() == '}' {
 		r.pos++
 		return
@@ -206,10 +232,10 @@ func (r *Reader) Object(member func(key []byte)) {
 	}
 }
 
-// array decodes a JSON array, calling elem once per element with the
+// Array decodes a JSON array, calling elem once per element with the
 // reader positioned at it; elem must consume the element. A null array
 // calls nothing.
-func (r *Reader) array(elem func()) {
+func (r *Reader) Array(elem func()) {
 	if r.Null() || r.err != nil {
 		return
 	}
@@ -217,7 +243,13 @@ func (r *Reader) array(elem func()) {
 		r.mismatch("array")
 		return
 	}
-	r.pos++
+	if r.enter() {
+		r.elements(elem)
+	}
+	r.depth--
+}
+
+func (r *Reader) elements(elem func()) {
 	if r.peek() == ']' {
 		r.pos++
 		return
@@ -244,13 +276,22 @@ func (r *Reader) array(elem func()) {
 // elem. null decodes to a nil slice and [] to an empty non-nil one, as in
 // encoding/json.
 func Slice[T any](r *Reader, elem func(*T)) []T {
+	// Room for a short array up front: most arrays in the solve documents
+	// are VNF chains of at most six entries.
+	return SliceN(r, 6, elem)
+}
+
+// SliceN is Slice with room for n elements up front, for a caller that
+// knows the array's length from elsewhere in the document. n is capped by
+// the elements the rest of the input can hold (each takes at least two
+// bytes), so a hostile count cannot force a large allocation.
+func SliceN[T any](r *Reader, n int, elem func(*T)) []T {
 	if r.Null() || r.err != nil {
 		return nil
 	}
-	// Room for a short array up front: most arrays in the solve documents
-	// are VNF chains of at most six entries.
-	out := make([]T, 0, 6)
-	r.array(func() {
+	n = max(0, min(n, (len(r.data)-r.pos)/2))
+	out := make([]T, 0, n)
+	r.Array(func() {
 		var zero T
 		out = append(out, zero)
 		elem(&out[len(out)-1])
@@ -269,7 +310,7 @@ func Map[K ~string, V any](r *Reader, value func(m map[K]V, key K)) map[K]V {
 	r.Object(func(key []byte) {
 		k := K(r.intern(key))
 		if _, dup := m[k]; dup {
-			r.fail(fmt.Errorf("%w %q", ErrDuplicateKey, k))
+			r.Fail(fmt.Errorf("%w %q", ErrDuplicateKey, k))
 			return
 		}
 		value(m, k)
@@ -324,8 +365,25 @@ func (r *Reader) intern(b []byte) string {
 	if *slot == string(b) {
 		return *slot
 	}
-	*slot = string(b)
+	*slot = r.newString(b)
 	return *slot
+}
+
+// newString copies b into a string. Short strings are carved from a shared
+// block, so a document's many distinct IDs cost a few allocations instead
+// of one each: a strings.Builder only appends, so the strings it returned
+// earlier never change.
+func (r *Reader) newString(b []byte) string {
+	if len(b) > arenaBlock/8 {
+		return string(b)
+	}
+	if r.arena.Cap()-r.arena.Len() < len(b) {
+		r.arena.Reset()
+		r.arena.Grow(arenaBlock)
+	}
+	start := r.arena.Len()
+	r.arena.Write(b)
+	return r.arena.String()[start:]
 }
 
 // Int decodes a JSON number that is an integer literal in int's range, as
@@ -357,6 +415,88 @@ func (r *Reader) Float() float64 {
 		return 0
 	}
 	return f
+}
+
+// Uint64 decodes a JSON number that is an integer literal in uint64's
+// range, as encoding/json requires for a uint64 target (-1, 1.0 and 1e2
+// are errors); null decodes to 0.
+func (r *Reader) Uint64() uint64 {
+	lit := r.number("uint64")
+	if lit == nil {
+		return 0
+	}
+	n, err := strconv.ParseUint(string(lit), 10, 64)
+	if err != nil {
+		r.failf("cannot decode number %s into uint64", lit)
+		return 0
+	}
+	return n
+}
+
+// Bool decodes true or false; null decodes to false.
+func (r *Reader) Bool() bool {
+	if r.Null() || r.err != nil {
+		return false
+	}
+	switch r.peek() {
+	case 't':
+		return r.literal("true")
+	case 'f':
+		r.literal("false")
+		return false
+	}
+	r.mismatch("bool")
+	return false
+}
+
+// literal consumes the literal lit (the reader is at its first byte) and
+// reports whether it was there.
+func (r *Reader) literal(lit string) bool {
+	for i := 0; i < len(lit); i, r.pos = i+1, r.pos+1 {
+		if r.pos >= len(r.data) || r.data[r.pos] != lit[i] {
+			r.unexpected("in literal " + lit)
+			return false
+		}
+	}
+	return true
+}
+
+// Raw returns a copy of the next value's bytes, whatever its type (null
+// included), checked against JSON's grammar as encoding/json checks a
+// json.RawMessage. It returns nil on error.
+func (r *Reader) Raw() []byte {
+	if r.err != nil {
+		return nil
+	}
+	r.skipSpace()
+	start := r.pos
+	r.skip()
+	if r.err != nil {
+		return nil
+	}
+	return append([]byte(nil), r.data[start:r.pos]...)
+}
+
+// skip consumes one value of any type, checking its syntax.
+func (r *Reader) skip() {
+	switch c := r.peek(); {
+	case c == '{':
+		r.Object(func([]byte) { r.skip() })
+	case c == '[':
+		r.Array(r.skip)
+	case c == '"':
+		r.str()
+	case c == 't':
+		r.literal("true")
+	case c == 'f':
+		r.literal("false")
+	case c == 'n':
+		r.Null()
+	case c == '-' || '0' <= c && c <= '9':
+		r.number("")
+	default:
+		r.unexpected("looking for beginning of value")
+	}
 }
 
 // number consumes a number literal checked against JSON's grammar
@@ -614,7 +754,7 @@ func (r *Reader) Field(fs *Fields, key []byte, seen *uint64) int {
 	case idx < 0:
 		r.failf("unknown field %q", key)
 	case *seen&(1<<idx) != 0:
-		r.fail(fmt.Errorf("%w %q", ErrDuplicateKey, key))
+		r.Fail(fmt.Errorf("%w %q", ErrDuplicateKey, key))
 		idx = -1
 	default:
 		*seen |= 1 << idx

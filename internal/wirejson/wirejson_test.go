@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -24,6 +25,12 @@ func writeAny(w *Writer, v any) {
 		w.Float(v)
 	case int:
 		w.Int(v)
+	case uint64:
+		w.Uint64(v)
+	case bool:
+		w.Bool(v)
+	case json.RawMessage:
+		w.Raw(v)
 	case []any:
 		w.BeginArray()
 		for _, e := range v {
@@ -249,7 +256,129 @@ func TestDecodeIgnoresTrailingData(t *testing.T) {
 	if err != nil || !slices.Equal(got, []float64{1, 2}) {
 		t.Errorf("got (%v, %v)", got, err)
 	}
-	if err := Decode(strings.NewReader(" "), func(r *Reader) { r.array(func() {}) }); err == nil {
+	if err := Decode(strings.NewReader(" "), func(r *Reader) { r.Array(func() {}) }); err == nil {
 		t.Error("empty input accepted")
+	}
+}
+
+func TestWriterScalars(t *testing.T) {
+	for _, v := range []any{true, false, uint64(0), uint64(7), uint64(math.MaxUint64),
+		map[string]any{"t": true, "u": uint64(1 << 63), "f": false}} {
+		checkWriter(t, v)
+	}
+}
+
+func TestReaderBoolUint64(t *testing.T) {
+	lits := []string{
+		"true", "false", "null", "tru", "truex", "t", "fals", "falsey", "nul", "True",
+		"0", "1", "-1", "-0", "1.0", "1e2", "18446744073709551615", "18446744073709551616",
+		"99999999999999999999", `"1"`, "[]", "{}", "", " true ", "true false",
+	}
+	for _, lit := range lits {
+		var wantB bool
+		wantBErr := json.Unmarshal([]byte(lit), &wantB)
+		var gotB bool
+		gotBErr := Unmarshal([]byte(lit), func(r *Reader) { gotB = r.Bool() })
+		if (gotBErr == nil) != (wantBErr == nil) || wantBErr == nil && gotB != wantB {
+			t.Errorf("bool %q: got (%v, %v), want (%v, %v)", lit, gotB, gotBErr, wantB, wantBErr)
+		}
+		var wantU uint64
+		wantUErr := json.Unmarshal([]byte(lit), &wantU)
+		var gotU uint64
+		gotUErr := Unmarshal([]byte(lit), func(r *Reader) { gotU = r.Uint64() })
+		if (gotUErr == nil) != (wantUErr == nil) || wantUErr == nil && gotU != wantU {
+			t.Errorf("uint64 %q: got (%d, %v), want (%d, %v)", lit, gotU, gotUErr, wantU, wantUErr)
+		}
+	}
+}
+
+// rawValues are JSON values, valid and not, for the raw capture and the
+// compacting raw write.
+var rawValues = []string{
+	`null`, `true`, `false`, `0`, `-1.5e+3`, `""`, `"plain"`, `[]`, `{}`, `[ ]`, `{ }`,
+	`{"a": [1, 2, {"b": null}], "c": {"d": "e"}}`,
+	"[\n  1,\n  [true, false],\n  {\"k\" :\t\"v\"}\r\n]",
+	`"<script>&amp;</script>"`, "\"line\u2028para\u2029end \xe2\x80\xa8\"", `"\u2028 \u003c \"q\" \\"`,
+	"\"bad \xff utf8 \xe2\x80\"", `{"<k>": "&"}`, `[{}, [], [[]], {"a": {}}]`,
+	`[1,]`, `{"a" 1}`, `{"a":1,}`, `{,}`, `[1 2]`, `nul`, `tru`, `-`, `01`, `1.`, `"\x"`,
+	"\"ctl \x01\"", `"unterminated`, `[`, `{"a":`, `}`, ``, `{"a":1}}`, `[1]]`, `"a" "b"`,
+}
+
+// TestReaderRaw compares Raw with encoding/json's json.RawMessage capture,
+// on its own and as a member value (where the capture excludes the
+// surrounding whitespace).
+func TestReaderRaw(t *testing.T) {
+	for _, v := range rawValues {
+		for _, doc := range []string{v, `{"x": ` + v + ` , "y": 1}`} {
+			var want struct {
+				X json.RawMessage `json:"x"`
+				Y int             `json:"y"`
+			}
+			var wantRaw json.RawMessage
+			var wantErr error
+			if doc == v {
+				wantErr = json.Unmarshal([]byte(doc), &wantRaw)
+			} else {
+				wantErr = json.Unmarshal([]byte(doc), &want)
+				wantRaw = want.X
+			}
+			var got []byte
+			gotErr := Unmarshal([]byte(doc), func(r *Reader) {
+				if doc == v {
+					got = r.Raw()
+					return
+				}
+				r.Object(func(key []byte) {
+					if string(key) == "x" {
+						got = r.Raw()
+					} else {
+						r.Int()
+					}
+				})
+			})
+			if (gotErr == nil) != (wantErr == nil) || wantErr == nil && !bytes.Equal(got, wantRaw) {
+				t.Errorf("%q: got (%q, %v), want (%q, %v)", doc, got, gotErr, wantRaw, wantErr)
+			}
+		}
+	}
+}
+
+// TestReaderDepth pins encoding/json's nesting limit for a raw value.
+func TestReaderDepth(t *testing.T) {
+	for _, depth := range []int{maxDepth, maxDepth + 1} {
+		doc := []byte(strings.Repeat("[", depth) + strings.Repeat("]", depth))
+		var want json.RawMessage
+		wantErr := json.Unmarshal(doc, &want)
+		gotErr := Unmarshal(doc, func(r *Reader) { r.Raw() })
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Errorf("depth %d: got %v, want %v", depth, gotErr, wantErr)
+		}
+	}
+}
+
+// TestWriterRaw compares the raw write with encoding/json's encoding of a
+// json.RawMessage, compact and indented, alone and nested.
+func TestWriterRaw(t *testing.T) {
+	for _, v := range rawValues {
+		if !json.Valid([]byte(v)) {
+			// Unspecified output, but no panic, in either mode.
+			_, _ = Marshal(func(w *Writer) { w.Raw([]byte(v)) })
+			_ = Encode(io.Discard, func(w *Writer) { w.Raw([]byte(v)) })
+			continue
+		}
+		raw := json.RawMessage(v)
+		checkWriter(t, raw)
+		checkWriter(t, map[string]any{"a": raw, "b": []any{raw, raw}})
+	}
+}
+
+// TestSliceNCap checks that a size hint is capped by the input left.
+func TestSliceNCap(t *testing.T) {
+	var got []float64
+	err := Unmarshal([]byte(`[1,2,3]`), func(r *Reader) {
+		got = SliceN(r, 1<<40, func(x *float64) { *x = r.Float() })
+	})
+	if err != nil || !slices.Equal(got, []float64{1, 2, 3}) || cap(got) > 8 {
+		t.Errorf("got (%v, cap %d, %v)", got, cap(got), err)
 	}
 }

@@ -1,6 +1,8 @@
 // Package wirejson holds encoding/json's wire-format rules once, for the
-// hand-written codecs of the solve-path documents (model.Problem,
-// model.Placement, model.Schedule and the core.Solution envelope).
+// hand-written codecs of the documents nfvd reads and writes (model.Problem,
+// model.Placement, model.Schedule, the core.Solution envelope,
+// simulate.Results with its stats.Summary members, and the service's
+// request envelopes).
 //
 // Writer appends exactly the bytes json.Marshal emits for the same values,
 // or, in indented mode, exactly what a json.Encoder with SetIndent("", "  ")
@@ -163,6 +165,11 @@ func (w *Writer) close(c byte) {
 func (w *Writer) Key(k string) {
 	w.value()
 	w.buf = appendString(w.buf, k)
+	w.colon()
+}
+
+// colon ends a key; the member's value comes next.
+func (w *Writer) colon() {
 	if w.indent {
 		w.buf = append(w.buf, ':', ' ')
 	} else {
@@ -187,6 +194,96 @@ func (w *Writer) String(s string) {
 func (w *Writer) Int(n int) {
 	w.value()
 	w.buf = strconv.AppendInt(w.buf, int64(n), 10)
+}
+
+// Uint64 writes n.
+func (w *Writer) Uint64(n uint64) {
+	w.value()
+	w.buf = strconv.AppendUint(w.buf, n, 10)
+}
+
+// Bool writes true or false.
+func (w *Writer) Bool(b bool) {
+	w.value()
+	w.buf = strconv.AppendBool(w.buf, b)
+}
+
+// Raw writes v, one JSON value as Reader.Raw returns it, as encoding/json
+// writes a json.RawMessage: whitespace dropped (and, in indented mode, the
+// value re-indented), and inside strings <, >, &, U+2028 and U+2029
+// escaped. Everything else, escapes and invalid UTF-8 included, is copied
+// verbatim. v must be valid JSON; for other bytes the output is
+// unspecified.
+func (w *Writer) Raw(v []byte) {
+	nest := 0 // containers of v open; a stray closer is dropped
+	for i := 0; i < len(v); {
+		switch c := v[i]; c {
+		case ' ', '\t', '\n', '\r', ',':
+			// The writer places its own separators.
+			i++
+		case '{', '[':
+			w.open(c)
+			nest++
+			i++
+		case '}', ']':
+			if nest > 0 {
+				w.close(c)
+				nest--
+			}
+			i++
+		case ':':
+			// The string before it was a key.
+			w.colon()
+			i++
+		case '"':
+			w.value()
+			i = w.rawString(v, i)
+		default:
+			// A number or a literal runs to the next delimiter.
+			j := i + 1
+			for j < len(v) && !delim[v[j]] {
+				j++
+			}
+			w.value()
+			w.buf = append(w.buf, v[i:j]...)
+			i = j
+		}
+	}
+}
+
+// delim marks the bytes that end a number or literal.
+var delim = func() (t [256]bool) {
+	for _, c := range " \t\n\r,:]}" {
+		t[c] = true
+	}
+	return t
+}()
+
+// rawString copies the string literal starting at v[i], escaping what
+// encoding/json's compaction escapes, and returns the offset after it.
+func (w *Writer) rawString(v []byte, i int) int {
+	b := append(w.buf, '"')
+	start := i + 1
+	for i = start; i < len(v) && v[i] != '"'; {
+		switch c := v[i]; {
+		case c == '\\':
+			i = min(i+2, len(v))
+		case c == '<' || c == '>' || c == '&':
+			b = append(b, v[start:i]...)
+			b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			i++
+			start = i
+		case c == 0xE2 && i+2 < len(v) && v[i+1] == 0x80 && v[i+2]&^1 == 0xA8:
+			b = append(b, v[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[v[i+2]&0xF])
+			i += 3
+			start = i
+		default:
+			i++
+		}
+	}
+	w.buf = append(append(b, v[start:i]...), '"')
+	return i + 1
 }
 
 // Float writes f in encoding/json's ES6-style format: 'f' notation, or
