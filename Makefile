@@ -41,9 +41,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Quick micro-benchmarks of the two hot paths (DES event loop, RCKK merge).
+# Quick micro-benchmarks of the two hot paths (DES event loop, RCKK merge),
+# from the scenario list in internal/benchsuite that nfvbench also runs.
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkSimulator|BenchmarkScheduleRCKK' -benchmem .
+	$(GO) test -run xxx -bench 'Scenarios/(Simulator|RCKK)/' -benchmem ./internal/benchsuite
 
 # Regenerate the committed performance trajectory (ns/op, allocs/op per
 # scenario). Compare against the previous results/BENCH.json before merging
@@ -56,9 +57,10 @@ bench-json:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# Profile the hottest scenario and print the top CPU consumers. Leaves
-# cpu.prof/mem.prof behind for `go tool pprof -http` flame graphs; see the
-# profiling workflow in EXPERIMENTS.md.
+# Profile the Simulator/large-horizon* scenarios of internal/benchsuite and
+# print the top CPU consumers. Leaves cpu.prof/mem.prof behind for
+# `go tool pprof -http` flame graphs; see the profiling workflow in
+# EXPERIMENTS.md.
 profile:
 	$(GO) run ./cmd/nfvbench -run Simulator/large-horizon -out /dev/null \
 		-cpuprofile cpu.prof -memprofile mem.prof
