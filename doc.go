@@ -73,9 +73,12 @@
 // scheduling jointly: a portfolio of solvers — the greedy pipelines (greedy,
 // bfd, ffd, nah, exact) plus a metaheuristic tier of simulated annealing
 // (sa), large-neighborhood search (lns) and particle-swarm placement with a
-// KK inner scheduler (pso) — races on parallel workers, each reporting a
-// monotone stream of incumbents (PortfolioIncumbent) while a shared
-// first-improvement publication feeds RaceOptions.OnIncumbent. Budgets are
+// KK inner scheduler (pso) — races on parallel workers over one compiled,
+// read-only view of the problem (its BFD and RCKK starting points computed
+// once), each reporting a monotone stream of incumbents (PortfolioIncumbent:
+// objective, iteration and time, not the solution itself) while a shared
+// first-improvement publication feeds RaceOptions.OnIncumbent. Annealing
+// moves are scored by rescoring only the one VNF a move touched. Budgets are
 // iterations, not wall clock, so at a fixed RaceOptions.Seed every solver's
 // (iteration, objective) trajectory is deterministic and the winner is
 // invariant to worker count; a context deadline bounds wall clock, returning

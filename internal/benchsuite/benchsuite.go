@@ -28,6 +28,7 @@ import (
 	"nfvchain/internal/core"
 	"nfvchain/internal/model"
 	"nfvchain/internal/placement"
+	"nfvchain/internal/portfolio"
 	"nfvchain/internal/queueing"
 	"nfvchain/internal/repair"
 	"nfvchain/internal/rng"
@@ -71,6 +72,7 @@ func Scenarios() []Scenario {
 		partition("KKForward", scheduling.KKForward{}, 250, 5),
 		partition("CKK", scheduling.CKK{MaxNodes: 20_000}, 40, 4),
 		Scenario{"Portfolio/anytime-race", portfolioAnytimeRace},
+		Scenario{"Portfolio/race-paper", portfolioRacePaper},
 		Scenario{"Codec/solution-encode", codecSolutionEncode},
 		Scenario{"Codec/solution-decode", codecSolutionDecode},
 		Scenario{"Codec/results-encode", codecResultsEncode},
@@ -622,6 +624,25 @@ func portfolioAnytimeRace(b *testing.B) {
 			Portfolio: lineup,
 			Workers:   1,
 			Seed:      7,
+			LinkDelay: 0.001,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// portfolioRacePaper races the default portfolio at its default iteration
+// budgets on the §V-A problem (15 VNFs, 200 requests, 10 nodes, load 0.6):
+// the shape of every anytime POST /v1/solve that names the default
+// portfolio. One worker keeps allocs/op exact.
+func portfolioRacePaper(b *testing.B) {
+	prob := placementInstance(b, 15, 200, 10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := core.SolveRace(context.Background(), prob, core.RaceOptions{
+			Portfolio: portfolio.DefaultPortfolio(),
+			Workers:   1,
+			Seed:      1,
 			LinkDelay: 0.001,
 		}); err != nil {
 			b.Fatal(err)

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -37,18 +38,17 @@ func (pl *Placement) Node(f VNFID) (NodeID, bool) {
 }
 
 // UsedNodes returns the ids of nodes hosting at least one VNF (the paper's
-// y_v = 1 set), sorted for determinism.
+// y_v = 1 set), sorted for determinism. It sorts and deduplicates a slice
+// rather than filling a set: the allocations of a map filled in iteration
+// order vary from run to run, and every iteration-budgeted benchmark that
+// places or polishes would inherit that jitter.
 func (pl *Placement) UsedNodes() []NodeID {
-	set := make(map[NodeID]struct{})
+	out := make([]NodeID, 0, len(pl.NodeOf))
 	for _, v := range pl.NodeOf {
-		set[v] = struct{}{}
-	}
-	out := make([]NodeID, 0, len(set))
-	for v := range set {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // VNFsOn returns the ids of VNFs placed on node v, sorted for determinism.

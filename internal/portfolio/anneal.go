@@ -23,7 +23,8 @@ type annealer struct {
 	obj         Objective
 }
 
-// move undo record: enough to revert any elementary move in place.
+// move undo record: enough to revert any elementary move in place. Every
+// move touches VNF f alone, so the evaluator diffs only f (valueAt).
 type saUndo struct {
 	kind         int // 0 relocate, 1 reassign, 2 swap, -1 none
 	f, i, j      int
@@ -33,10 +34,10 @@ type saUndo struct {
 func (a *annealer) Name() string { return a.name }
 
 func (a *annealer) Solve(ctx context.Context, p *model.Problem, report func(Incumbent)) (*Solution, error) {
-	c, err := compile(p, a.obj)
-	if err != nil {
-		return nil, err
-	}
+	return solveProblem(ctx, a, p, a.obj, report)
+}
+
+func (a *annealer) solve(ctx context.Context, c *compiled, report func(Incumbent)) (*Solution, error) {
 	cand, err := c.seedCandidate(a.seed)
 	if err != nil {
 		return nil, err
@@ -74,7 +75,7 @@ func (a *annealer) Solve(ctx context.Context, p *model.Problem, report func(Incu
 			temp *= a.cooling
 			continue
 		}
-		nxt := ev.value(cand)
+		nxt := ev.valueAt(cand, u.f)
 		if d := nxt - cur; d <= 0 || r.Float64() < math.Exp(-d/math.Max(temp, 1e-12)) {
 			cur = nxt
 			t.offer(cand, cur, i+1)

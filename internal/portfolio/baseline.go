@@ -12,7 +12,8 @@ import (
 // baseline wraps an existing two-phase pipeline (placement.Algorithm +
 // scheduling.Partitioner) as a portfolio Solver. It reports one incumbent
 // for the raw pipeline result and, when polish is set, a second one after
-// the Improve local searches.
+// the Improve local searches. A nil scheduler means RCKK, whose schedule
+// the compiled problem computes once for every solver.
 type baseline struct {
 	name      string
 	placer    placement.Algorithm
@@ -24,27 +25,38 @@ type baseline struct {
 func (b *baseline) Name() string { return b.name }
 
 func (b *baseline) Solve(ctx context.Context, p *model.Problem, report func(Incumbent)) (*Solution, error) {
-	c, err := compile(p, b.obj)
-	if err != nil {
-		return nil, err
-	}
+	return solveProblem(ctx, b, p, b.obj, report)
+}
+
+func (b *baseline) solve(ctx context.Context, c *compiled, report func(Incumbent)) (*Solution, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	ev := newEvaluator(c)
 	t := newTracker(c, b.name, report)
 
-	res, err := b.placer.Place(p)
-	if err != nil {
-		return nil, fmt.Errorf("portfolio: %s: %w", b.name, err)
-	}
-	s, err := scheduling.ScheduleAll(p, b.scheduler)
+	res, err := b.placer.Place(c.p)
 	if err != nil {
 		return nil, fmt.Errorf("portfolio: %s: %w", b.name, err)
 	}
 	cand := c.newCandidate()
-	if err := c.fromModel(res.Placement, s, cand); err != nil {
+	if err := c.fromPlacement(res.Placement, cand.nodeOf); err != nil {
 		return nil, err
+	}
+	if b.scheduler == nil {
+		rows, err := c.rckkSchedule()
+		if err != nil {
+			return nil, fmt.Errorf("portfolio: %s: %w", b.name, err)
+		}
+		copyRows(cand.assign, rows)
+	} else {
+		s, err := scheduling.ScheduleAll(c.p, b.scheduler)
+		if err != nil {
+			return nil, fmt.Errorf("portfolio: %s: %w", b.name, err)
+		}
+		if err := c.fromSchedule(s, cand.assign); err != nil {
+			return nil, err
+		}
 	}
 	t.offer(cand, ev.value(cand), 1)
 

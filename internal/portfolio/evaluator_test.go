@@ -10,7 +10,8 @@ import (
 
 // fullValue is the reference Eq. 11/16 objective: every Λ/W row and every
 // request chain rescored from scratch. It is the non-incremental evaluator
-// the incremental one must match bit for bit.
+// the incremental one must match bit for bit, and it finds each request's
+// item by ID rather than through the evaluator's slots.
 func fullValue(c *compiled, cand *candidate) float64 {
 	stamp := make([]int, len(c.nodeIDs))
 	epoch := 1
@@ -46,13 +47,21 @@ func fullValue(c *compiled, cand *candidate) float64 {
 			}
 		}
 	}
+	item := make([]map[model.RequestID]int, len(c.vnfIDs))
+	for f, items := range c.items {
+		item[f] = make(map[model.RequestID]int, len(items))
+		for i, it := range items {
+			item[f][it.ID] = i
+		}
+	}
 	var total float64
-	for r, chain := range c.chains {
+	for _, req := range c.p.Requests {
 		var lat float64
 		epoch++
 		span := 0
-		for j, f := range chain {
-			lat += w[f][cand.assign[f][c.pos[r][j]]]
+		for _, fid := range req.Chain {
+			f := c.vnfIndex[fid]
+			lat += w[f][cand.assign[f][item[f][req.ID]]]
 			n := cand.nodeOf[f]
 			if stamp[n] != epoch {
 				stamp[n] = epoch
@@ -65,8 +74,8 @@ func fullValue(c *compiled, cand *candidate) float64 {
 		total += lat
 	}
 	mean := 0.0
-	if len(c.chains) > 0 {
-		mean = total / float64(len(c.chains))
+	if n := len(c.p.Requests); n > 0 {
+		mean = total / float64(n)
 	}
 	return c.obj.NodeWeight*float64(nodes) + c.obj.LatencyWeight*mean
 }
@@ -95,10 +104,11 @@ func extrasProblem(tb testing.TB) *model.Problem {
 }
 
 // TestEvaluatorIncrementalMatchesFull drives one evaluator through every
-// kind of candidate change the solvers make — SA moves with revert and
-// undo, LNS destroy/repair trials, PSO decodes, polish, and alternation
-// between two candidates — and requires each incremental value to equal
-// fullValue exactly (== on float64, not a tolerance).
+// kind of candidate change the solvers make — SA moves scored move-aware
+// (valueAt with the touched VNF) with revert and undo, LNS destroy/repair
+// trials, PSO decodes, polish, and alternation between two candidates and
+// between move-aware and full-diff calls — and requires each incremental
+// value to equal fullValue exactly (== on float64, not a tolerance).
 func TestEvaluatorIncrementalMatchesFull(t *testing.T) {
 	problems := []struct {
 		name string
@@ -120,21 +130,31 @@ func TestEvaluatorIncrementalMatchesFull(t *testing.T) {
 			}
 			ev := newEvaluator(c)
 			calls := 0
-			check := func(what string, cand *candidate) float64 {
+			verify := func(what string, cand *candidate, got float64) float64 {
 				t.Helper()
 				calls++
-				got, want := ev.value(cand), fullValue(c, cand)
-				if got != want {
+				if want := fullValue(c, cand); got != want {
 					t.Fatalf("call %d (%s): incremental %v (%#x) != full %v (%#x)",
 						calls, what, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
 				return got
 			}
+			check := func(what string, cand *candidate) float64 {
+				t.Helper()
+				return verify(what, cand, ev.value(cand))
+			}
+			// checkAt scores a candidate that differs from the last scored
+			// one in VNF f alone, through the move-aware entry.
+			checkAt := func(what string, cand *candidate, f int) float64 {
+				t.Helper()
+				return verify(what, cand, ev.valueAt(cand, f))
+			}
 			cand := c.cloneCandidate(seed)
 			other := c.cloneCandidate(seed)
 			cur := check("seed", cand)
 
-			// SA: random elementary moves, half reverted and undone.
+			// SA: random elementary moves scored move-aware, half reverted
+			// and undone.
 			sa := &annealer{}
 			r := rng.Derive(7, "portfolio/oracle")
 			for i := 0; i < 4000; i++ {
@@ -142,15 +162,54 @@ func TestEvaluatorIncrementalMatchesFull(t *testing.T) {
 				if u.kind < 0 {
 					continue
 				}
-				nxt := check("sa move", cand)
+				nxt := checkAt("sa move", cand, u.f)
 				if r.IntN(2) == 0 {
 					cur = nxt
 					continue
 				}
 				revert(cand, u)
 				ev.undo()
-				if got := check("sa revert+undo", cand); got != cur {
+				if got := checkAt("sa revert+undo", cand, u.f); got != cur {
 					t.Fatalf("undo: %v, want the pre-move value %v", got, cur)
+				}
+			}
+
+			// Alternate move-aware and full-diff calls on one evaluator: a
+			// full diff of another candidate (kept or undone), a full diff
+			// back to cand, then move-aware SA moves on cand. A slot index
+			// or W row left stale by either entry, or by undo, shows up in
+			// a later move-aware value.
+			for i := 0; i < 400; i++ {
+				if i%5 == 0 {
+					other.copyFrom(cand)
+					for m := r.IntN(4); m >= 0; m-- {
+						sa.propose(c, other, r)
+					}
+					check("full diff", other)
+					if r.IntN(2) == 0 {
+						ev.undo()
+					}
+					cur = check("full diff back", cand)
+				}
+				u := sa.propose(c, cand, r)
+				if u.kind < 0 {
+					continue
+				}
+				nxt := checkAt("alternating sa move", cand, u.f)
+				switch r.IntN(3) {
+				case 0:
+					cur = nxt
+				case 1:
+					revert(cand, u)
+					ev.undo()
+					if got := checkAt("alternating revert+undo", cand, u.f); got != cur {
+						t.Fatalf("undo: %v, want the pre-move value %v", got, cur)
+					}
+				default:
+					revert(cand, u)
+					if got := check("alternating revert, full diff", cand); got != cur {
+						t.Fatalf("revert: %v, want the pre-move value %v", got, cur)
+					}
 				}
 			}
 

@@ -28,10 +28,10 @@ type lns struct {
 func (l *lns) Name() string { return l.name }
 
 func (l *lns) Solve(ctx context.Context, p *model.Problem, report func(Incumbent)) (*Solution, error) {
-	c, err := compile(p, l.obj)
-	if err != nil {
-		return nil, err
-	}
+	return solveProblem(ctx, l, p, l.obj, report)
+}
+
+func (l *lns) solve(ctx context.Context, c *compiled, report func(Incumbent)) (*Solution, error) {
 	cand, err := c.seedCandidate(l.seed)
 	if err != nil {
 		return nil, err

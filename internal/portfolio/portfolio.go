@@ -14,7 +14,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"nfvchain/internal/model"
@@ -59,8 +61,10 @@ func (o Objective) withDefaults() Objective {
 	return o
 }
 
-// Incumbent is one monotone improvement reported by a solver: the best
-// (placement, schedule) pair seen so far with its objective and timestamp.
+// Incumbent is one monotone improvement reported by a solver: the objective
+// of its best (placement, schedule) pair so far and when it was found. The
+// pair itself stays in the solver's index space; the final one is returned
+// in model space as the Solution.
 type Incumbent struct {
 	Solver    string
 	Objective float64
@@ -69,8 +73,6 @@ type Incumbent struct {
 	Iteration int
 	Elapsed   time.Duration
 	At        time.Time
-	Placement *model.Placement
-	Schedule  *model.Schedule
 }
 
 // Solution is a solver's final answer: its best incumbent plus run totals.
@@ -96,6 +98,23 @@ type Solver interface {
 	Solve(ctx context.Context, p *model.Problem, report func(Incumbent)) (*Solution, error)
 }
 
+// racer is the internal face of every Solver Spec.Build returns: solve
+// runs the solver on an already compiled problem, which Race compiles once
+// and shares read-only among its racers. Solve is compile plus solve.
+type racer interface {
+	Solver
+	solve(ctx context.Context, c *compiled, report func(Incumbent)) (*Solution, error)
+}
+
+// solveProblem is the body of every Solve: compile p, then solve it.
+func solveProblem(ctx context.Context, s racer, p *model.Problem, obj Objective, report func(Incumbent)) (*Solution, error) {
+	c, err := compile(p, obj)
+	if err != nil {
+		return nil, err
+	}
+	return s.solve(ctx, c, report)
+}
+
 // capEps mirrors the placement package's capacity tolerance.
 const capEps = 1e-9
 
@@ -104,7 +123,8 @@ const improveEps = 1e-12
 
 // compiled is the index-space view of a Problem shared by all solvers:
 // dense slices instead of ID-keyed maps, so candidate evaluation is a few
-// linear scans.
+// linear scans. It is read-only once built (the seeds are computed once,
+// behind their sync.Once), so one race shares it among all its racers.
 type compiled struct {
 	p   *model.Problem
 	obj Objective
@@ -124,8 +144,6 @@ type compiled struct {
 	items [][]scheduling.Item // per VNF, in ItemsFor order
 	rawW  [][]float64         // per VNF item: raw rate λ_r (items carry λ_r/P_r)
 
-	chains [][]int // per request: chain as VNF indices
-	pos    [][]int // per request: item index of the request within each chain VNF
 	// reqsOf lists, per VNF, the requests whose chain contains it, indexed
 	// like items: ItemsFor walks requests in order and Validate rejects a
 	// VNF repeated within one chain, so item i belongs to request
@@ -138,6 +156,24 @@ type compiled struct {
 	movable     []int
 	demandOrder []int
 	dims        int
+
+	// The evaluator's flat layout. W(f,k) of every VNF lives in one slice
+	// of nInst entries, VNF f's row from woff[f]. Each (request, chain
+	// position) term has a slot, request r's from chainOff[r] in chain
+	// order (chainOff has one entry per request plus the end), and
+	// itemSlot[f][i] is the slot of item i of VNF f.
+	woff     []int
+	nInst    int
+	chainOff []int
+	itemSlot [][]int
+
+	// The deterministic starting points, computed once on first use and
+	// shared by every solver on this compiled problem.
+	bfdOnce  sync.Once
+	bfd      []int // BFD placement as node indices; nil when BFD dead-ends
+	rckkOnce sync.Once
+	rckk     [][]int // RCKK assignment rows, in items order
+	rckkErr  error
 }
 
 func compile(p *model.Problem, obj Objective) (*compiled, error) {
@@ -185,23 +221,29 @@ func compile(p *model.Problem, obj Objective) (*compiled, error) {
 			c.movable = append(c.movable, i)
 		}
 	}
-	reqs := make([]int, totalItems(c.items))
-	c.reqsOf = make([][]int, len(c.items))
-	for f, items := range c.items {
-		c.reqsOf[f] = carve(&reqs, len(items))
+	c.woff = make([]int, len(p.VNFs))
+	for f, m := range c.inst {
+		c.woff[f] = c.nInst
+		c.nInst += m
 	}
+	nItems := totalItems(c.items)
+	ints := make([]int, 2*nItems)
+	c.reqsOf = make([][]int, len(c.items))
+	c.itemSlot = make([][]int, len(c.items))
+	for f, items := range c.items {
+		c.reqsOf[f] = carve(&ints, len(items))
+		c.itemSlot[f] = carve(&ints, len(items))
+	}
+	c.chainOff = make([]int, len(p.Requests)+1)
 	for ri, r := range p.Requests {
-		chain := make([]int, len(r.Chain))
-		pos := make([]int, len(r.Chain))
 		for j, fid := range r.Chain {
 			f := c.vnfIndex[fid]
-			chain[j] = f
-			pos[j] = itemPos[f][r.ID]
-			c.rawW[f][pos[j]] = r.Rate
-			c.reqsOf[f][pos[j]] = ri
+			i := itemPos[f][r.ID]
+			c.rawW[f][i] = r.Rate
+			c.reqsOf[f][i] = ri
+			c.itemSlot[f][i] = c.chainOff[ri] + j
 		}
-		c.chains = append(c.chains, chain)
-		c.pos = append(c.pos, pos)
+		c.chainOff[ri+1] = c.chainOff[ri] + len(r.Chain)
 	}
 	c.demandOrder = make([]int, len(p.VNFs))
 	for i := range c.demandOrder {
@@ -229,17 +271,27 @@ type candidate struct {
 }
 
 func (c *compiled) newCandidate() *candidate {
-	cand := &candidate{nodeOf: make([]int, len(c.vnfIDs)), assign: make([][]int, len(c.vnfIDs))}
+	return &candidate{nodeOf: make([]int, len(c.vnfIDs)), assign: c.newRows()}
+}
+
+// newRows allocates one assignment row per VNF, all in one buffer.
+func (c *compiled) newRows() [][]int {
+	rows := make([][]int, len(c.items))
+	buf := make([]int, totalItems(c.items))
 	for f := range c.items {
-		cand.assign[f] = make([]int, len(c.items[f]))
+		rows[f] = carve(&buf, len(c.items[f]))
 	}
-	return cand
+	return rows
 }
 
 func (cand *candidate) copyFrom(o *candidate) {
 	copy(cand.nodeOf, o.nodeOf)
-	for f := range cand.assign {
-		copy(cand.assign[f], o.assign[f])
+	copyRows(cand.assign, o.assign)
+}
+
+func copyRows(dst, src [][]int) {
+	for f := range dst {
+		copy(dst[f], src[f])
 	}
 }
 
@@ -270,8 +322,8 @@ func (c *compiled) toSchedule(cand *candidate) *model.Schedule {
 	return s
 }
 
-// fromModel imports a model-space solution into index space.
-func (c *compiled) fromModel(pl *model.Placement, s *model.Schedule, cand *candidate) error {
+// fromPlacement imports a model-space placement into nodeOf.
+func (c *compiled) fromPlacement(pl *model.Placement, nodeOf []int) error {
 	for f, fid := range c.vnfIDs {
 		nid, ok := pl.Node(fid)
 		if !ok {
@@ -281,13 +333,20 @@ func (c *compiled) fromModel(pl *model.Placement, s *model.Schedule, cand *candi
 		if !ok {
 			return fmt.Errorf("portfolio: vnf %s on unknown node %s", fid, nid)
 		}
-		cand.nodeOf[f] = n
+		nodeOf[f] = n
+	}
+	return nil
+}
+
+// fromSchedule imports a model-space schedule into assignment rows.
+func (c *compiled) fromSchedule(s *model.Schedule, assign [][]int) error {
+	for f, fid := range c.vnfIDs {
 		for i, it := range c.items[f] {
 			k, ok := s.Instance(it.ID, fid)
 			if !ok {
 				return fmt.Errorf("portfolio: request %s unassigned at %s", it.ID, fid)
 			}
-			cand.assign[f][i] = k
+			assign[f][i] = k
 		}
 	}
 	return nil
@@ -302,19 +361,57 @@ func (c *compiled) applyPlacement(pl *model.Placement, cand *candidate) {
 	}
 }
 
+// bfdPlacement returns the BFD placement of the problem as node indices,
+// or nil when BFD dead-ends. It is computed once per compiled problem.
+func (c *compiled) bfdPlacement() []int {
+	c.bfdOnce.Do(func() {
+		res, err := (placement.BFD{}).Place(c.p)
+		if err != nil {
+			return
+		}
+		nodeOf := make([]int, len(c.vnfIDs))
+		if c.fromPlacement(res.Placement, nodeOf) == nil {
+			c.bfd = nodeOf
+		}
+	})
+	return c.bfd
+}
+
+// rckkSchedule returns the RCKK schedule of the problem as assignment
+// rows, or scheduling.ScheduleAll's error. It is computed once per
+// compiled problem; callers copy the rows, never write them.
+func (c *compiled) rckkSchedule() ([][]int, error) {
+	c.rckkOnce.Do(func() {
+		s, err := scheduling.ScheduleAll(c.p, scheduling.RCKK{})
+		if err == nil {
+			rows := c.newRows()
+			if err = c.fromSchedule(s, rows); err == nil {
+				c.rckk = rows
+			}
+		}
+		c.rckkErr = err
+	})
+	return c.rckk, c.rckkErr
+}
+
 // evaluator scores candidates against the compiled objective
 // incrementally. It keeps a snapshot of the last candidate it scored —
-// placement, assignment rows, the W(f,k) rows of Eq. 11 and, per request,
-// the chain's W sum, node span and Eq. 16 latency — and on each call
-// rescores only what differs from that snapshot: a changed assignment row
-// recomputes that VNF's W row and the W sums of its requests, a changed
-// node recomputes only their spans. Every cached number comes from the
-// same expression, evaluated in the same order, as a full rescoring, and
-// the total is re-summed over all requests rather than patched with
-// deltas, so value is bit-identical to scoring from scratch and a search
-// follows the same trajectory. undo rolls the snapshot back over the last
-// call so a rejected move is not rescored twice. An evaluator is owned by
-// one solver and is never shared across goroutines.
+// placement, assignment rows, the W(f,k) rows of Eq. 11 in one flat slice,
+// per (request, chain position) the slot of its term in that slice and
+// the node serving it, and per request the chain's W sum, node span and
+// Eq. 16 latency — and on each call rescores only what differs from that
+// snapshot. A changed assignment row recomputes that VNF's W row, moves
+// the slots of the items whose instance changed, and marks for a new W sum
+// only the requests whose own term changed: their item moved or its
+// W(f,k) changed bits; any other request would re-sum to the same bits. A
+// changed node recomputes only the spans of its requests. Every cached
+// number comes from the same expression, evaluated in the same order, as a
+// full rescoring — chain order within a request, request order for the
+// total — and the total is re-summed over all requests rather than patched
+// with deltas, so every value is bit-identical to scoring from scratch and
+// a search follows the same trajectory. undo rolls the snapshot back over
+// the last call so a rejected move is not rescored twice. An evaluator is
+// owned by one solver and is never shared across goroutines.
 type evaluator struct {
 	c     *compiled
 	stamp []int // per node, epoch marks for distinct-node counting
@@ -325,31 +422,42 @@ type evaluator struct {
 	// Snapshot of the last scored candidate and its cached terms.
 	nodeOf []int
 	assign [][]int
-	w      [][]float64 // per VNF instance: W(f,k)
-	wsum   []float64   // per request: Σ W along the chain, in chain order
-	span   []int       // per request: distinct nodes the chain visits
-	lat    []float64   // per request: wsum + (span−1)·L
+	w      []float64 // W(f,k) at c.woff[f]+k
+	slot   []int     // per (request, chain position): index into w
+	node   []int     // per (request, chain position): node of that VNF
+	req    []reqTerms
+	used   int // distinct nodes in service
 	val    float64
 
 	mark []uint8 // per request: dirtyWsum|dirtySpan while rescoring
 	j    journal
 }
 
-// journal holds what the last value call overwrote in the snapshot. The
-// previous assignment and W rows are kept by swapping row slices, so
-// neither recording nor undoing copies a row.
+// reqTerms are one request's cached terms.
+type reqTerms struct {
+	wsum float64 // Σ W along the chain, in chain order
+	lat  float64 // wsum + (span−1)·L
+	span int     // distinct nodes the chain visits
+}
+
+// journal holds what the last scoring call overwrote in the snapshot.
+// Assignment and W rows are saved by copy into buffers laid out like the
+// snapshot's, and undo copies them back.
 type journal struct {
 	ok     bool  // holds the last call and has not been undone
 	nodes  []int // VNFs whose node changed
 	nodeOf []int // per VNF: previous node
 	rows   []int // VNFs whose assignment row changed
 	assign [][]int
-	w      [][]float64
-	reqs   []int // requests rescored
-	wsum   []float64
-	span   []int
-	lat    []float64
+	w      []float64
+	reqs   []savedReq // requests rescored, with their previous terms
+	used   int
 	val    float64
+}
+
+type savedReq struct {
+	r int
+	t reqTerms
 }
 
 const (
@@ -374,17 +482,15 @@ func totalItems(items [][]scheduling.Item) int {
 }
 
 func newEvaluator(c *compiled) *evaluator {
-	nV, nN, nR := len(c.vnfIDs), len(c.nodeIDs), len(c.chains)
-	nInst, maxInst := 0, 0
+	nV, nN, nR := len(c.vnfIDs), len(c.nodeIDs), len(c.p.Requests)
+	maxInst := 0
 	for _, m := range c.inst {
-		nInst += m
 		maxInst = max(maxInst, m)
 	}
 	nItems := totalItems(c.items)
-	ints := make([]int, nN+4*nV+2*nItems+3*nR)
-	floats := make([]float64, 2*maxInst+2*nInst+4*nR)
+	ints := make([]int, nN+4*nV+4*nItems)
+	floats := make([]float64, 2*maxInst+2*c.nInst)
 	intRows := make([][]int, 2*nV)
-	floatRows := make([][]float64, 2*nV)
 	e := &evaluator{
 		c:      c,
 		stamp:  carve(&ints, nN),
@@ -392,21 +498,18 @@ func newEvaluator(c *compiled) *evaluator {
 		raw:    carve(&floats, maxInst),
 		nodeOf: carve(&ints, nV),
 		assign: carve(&intRows, nV),
-		w:      carve(&floatRows, nV),
-		wsum:   carve(&floats, nR),
-		span:   carve(&ints, nR),
-		lat:    carve(&floats, nR),
+		w:      carve(&floats, c.nInst),
+		slot:   carve(&ints, nItems),
+		node:   carve(&ints, nItems),
+		req:    make([]reqTerms, nR),
 		mark:   make([]uint8, nR),
 		j: journal{
 			nodes:  carve(&ints, nV)[:0],
 			nodeOf: carve(&ints, nV),
 			rows:   carve(&ints, nV)[:0],
 			assign: carve(&intRows, nV),
-			w:      carve(&floatRows, nV),
-			reqs:   carve(&ints, nR)[:0],
-			wsum:   carve(&floats, nR),
-			span:   carve(&ints, nR),
-			lat:    carve(&floats, nR),
+			w:      carve(&floats, c.nInst),
+			reqs:   make([]savedReq, 0, nR),
 		},
 	}
 	for f := range c.vnfIDs {
@@ -417,7 +520,6 @@ func newEvaluator(c *compiled) *evaluator {
 		for i := range e.assign[f] {
 			e.assign[f][i] = -1
 		}
-		e.w[f], e.j.w[f] = carve(&floats, c.inst[f]), carve(&floats, c.inst[f])
 	}
 	return e
 }
@@ -426,72 +528,95 @@ func newEvaluator(c *compiled) *evaluator {
 // service) + LatencyWeight·(mean Eq. 16 latency), with UnstablePenalty
 // standing in for Eq. 11 on overloaded instances. cand becomes the
 // snapshot the next call is diffed against.
-func (e *evaluator) value(cand *candidate) float64 {
+func (e *evaluator) value(cand *candidate) float64 { return e.score(cand, 0, len(e.nodeOf)) }
+
+// valueAt is value for a candidate that differs from the snapshot in VNF f
+// alone — its node, its assignment row, or both — as after one SA move on
+// the last scored candidate. It diffs only VNF f.
+func (e *evaluator) valueAt(cand *candidate, f int) float64 { return e.score(cand, f, f+1) }
+
+// score is value restricted to diffing VNFs lo..hi−1 against the
+// snapshot; VNFs outside the range must already match it.
+func (e *evaluator) score(cand *candidate, lo, hi int) float64 {
 	c, j := e.c, &e.j
-	j.ok, j.val = true, e.val
+	j.ok, j.val, j.used = true, e.val, e.used
 	j.nodes, j.rows, j.reqs = j.nodes[:0], j.rows[:0], j.reqs[:0]
-	for f, n := range cand.nodeOf {
-		if n != e.nodeOf[f] {
+	for f := lo; f < hi; f++ {
+		if n := cand.nodeOf[f]; n != e.nodeOf[f] {
 			j.nodes = append(j.nodes, f)
 			j.nodeOf[f], e.nodeOf[f] = e.nodeOf[f], n
-			e.markReqs(f, dirtySpan)
+			e.moveVNF(f, n)
+			for _, r := range c.reqsOf[f] {
+				e.markReq(r, dirtySpan)
+			}
 		}
 		if !slices.Equal(cand.assign[f], e.assign[f]) {
 			j.rows = append(j.rows, f)
-			e.assign[f], j.assign[f] = j.assign[f], e.assign[f]
-			e.w[f], j.w[f] = j.w[f], e.w[f]
-			copy(e.assign[f], cand.assign[f])
-			e.rescoreVNF(f)
-			e.markReqs(f, dirtyWsum)
+			e.rescoreVNF(f, cand.assign[f])
 		}
 	}
 	if len(j.nodes) == 0 && len(j.rows) == 0 {
 		return e.val
 	}
-	for _, r := range j.reqs {
-		j.wsum[r], j.span[r], j.lat[r] = e.wsum[r], e.span[r], e.lat[r]
-		e.rescoreRequest(r)
+	for i := range j.reqs {
+		s := &j.reqs[i]
+		s.t = e.req[s.r]
+		e.rescoreRequest(s.r)
 	}
-	e.epoch++
-	nodes := 0
-	for _, n := range e.nodeOf {
-		if e.stamp[n] != e.epoch {
-			e.stamp[n] = e.epoch
-			nodes++
+	if len(j.nodes) > 0 {
+		e.epoch++
+		e.used = 0
+		for _, n := range e.nodeOf {
+			if e.stamp[n] != e.epoch {
+				e.stamp[n] = e.epoch
+				e.used++
+			}
 		}
 	}
 	var total float64
-	for _, lat := range e.lat {
-		total += lat
+	for i := range e.req {
+		total += e.req[i].lat
 	}
 	mean := 0.0
-	if len(c.chains) > 0 {
-		mean = total / float64(len(c.chains))
+	if len(e.req) > 0 {
+		mean = total / float64(len(e.req))
 	}
-	e.val = c.obj.NodeWeight*float64(nodes) + c.obj.LatencyWeight*mean
+	e.val = c.obj.NodeWeight*float64(e.used) + c.obj.LatencyWeight*mean
 	return e.val
 }
 
-// markReqs flags every request through VNF f for rescoring.
-func (e *evaluator) markReqs(f int, dirty uint8) {
-	for _, r := range e.c.reqsOf[f] {
-		if e.mark[r] == 0 {
-			e.j.reqs = append(e.j.reqs, r)
-		}
-		e.mark[r] |= dirty
+// markReq flags request r for rescoring.
+func (e *evaluator) markReq(r int, dirty uint8) {
+	if e.mark[r] == 0 {
+		e.j.reqs = append(e.j.reqs, savedReq{r: r})
+	}
+	e.mark[r] |= dirty
+}
+
+// moveVNF records node n as the node of every chain position VNF f
+// serves.
+func (e *evaluator) moveVNF(f, n int) {
+	for _, s := range e.c.itemSlot[f] {
+		e.node[s] = n
 	}
 }
 
-// rescoreVNF recomputes the snapshot's W row of VNF f from its assignment.
-func (e *evaluator) rescoreVNF(f int) {
+// rescoreVNF journals VNF f's assignment and W rows, installs next as its
+// assignment, recomputes its W row, and marks the requests whose term
+// changed.
+func (e *evaluator) rescoreVNF(f int, next []int) {
 	c := e.c
-	w := e.w[f]
+	lo := c.woff[f]
+	w, prevW := e.w[lo:lo+c.inst[f]], e.j.w[lo:lo+c.inst[f]]
+	asg, prev := e.assign[f], e.j.assign[f]
+	copy(prevW, w)
+	copy(prev, asg)
+	copy(asg, next)
 	eff, raw := e.eff[:len(w)], e.raw[:len(w)]
 	for k := range eff {
 		eff[k], raw[k] = 0, 0
 	}
 	items := c.items[f]
-	asg := e.assign[f]
 	for i := range items {
 		k := asg[i]
 		eff[k] += items[i].Weight
@@ -509,62 +634,79 @@ func (e *evaluator) rescoreVNF(f int) {
 			w[k] = rho / ((1 - rho) * raw[k])
 		}
 	}
+	slots, reqs := c.itemSlot[f], c.reqsOf[f]
+	for i, k := range asg {
+		if k != prev[i] {
+			e.slot[slots[i]] = lo + k
+		} else if math.Float64bits(w[k]) == math.Float64bits(prevW[k]) {
+			continue
+		}
+		e.markReq(reqs[i], dirtyWsum)
+	}
 }
 
 // rescoreRequest recomputes the flagged terms of request r and its
 // latency, then clears its flags.
 func (e *evaluator) rescoreRequest(r int) {
 	c := e.c
-	chain := c.chains[r]
+	t := &e.req[r]
+	lo, hi := c.chainOff[r], c.chainOff[r+1]
 	dirty := e.mark[r]
 	e.mark[r] = 0
 	if dirty&dirtyWsum != 0 {
 		var wsum float64
-		for j, f := range chain {
-			wsum += e.w[f][e.assign[f][c.pos[r][j]]]
+		for _, s := range e.slot[lo:hi] {
+			wsum += e.w[s]
 		}
-		e.wsum[r] = wsum
+		t.wsum = wsum
 	}
 	if dirty&dirtySpan != 0 {
 		e.epoch++
 		span := 0
-		for _, f := range chain {
-			n := e.nodeOf[f]
+		for _, n := range e.node[lo:hi] {
 			if e.stamp[n] != e.epoch {
 				e.stamp[n] = e.epoch
 				span++
 			}
 		}
-		e.span[r] = span
+		t.span = span
 	}
-	lat := e.wsum[r]
-	if e.span[r] > 1 {
-		lat += float64(e.span[r]-1) * c.obj.LinkDelay
+	lat := t.wsum
+	if t.span > 1 {
+		lat += float64(t.span-1) * c.obj.LinkDelay
 	}
-	e.lat[r] = lat
+	t.lat = lat
 }
 
-// undo rolls the snapshot back to before the last value call, which the
+// undo rolls the snapshot back to before the last scoring call, which the
 // caller pairs with reverting the candidate that call scored. It is a
 // no-op when nothing was scored since the last undo; undoing is never
 // needed for correctness, only to keep the next diff small.
 func (e *evaluator) undo() {
-	j := &e.j
+	c, j := e.c, &e.j
 	if !j.ok {
 		return
 	}
 	j.ok = false
 	for _, f := range j.nodes {
 		e.nodeOf[f] = j.nodeOf[f]
+		e.moveVNF(f, j.nodeOf[f])
 	}
 	for _, f := range j.rows {
-		e.assign[f], j.assign[f] = j.assign[f], e.assign[f]
-		e.w[f], j.w[f] = j.w[f], e.w[f]
+		lo := c.woff[f]
+		copy(e.w[lo:lo+c.inst[f]], j.w[lo:lo+c.inst[f]])
+		asg, slots := e.assign[f], c.itemSlot[f]
+		for i, k := range j.assign[f] {
+			if asg[i] != k {
+				asg[i] = k
+				e.slot[slots[i]] = lo + k
+			}
+		}
 	}
-	for _, r := range j.reqs {
-		e.wsum[r], e.span[r], e.lat[r] = j.wsum[r], j.span[r], j.lat[r]
+	for _, s := range j.reqs {
+		e.req[s.r] = s.t
 	}
-	e.val = j.val
+	e.used, e.val = j.used, j.val
 }
 
 // fits reports whether moving VNF f onto node n keeps every resource
@@ -594,25 +736,26 @@ func (c *compiled) fits(cand *candidate, f, n int) bool {
 }
 
 // seedCandidate builds the deterministic starting point every metaheuristic
-// shares: BFD placement (BFDSU fallback when BFD dead-ends) plus an RCKK
-// schedule.
+// shares: the BFD placement (a BFDSU placement at seed when BFD dead-ends)
+// plus the RCKK schedule.
 func (c *compiled) seedCandidate(seed uint64) (*candidate, error) {
-	res, err := (placement.BFD{}).Place(c.p)
-	if err != nil {
-		bfdsu := &placement.BFDSU{Seed: seed}
-		res, err = bfdsu.Place(c.p)
+	cand := c.newCandidate()
+	if bfd := c.bfdPlacement(); bfd != nil {
+		copy(cand.nodeOf, bfd)
+	} else {
+		res, err := (&placement.BFDSU{Seed: seed}).Place(c.p)
 		if err != nil {
 			return nil, fmt.Errorf("portfolio: no feasible initial placement: %w", err)
 		}
+		if err := c.fromPlacement(res.Placement, cand.nodeOf); err != nil {
+			return nil, err
+		}
 	}
-	s, err := scheduling.ScheduleAll(c.p, scheduling.RCKK{})
+	rows, err := c.rckkSchedule()
 	if err != nil {
 		return nil, fmt.Errorf("portfolio: initial schedule: %w", err)
 	}
-	cand := c.newCandidate()
-	if err := c.fromModel(res.Placement, s, cand); err != nil {
-		return nil, err
-	}
+	copyRows(cand.assign, rows)
 	return cand, nil
 }
 
@@ -632,8 +775,9 @@ func (c *compiled) polish(ev *evaluator, cand *candidate) float64 {
 	return ev.value(cand)
 }
 
-// tracker keeps a solver's best-so-far candidate and forwards each strict
-// improvement to the report callback as a monotone incumbent stream.
+// tracker keeps a solver's best-so-far candidate in index space and
+// forwards each strict improvement to the report callback as a monotone
+// incumbent stream.
 type tracker struct {
 	c      *compiled
 	name   string
@@ -668,14 +812,13 @@ func (t *tracker) offer(cand *candidate, obj float64, iter int) bool {
 			Iteration: iter,
 			Elapsed:   time.Since(t.start),
 			At:        time.Now(),
-			Placement: t.c.toPlacement(t.cand),
-			Schedule:  t.c.toSchedule(t.cand),
 		})
 	}
 	return true
 }
 
-// solution finalizes the tracker into the solver's answer.
+// solution finalizes the tracker into the solver's answer, the one place
+// the best candidate is materialized in model space.
 func (t *tracker) solution(iters int) (*Solution, error) {
 	if t.cand == nil {
 		return nil, errors.New("portfolio: no incumbent found before cancellation")

@@ -32,10 +32,10 @@ func (s *pso) Name() string { return s.name }
 const psoVMax = 0.5
 
 func (s *pso) Solve(ctx context.Context, p *model.Problem, report func(Incumbent)) (*Solution, error) {
-	c, err := compile(p, s.obj)
-	if err != nil {
-		return nil, err
-	}
+	return solveProblem(ctx, s, p, s.obj, report)
+}
+
+func (s *pso) solve(ctx context.Context, c *compiled, report func(Incumbent)) (*Solution, error) {
 	seedCand, err := c.seedCandidate(s.seed)
 	if err != nil {
 		return nil, err
@@ -43,13 +43,11 @@ func (s *pso) Solve(ctx context.Context, p *model.Problem, report func(Incumbent
 	ev := newEvaluator(c)
 	t := newTracker(c, s.name, report)
 
-	// Inner evaluator: one KK schedule shared by every particle.
+	// Inner evaluator: one KK schedule shared by every particle — the
+	// seed's RCKK partition, polished per VNF.
 	cand := c.cloneCandidate(seedCand)
 	for _, f := range c.movable {
-		if assign, err := (scheduling.RCKK{}).Partition(c.items[f], c.inst[f]); err == nil {
-			copy(cand.assign[f], assign)
-			scheduling.ImproveInPlace(c.items[f], cand.assign[f], c.inst[f], 0)
-		}
+		scheduling.ImproveInPlace(c.items[f], cand.assign[f], c.inst[f], 0)
 	}
 
 	nV, nN := len(c.vnfIDs), len(c.nodeIDs)

@@ -56,10 +56,10 @@ type RaceResult struct {
 	DeadlineExpired bool
 }
 
-// Race runs every spec's solver over the problem on a bounded worker pool,
-// sharing a best-so-far incumbent stream, and returns the deterministic
-// winner. Solvers cut short by ctx contribute their best-so-far; the race
-// fails only when every solver fails.
+// Race compiles the problem once and runs every spec's solver over it on a
+// bounded worker pool, sharing a best-so-far incumbent stream, and returns
+// the deterministic winner. Solvers cut short by ctx contribute their
+// best-so-far; the race fails only when every solver fails.
 func Race(ctx context.Context, p *model.Problem, cfg RaceConfig) (*RaceResult, error) {
 	if len(cfg.Specs) == 0 {
 		return nil, errors.New("portfolio: race needs at least one solver spec")
@@ -68,18 +68,26 @@ func Race(ctx context.Context, p *model.Problem, cfg RaceConfig) (*RaceResult, e
 		return nil, fmt.Errorf("portfolio: %d specs exceeds the maximum of %d", len(cfg.Specs), MaxPortfolioSize)
 	}
 	obj := cfg.Objective.withDefaults()
-	solvers := make([]Solver, len(cfg.Specs))
+	solvers := make([]racer, len(cfg.Specs))
 	for i, s := range cfg.Specs {
 		if s.Iters == 0 {
 			if _, ok := ctx.Deadline(); !ok {
 				return nil, fmt.Errorf("portfolio: spec %q has no iteration budget and the race has no deadline", s.String())
 			}
 		}
-		sv, err := s.Build(obj, deriveSeed(cfg.Seed, i))
+		sv, err := s.build(obj, deriveSeed(cfg.Seed, i))
 		if err != nil {
 			return nil, err
 		}
 		solvers[i] = sv
+	}
+
+	// One compiled problem serves every racer: read-only, with the BFD and
+	// RCKK seeds computed once. A problem that does not compile fails every
+	// solver alike.
+	c, err := compile(p, obj)
+	if err != nil {
+		return nil, fmt.Errorf("portfolio: every solver failed; first error: %w", err)
 	}
 
 	workers := cfg.Workers
@@ -104,7 +112,7 @@ func Race(ctx context.Context, p *model.Problem, cfg RaceConfig) (*RaceResult, e
 				if i >= len(solvers) {
 					return
 				}
-				results[i], errs[i] = solvers[i].Solve(ctx, p, shared.publish)
+				results[i], errs[i] = solvers[i].solve(ctx, c, shared.publish)
 			}
 		}()
 	}

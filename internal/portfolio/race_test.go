@@ -2,9 +2,12 @@ package portfolio
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 	"time"
+
+	"nfvchain/internal/model"
 )
 
 func raceSpecs(tb testing.TB) []Spec {
@@ -71,6 +74,53 @@ func TestRaceWorkerCountInvariance(t *testing.T) {
 		a, b := serial.Outcomes[i], parallel.Outcomes[i]
 		if a != b {
 			t.Errorf("outcome %d differs: %+v vs %+v", i, a, b)
+		}
+	}
+}
+
+// TestRaceMatchesSoloSolvers: every racer's outcome must equal the same
+// solver run alone through Solve, which compiles the problem itself, at
+// one worker and at eight. The race compiles once and shares the compiled
+// problem and its once-computed BFD and RCKK seeds among all racers, so
+// this proves the sharing changes no objective bit, iteration count or
+// incumbent count.
+func TestRaceMatchesSoloSolvers(t *testing.T) {
+	problems := []struct {
+		name string
+		p    *model.Problem
+	}{
+		{"8x40x6", testProblem(t, 8, 40, 6, 41)},
+		{"paper-15x200x10-load0.6", paperProblem(t, 3, 0.6)},
+	}
+	specs := raceSpecs(t)
+	const seed = 13
+	for _, pr := range problems {
+		solo := make([]SolverOutcome, len(specs))
+		for i, spec := range specs {
+			solver, err := spec.Build(DefaultObjective(), deriveSeed(seed, i))
+			if err != nil {
+				t.Fatalf("Build(%s): %v", spec.Name, err)
+			}
+			sol, err := solver.Solve(context.Background(), pr.p, nil)
+			if err != nil {
+				t.Fatalf("%s: Solve(%s): %v", pr.name, spec.Name, err)
+			}
+			solo[i] = SolverOutcome{Solver: spec.Name, Objective: sol.Objective,
+				Iterations: sol.Iterations, Incumbents: sol.Incumbents}
+		}
+		for _, workers := range []int{1, 8} {
+			res, err := Race(context.Background(), pr.p, RaceConfig{Specs: specs, Workers: workers, Seed: seed})
+			if err != nil {
+				t.Fatalf("%s: Race(workers=%d): %v", pr.name, workers, err)
+			}
+			for i, got := range res.Outcomes {
+				want := solo[i]
+				if got.Err != "" || got.Solver != want.Solver ||
+					math.Float64bits(got.Objective) != math.Float64bits(want.Objective) ||
+					got.Iterations != want.Iterations || got.Incumbents != want.Incumbents {
+					t.Errorf("%s workers=%d: race outcome %+v, solo %+v", pr.name, workers, got, want)
+				}
+			}
 		}
 	}
 }

@@ -270,22 +270,26 @@ func (s Spec) String() string {
 // (racer-assigned unless the spec pinned one); obj is the shared
 // objective.
 func (s Spec) Build(obj Objective, seed uint64) (Solver, error) {
+	return s.build(obj, seed)
+}
+
+func (s Spec) build(obj Objective, seed uint64) (racer, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	if s.SeedSet {
 		seed = s.Seed
 	}
+	// A nil scheduler is RCKK, computed once per compiled problem.
 	switch s.Name {
 	case "greedy":
-		return &baseline{name: s.Name, placer: &placement.BFDSU{Seed: seed},
-			scheduler: scheduling.RCKK{}, polish: true, obj: obj}, nil
+		return &baseline{name: s.Name, placer: &placement.BFDSU{Seed: seed}, polish: true, obj: obj}, nil
 	case "bfd":
-		return &baseline{name: s.Name, placer: placement.BFD{}, scheduler: scheduling.RCKK{}, obj: obj}, nil
+		return &baseline{name: s.Name, placer: placement.BFD{}, obj: obj}, nil
 	case "ffd":
-		return &baseline{name: s.Name, placer: placement.FFD{}, scheduler: scheduling.RCKK{}, obj: obj}, nil
+		return &baseline{name: s.Name, placer: placement.FFD{}, obj: obj}, nil
 	case "nah":
-		return &baseline{name: s.Name, placer: placement.NAH{}, scheduler: scheduling.RCKK{}, obj: obj}, nil
+		return &baseline{name: s.Name, placer: placement.NAH{}, obj: obj}, nil
 	case "exact":
 		return &baseline{name: s.Name, placer: &placement.Exact{}, scheduler: &scheduling.Exact{}, obj: obj}, nil
 	case "sa":

@@ -325,7 +325,9 @@ type (
 	// tuning parameters (see ParsePortfolioSpec for the grammar).
 	PortfolioSpec = portfolio.Spec
 	// PortfolioIncumbent is one monotone best-so-far improvement reported
-	// by a racing solver (objective, iteration, elapsed time, solution).
+	// by a racing solver: its objective, iteration and elapsed time. It
+	// carries no placement or schedule; the race's winning solution is
+	// returned once, at the end.
 	PortfolioIncumbent = portfolio.Incumbent
 	// PortfolioObjective weighs nodes-in-service against mean request
 	// latency in the portfolio's scalar lower-is-better objective.
