@@ -29,11 +29,16 @@ lint: vet
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
+# perfbench is a nested module, so ./... at the root skips it; build and vet
+# it too, or a change that breaks the benchmark passes the gate. -o /dev/null
+# keeps the build from leaving a perfbench binary in the tree.
 build:
 	$(GO) build ./...
+	cd perfbench && $(GO) build -o /dev/null ./...
 
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...

@@ -40,11 +40,18 @@ func TestRunGeneratesProblemAndTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = tf.Close() }()
-	tr, err := workload.ReadTraceCSV(tf)
+	ts, err := workload.NewTraceStream(tf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() == 0 {
+	rows := 0
+	for _, _, ok := ts.NextArrival(); ok; _, _, ok = ts.NextArrival() {
+		rows++
+	}
+	if err := ts.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if rows == 0 {
 		t.Error("empty trace")
 	}
 }

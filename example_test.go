@@ -1,7 +1,10 @@
 package nfvchain_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	nfvchain "nfvchain"
@@ -89,6 +92,151 @@ func ExampleSolution_WriteJSON() {
 		return
 	}
 	fmt.Println("round trip ok:", back.Placement.NodesInService() == sol.Placement.NodesInService())
+	// Output:
+	// round trip ok: true
+}
+
+// ExampleSimulateContext cancels a simulation through its context: the
+// event loop notices at its first poll and returns the context's error.
+func ExampleSimulateContext() {
+	cfg := nfvchain.DefaultWorkloadConfig()
+	cfg.NumRequests = 20
+	problem, _ := nfvchain.GenerateWorkload(cfg)
+	sol, err := nfvchain.Optimize(problem, nfvchain.Options{Seed: 1})
+	if err != nil {
+		fmt.Println("optimize:", err)
+		return
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // already cancelled: the run stops at the first poll
+	// Tens of thousands of events over 5 s of traffic, well past one poll.
+	_, err = nfvchain.SimulateContext(ctx, sol, nfvchain.SimulationConfig{Horizon: 5, Seed: 1})
+	fmt.Println("cancelled:", errors.Is(err, context.Canceled))
+	// Output:
+	// cancelled: true
+}
+
+// ExampleNewMergedStream merges the per-request sources of a heavy-traffic
+// client mix into one time-ordered stream and analyzes its arrivals.
+func ExampleNewMergedStream() {
+	cfg := nfvchain.DefaultWorkloadConfig()
+	cfg.NumRequests = 12
+	problem, _ := nfvchain.GenerateWorkload(cfg)
+	mix, err := nfvchain.BuildClassSources(problem, nfvchain.DefaultClientClasses(), 5)
+	if err != nil {
+		fmt.Println("classes:", err)
+		return
+	}
+	stream := nfvchain.NewMergedStream(mix.Sources)
+	// Generator sources never end: the horizon bounds the pull.
+	stats, err := nfvchain.AnalyzeArrivals(stream, 30)
+	if err != nil {
+		fmt.Println("analyze:", err)
+		return
+	}
+	active := 0
+	for _, st := range stats {
+		if st.Count > 0 && st.Rate > 0 {
+			active++
+		}
+	}
+	fmt.Printf("requests with arrivals: %d of %d\n", active, len(problem.Requests))
+	// Output:
+	// requests with arrivals: 12 of 12
+}
+
+// ExamplePlacementLowerBound checks a solved placement against the
+// provable lower bound on nodes in service.
+func ExamplePlacementLowerBound() {
+	cfg := nfvchain.DefaultWorkloadConfig()
+	cfg.NumRequests = 60
+	problem, _ := nfvchain.GenerateWorkload(cfg)
+	sol, err := nfvchain.Optimize(problem, nfvchain.Options{Seed: 2})
+	if err != nil {
+		fmt.Println("optimize:", err)
+		return
+	}
+	lb := nfvchain.PlacementLowerBound(problem)
+	fmt.Println("bound positive:", lb >= 1)
+	fmt.Println("bound ≤ nodes in service:", lb <= sol.Placement.NodesInService())
+	// Output:
+	// bound positive: true
+	// bound ≤ nodes in service: true
+}
+
+// ExampleNewTopologyAwarePlacer places chains with TA-BFDSU on the hosts of
+// a k=4 fat-tree, whose vertex ids name the problem's nodes.
+func ExampleNewTopologyAwarePlacer() {
+	topo, err := nfvchain.NewFatTree(4)
+	if err != nil {
+		fmt.Println("topology:", err)
+		return
+	}
+	cfg := nfvchain.DefaultWorkloadConfig()
+	cfg.NumRequests = 50
+	problem, _ := nfvchain.GenerateWorkload(cfg)
+	problem.Nodes = topo.ComputeNodes(func(int, string) float64 { return 4000 })
+	placer := nfvchain.NewTopologyAwarePlacer(topo, 1)
+	sol, err := nfvchain.Optimize(problem, nfvchain.Options{Placer: placer})
+	if err != nil {
+		fmt.Println("optimize:", err)
+		return
+	}
+	fmt.Println("placer:", placer.Name())
+	fmt.Println("hosts:", len(problem.Nodes))
+	fmt.Println("placement valid:", sol.Placement.Validate(problem) == nil)
+	// Output:
+	// placer: TA-BFDSU
+	// hosts: 16
+	// placement valid: true
+}
+
+// ExampleRunExperiment regenerates one paper figure at a tiny averaging
+// depth; DefaultExperimentConfig is the paper's full protocol.
+func ExampleRunExperiment() {
+	fmt.Println("fig12 available:", slices.Contains(nfvchain.ExperimentIDs(), "fig12"))
+	fmt.Println("paper protocol trials:", nfvchain.DefaultExperimentConfig().SchedulingTrials)
+	cfg := nfvchain.FastExperimentConfig()
+	cfg.PlacementTrials, cfg.SchedulingTrials = 2, 10
+	table, err := nfvchain.RunExperiment("fig12", cfg)
+	if err != nil {
+		fmt.Println("experiment:", err)
+		return
+	}
+	fmt.Println("table:", table.ID, len(table.Series) > 0)
+	// Output:
+	// fig12 available: true
+	// paper protocol trials: 1000
+	// table: fig12 true
+}
+
+// ExampleReadResultsJSON round-trips simulation results through the JSON
+// form nfvsim -json and the nfvd daemon emit.
+func ExampleReadResultsJSON() {
+	cfg := nfvchain.DefaultWorkloadConfig()
+	cfg.NumRequests = 10
+	problem, _ := nfvchain.GenerateWorkload(cfg)
+	sol, err := nfvchain.Optimize(problem, nfvchain.Options{Seed: 4})
+	if err != nil {
+		fmt.Println("optimize:", err)
+		return
+	}
+	res, err := nfvchain.Simulate(sol, nfvchain.SimulationConfig{Horizon: 1, Seed: 4})
+	if err != nil {
+		fmt.Println("simulate:", err)
+		return
+	}
+	var buf strings.Builder
+	if err := res.WriteJSON(&buf); err != nil {
+		fmt.Println("write:", err)
+		return
+	}
+	back, err := nfvchain.ReadResultsJSON(strings.NewReader(buf.String()))
+	if err != nil {
+		fmt.Println("read:", err)
+		return
+	}
+	fmt.Println("round trip ok:", back.Delivered == res.Delivered && back.Generated == res.Generated)
 	// Output:
 	// round trip ok: true
 }

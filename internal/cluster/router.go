@@ -139,12 +139,6 @@ func ParseRoutePolicy(s string) (Router, error) {
 	}
 }
 
-// RoutePolicies lists the built-in policy spellings accepted by
-// ParseRoutePolicy.
-func RoutePolicies() []string {
-	return []string{"locality", "least-loaded", "weighted"}
-}
-
 // GlobalRequest is a request whose external arrivals enter at the cluster
 // level and are routed to a datacenter per arrival. The request definition
 // (chain, delivery probability) must be present — and is provisioned for —

@@ -48,9 +48,9 @@ func AblationPlacement(cfg Config) (*Table, error) {
 // Fig. 11 sweep (5 instances, P = 0.98): differencing (RCKK), sorted greedy
 // (LPT — CGA with the decreasing sort) and cyclic dealing (RoundRobin). The
 // pairing-rule ablation itself lives in the scheduling package's unit tests:
-// forward pairing collapses all mass onto one instance and random pairing
-// random-walks to instability, which is precisely why Algorithm 2 combines
-// in reverse order — neither variant survives near-saturation comparison.
+// forward pairing collapses all mass onto one instance, which is precisely
+// why Algorithm 2 combines in reverse order; it cannot survive a
+// near-saturation comparison.
 // The Y axis is the mean per-instance response time.
 func AblationScheduling(cfg Config) (*Table, error) {
 	if err := cfg.Validate(); err != nil {

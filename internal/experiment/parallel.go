@@ -101,20 +101,3 @@ func forEachPointTrialCtx[T any](ctx context.Context, points, trials int, fn fun
 	}
 	return results, nil
 }
-
-// forEachTrial runs fn(trial) for trial ∈ [0, trials) on a bounded worker
-// pool and returns the per-trial results *in trial order*, so downstream
-// aggregation (floating-point folds included) is bit-identical to a serial
-// run. It is the single-point special case of forEachPointTrial.
-func forEachTrial[T any](trials int, fn func(trial int) (T, error)) ([]T, error) {
-	if trials == 0 {
-		return nil, nil
-	}
-	results, err := forEachPointTrial(1, trials, func(_, trial int) (T, error) {
-		return fn(trial)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
-}

@@ -10,53 +10,6 @@ import (
 	"testing"
 )
 
-func TestForEachTrialOrdering(t *testing.T) {
-	got, err := forEachTrial(100, func(trial int) (int, error) {
-		return trial * trial, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 100 {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("result[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-}
-
-func TestForEachTrialErrorPropagation(t *testing.T) {
-	boom := errors.New("boom")
-	var calls atomic.Int64
-	_, err := forEachTrial(1000, func(trial int) (int, error) {
-		calls.Add(1)
-		if trial == 7 {
-			return 0, boom
-		}
-		return trial, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	// The pool must stop claiming new trials after the failure.
-	if calls.Load() == 1000 {
-		t.Error("all trials ran despite early failure")
-	}
-}
-
-func TestForEachTrialEdgeCases(t *testing.T) {
-	got, err := forEachTrial(0, func(int) (string, error) { return "x", nil })
-	if err != nil || len(got) != 0 {
-		t.Errorf("zero trials: %v %v", got, err)
-	}
-	one, err := forEachTrial(1, func(int) (string, error) { return "only", nil })
-	if err != nil || len(one) != 1 || one[0] != "only" {
-		t.Errorf("one trial: %v %v", one, err)
-	}
-}
-
 func TestForEachPointTrialOrdering(t *testing.T) {
 	const points, trials = 7, 13
 	got, err := forEachPointTrial(points, trials, func(point, trial int) (int, error) {

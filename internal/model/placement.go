@@ -186,17 +186,6 @@ func (pl *Placement) ResourceOccupation(p *Problem) float64 {
 	return sum
 }
 
-// Traverses reports whether request r visits node v under this placement
-// (the paper's η_v^r, Eq. 4).
-func (pl *Placement) Traverses(r Request, v NodeID) bool {
-	for _, f := range r.Chain {
-		if w, ok := pl.NodeOf[f]; ok && w == v {
-			return true
-		}
-	}
-	return false
-}
-
 // NodeSpan returns Σ_v η_v^r: the number of distinct nodes request r visits.
 // The Eq. 16 link-latency term charges L per hop, i.e. (NodeSpan−1)·L.
 func (pl *Placement) NodeSpan(r Request) int {

@@ -1,9 +1,6 @@
 package model
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Schedule maps each (request, VNF) pair to the service-instance index the
 // request is assigned to (the paper's z_{r,k}^f, Eq. 5). Instance indexes are
@@ -175,17 +172,4 @@ func (s *Schedule) RawInstanceLoads(p *Problem, f VNFID) []float64 {
 		}
 	}
 	return loads
-}
-
-// RequestsOn returns the requests assigned to instance k of VNF f, sorted by
-// id (the paper's set s_k).
-func (s *Schedule) RequestsOn(f VNFID, k int) []RequestID {
-	var out []RequestID
-	for r, m := range s.InstanceOf {
-		if kk, ok := m[f]; ok && kk == k {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -156,17 +156,6 @@ func TestScheduleRawInstanceLoads(t *testing.T) {
 	}
 }
 
-func TestScheduleRequestsOn(t *testing.T) {
-	s := testSchedule()
-	got := s.RequestsOn("fw", 0)
-	if len(got) != 2 || got[0] != "r1" || got[1] != "r3" {
-		t.Errorf("RequestsOn(fw,0) = %v, want [r1 r3]", got)
-	}
-	if got := s.RequestsOn("fw", 5); len(got) != 0 {
-		t.Errorf("RequestsOn(fw,5) = %v, want empty", got)
-	}
-}
-
 func TestScheduleClone(t *testing.T) {
 	s := testSchedule()
 	c := s.Clone()

@@ -1,6 +1,6 @@
 // Package rng provides deterministic, seedable random streams and the
-// distribution samplers used across nfvchain: exponential service times,
-// Poisson arrivals, log-normal inter-arrivals, and the cumulative weighted
+// distribution samplers used across nfvchain: exponential service times and
+// inter-arrivals, log-normal inter-arrivals, and the cumulative weighted
 // choice at the heart of the BFDSU placement algorithm.
 //
 // Every consumer takes a *Stream explicitly — there are no package-level
@@ -85,39 +85,6 @@ func (s *Stream) Exp(rate float64) float64 {
 		panic(fmt.Sprintf("rng: Exp rate %v must be positive", rate))
 	}
 	return s.r.ExpFloat64() / rate
-}
-
-// Poisson returns a Poisson-distributed count with the given mean, using
-// Knuth's method for small means and normal approximation with rejection
-// for large ones.
-func (s *Stream) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean < 30 {
-		// Knuth: multiply uniforms until the product drops below e^-mean.
-		limit := math.Exp(-mean)
-		n := 0
-		prod := s.r.Float64()
-		for prod > limit {
-			n++
-			prod *= s.r.Float64()
-		}
-		return n
-	}
-	// Atkinson-style normal approximation, resampled until non-negative.
-	for {
-		x := s.r.NormFloat64()*math.Sqrt(mean) + mean
-		if x >= 0 {
-			return int(math.Round(x))
-		}
-	}
-}
-
-// Normal returns a normally distributed value with the given mean and
-// standard deviation.
-func (s *Stream) Normal(mean, stddev float64) float64 {
-	return s.r.NormFloat64()*stddev + mean
 }
 
 // LogNormal returns a log-normally distributed value with the given

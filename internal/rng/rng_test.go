@@ -111,62 +111,6 @@ func TestExpPanicsOnBadRate(t *testing.T) {
 	New(1).Exp(0)
 }
 
-func TestPoissonMoments(t *testing.T) {
-	tests := []struct {
-		name string
-		mean float64
-	}{
-		{"small mean", 3},
-		{"medium mean", 12},
-		{"large mean (normal approx)", 80},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			s := New(5)
-			const n = 100000
-			var sum, sq float64
-			for i := 0; i < n; i++ {
-				v := float64(s.Poisson(tt.mean))
-				sum += v
-				sq += v * v
-			}
-			mean := sum / n
-			variance := sq/n - mean*mean
-			if math.Abs(mean-tt.mean)/tt.mean > 0.03 {
-				t.Errorf("Poisson(%v) mean = %v", tt.mean, mean)
-			}
-			if math.Abs(variance-tt.mean)/tt.mean > 0.06 {
-				t.Errorf("Poisson(%v) variance = %v, want ≈ mean", tt.mean, variance)
-			}
-		})
-	}
-	if got := New(1).Poisson(0); got != 0 {
-		t.Errorf("Poisson(0) = %d, want 0", got)
-	}
-	if got := New(1).Poisson(-2); got != 0 {
-		t.Errorf("Poisson(-2) = %d, want 0", got)
-	}
-}
-
-func TestNormalMoments(t *testing.T) {
-	s := New(9)
-	const n = 100000
-	var sum, sq float64
-	for i := 0; i < n; i++ {
-		v := s.Normal(10, 2)
-		sum += v
-		sq += v * v
-	}
-	mean := sum / n
-	sd := math.Sqrt(sq/n - mean*mean)
-	if math.Abs(mean-10) > 0.05 {
-		t.Errorf("Normal mean = %v, want ≈10", mean)
-	}
-	if math.Abs(sd-2) > 0.05 {
-		t.Errorf("Normal sd = %v, want ≈2", sd)
-	}
-}
-
 func TestLogNormalPositive(t *testing.T) {
 	s := New(13)
 	var sum float64

@@ -1,3 +1,9 @@
+// Package routing makes placement aware of the datacenter topology. The
+// paper charges every inter-server chain transition a constant L (Eq. 16)
+// and motivates co-location with Fig. 1: a chain served intra-server pays
+// no network latency. TopologyAware (TA-BFDSU) turns that motivation into a
+// placement objective, trading a little packing tightness for chain
+// locality over a topology.Graph.
 package routing
 
 import (

@@ -50,7 +50,6 @@ func TestPartitionDeterminismGolden(t *testing.T) {
 		{"rckk-1000-8", RCKK{}, 1000, 8, 0x9beaca947072eb87},
 		{"ckk-40-4", CKK{MaxNodes: 20_000}, 40, 4, 0xbb4e9a4b5df294c5},
 		{"kkforward-250-5", KKForward{}, 250, 5, 0x79b4da79586cdf65},
-		{"kkrandom-250-5", KKRandom{Seed: 9}, 250, 5, 0x4aaac6b05be98a41},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,7 +78,6 @@ func TestPartitionGoldenPrint(t *testing.T) {
 		{"rckk-1000-8", RCKK{}, 1000, 8},
 		{"ckk-40-4", CKK{MaxNodes: 20_000}, 40, 4},
 		{"kkforward-250-5", KKForward{}, 250, 5},
-		{"kkrandom-250-5", KKRandom{Seed: 9}, 250, 5},
 	} {
 		items := determinismItems(tc.n, 7)
 		assign, err := tc.alg.Partition(items, tc.m)

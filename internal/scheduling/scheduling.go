@@ -17,7 +17,6 @@ package scheduling
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"nfvchain/internal/model"
 )
@@ -85,19 +84,6 @@ func validate(items []Item, m int) error {
 	return nil
 }
 
-// sortedByWeightDesc returns a copy of items in descending weight order with
-// id tie-breaks, the scan order shared by RCKK, CGA and KK.
-func sortedByWeightDesc(items []Item) []Item {
-	out := append([]Item(nil), items...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Weight != out[j].Weight {
-			return out[i].Weight > out[j].Weight
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
 // Loads sums item weights per instance for a given assignment.
 func Loads(items []Item, assign []int, m int) []float64 {
 	loads := make([]float64, m)
@@ -117,25 +103,6 @@ func Makespan(loads []float64) float64 {
 		}
 	}
 	return maxL
-}
-
-// Spread returns max−min instance load, the balance measure the paper's
-// Objective 2 insight targets ("balance Σλ_r of each instance as nearly
-// equal as possible").
-func Spread(loads []float64) float64 {
-	if len(loads) == 0 {
-		return 0
-	}
-	minL, maxL := loads[0], loads[0]
-	for _, l := range loads[1:] {
-		if l < minL {
-			minL = l
-		}
-		if l > maxL {
-			maxL = l
-		}
-	}
-	return maxL - minL
 }
 
 // ErrNoRequests is returned by ScheduleAll helpers when a VNF has requests

@@ -1,9 +1,5 @@
 package scheduling
 
-import (
-	"nfvchain/internal/rng"
-)
-
 // RoundRobin deals requests to instances cyclically in descending weight
 // order — the simplest balance-agnostic baseline for the ablation benches.
 type RoundRobin struct{}
@@ -23,36 +19,13 @@ func (RoundRobin) Partition(items []Item, m int) ([]int, error) {
 	return assign, nil
 }
 
-// Random assigns every request to a uniformly random instance. It models
-// hash-based flow steering with no load awareness.
-type Random struct {
-	Seed uint64
-}
-
-// Name implements Partitioner.
-func (r *Random) Name() string { return "Random" }
-
-// Partition implements Partitioner.
-func (r *Random) Partition(items []Item, m int) ([]int, error) {
-	if err := validate(items, m); err != nil {
-		return nil, err
-	}
-	s := rng.Derive(r.Seed, "random-scheduling")
-	assign := make([]int, len(items))
-	for i := range items {
-		assign[i] = s.IntN(m)
-	}
-	return assign, nil
-}
-
 // KKForward is the degenerate extreme of the paper's "m! ways of combining
 // two partitions" (Section IV-C): identical tuple machinery to RCKK but the
 // two largest partitions are combined *position-wise* (largest with
 // largest). Since every partition starts with all mass in position 0,
 // forward pairing never spreads anything — it collapses to one instance,
 // which is exactly why the paper combines in reverse order. Kept as the
-// worst member of the pairing space; see KKRandom for the informative
-// mid-point ablation.
+// worst member of the pairing space.
 type KKForward struct{}
 
 // Name implements Partitioner.
@@ -85,51 +58,7 @@ func (KKForward) Partition(items []Item, m int) ([]int, error) {
 	return assign, nil
 }
 
-// KKRandom is the informative ablation of RCKK's reverse-pairing rule: the
-// same differencing machinery, but each merge combines the two largest
-// partitions under a *uniformly random* permutation drawn from the m! ways
-// the paper enumerates. Reverse pairing should beat a random member of that
-// space — which is precisely the claim the ablation experiment checks.
-type KKRandom struct {
-	Seed uint64
-}
-
-// Name implements Partitioner.
-func (r KKRandom) Name() string { return "KKRandom" }
-
-// Partition implements Partitioner.
-func (r KKRandom) Partition(items []Item, m int) ([]int, error) {
-	if err := validate(items, m); err != nil {
-		return nil, err
-	}
-	n := len(items)
-	assign := make([]int, n)
-	if n == 0 || m == 1 {
-		return assign, nil
-	}
-	stream := rng.Derive(r.Seed, "kk-random")
-	ar := &mergeArena{nodes: make([]mergeNode, 0, n)}
-	list := newPartitionList(items, sortedIndexesByWeightDesc(items), m)
-	for len(list) > 1 {
-		a, b := list[0], list[1]
-		list = list[2:]
-		perm := stream.Perm(m)
-		for i := 0; i < m; i++ {
-			j := perm[i]
-			a.sums[i] += b.sums[j]
-			a.sets[i] = ar.merge(a.sets[i], b.sets[j])
-		}
-		sortPartition(a)
-		normalize(a)
-		list = insertSorted(list, a)
-	}
-	list[0].assignments(ar, assign)
-	return assign, nil
-}
-
 var (
 	_ Partitioner = RoundRobin{}
-	_ Partitioner = (*Random)(nil)
 	_ Partitioner = KKForward{}
-	_ Partitioner = KKRandom{}
 )

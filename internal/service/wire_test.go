@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"nfvchain/internal/core"
 	"nfvchain/internal/model"
+	"nfvchain/internal/portfolio"
 	"nfvchain/internal/simulate"
 	"nfvchain/internal/wirejson"
 	"nfvchain/internal/wirejson/wirejsontest"
@@ -171,7 +173,22 @@ func FuzzSolveRequest(f *testing.F) {
 		if want := oracleFingerprint(t, "solve", &want); fp != want {
 			t.Fatalf("fingerprint of %q: %s, want %s", data, fp, want)
 		}
+		checkSolveAfterDecode(&got)
 	})
+}
+
+// checkSolveAfterDecode runs handleSolve's checks on a decoded body: the
+// problem's validation, the algorithm names, and the portfolio specs. Their
+// verdicts do not matter here, only that none of them panics on any body
+// the decoder accepts.
+func checkSolveAfterDecode(req *SolveRequest) {
+	if req.Problem != nil {
+		_ = req.Problem.Validate()
+	}
+	_, _ = req.Options.coreOptions()
+	if len(req.Portfolio) > 0 {
+		_, _ = portfolio.ParseSpecs(req.Portfolio)
+	}
 }
 
 func FuzzSimulateRequest(f *testing.F) {
@@ -245,5 +262,21 @@ func FuzzSimulateRequest(f *testing.F) {
 		if want := oracleFingerprint(t, "simulate", &want); fp != want {
 			t.Fatalf("fingerprint of %q: %s, want %s", data, fp, want)
 		}
+		checkSimulateAfterDecode(&got)
 	})
+}
+
+// checkSimulateAfterDecode runs handleSimulate's checks on a decoded body:
+// the simulation options, then either the posted solution's decode and
+// validation or the posted problem's validation and algorithm names. Only
+// panics matter, not verdicts.
+func checkSimulateAfterDecode(req *SimulateRequest) {
+	_, _ = req.Sim.simConfig()
+	if len(req.Solution) > 0 {
+		_, _ = core.ReadSolutionJSON(bytes.NewReader(req.Solution))
+	}
+	if req.Problem != nil {
+		_ = req.Problem.Validate()
+		_, _ = req.Options.coreOptions()
+	}
 }

@@ -1,7 +1,7 @@
 // Package stats provides the statistical plumbing the evaluation needs:
 // online (Welford) summaries, exact sample percentiles for tail analysis
-// (the paper quotes 99th-percentile response times over 1000 runs),
-// histograms, and normal-approximation confidence intervals.
+// (the paper quotes 99th-percentile response times over 1000 runs), and
+// normal-approximation confidence intervals.
 package stats
 
 import (

@@ -123,41 +123,3 @@ func TestRandomConnected(t *testing.T) {
 		}
 	}
 }
-
-func TestSNDlib(t *testing.T) {
-	wantSizes := map[string][2]int{ // nodes, edges
-		"abilene":       {12, 15},
-		"polska":        {12, 18},
-		"nobel-germany": {17, 26},
-		"geant":         {22, 36},
-		"germany50":     {50, 88},
-	}
-	for name, want := range wantSizes {
-		t.Run(name, func(t *testing.T) {
-			g, err := SNDlib(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g.NumVertices() != want[0] {
-				t.Errorf("%s vertices = %d, want %d", name, g.NumVertices(), want[0])
-			}
-			if g.NumEdges() != want[1] {
-				t.Errorf("%s edges = %d, want %d", name, g.NumEdges(), want[1])
-			}
-			if !g.Connected() {
-				t.Errorf("%s disconnected", name)
-			}
-			if len(g.ComputeVertices()) != g.NumVertices() {
-				t.Errorf("%s should expose all nodes as compute", name)
-			}
-		})
-	}
-
-	if _, err := SNDlib("atlantis"); err == nil {
-		t.Error("unknown network accepted")
-	}
-	names := SNDlibNames()
-	if len(names) != 5 {
-		t.Errorf("SNDlibNames = %v", names)
-	}
-}

@@ -4,10 +4,9 @@
 // the placement and scheduling layers consume only computing-node capacities
 // and inter-node distances/delays from this package.
 //
-// Besides generic graph construction it provides generators for canonical
-// datacenter and WAN topologies (fat-tree, star, line, ring, random) and
-// SNDlib-style reference networks scaled from 4 to 50 computing nodes, the
-// range the paper's evaluation uses.
+// Besides generic graph construction it provides generators for the
+// fat-tree datacenter topology TA-BFDSU runs on and for the line, ring,
+// star and random graphs the tests use as fixtures.
 package topology
 
 import (

@@ -110,56 +110,6 @@ func (g *Graph) DelayDistance(a, b string) float64 {
 	return d
 }
 
-// ShortestPath returns a minimum-delay path from a to b as the full vertex
-// sequence (including switches) plus its total delay. The second return is
-// +Inf and the path nil when disconnected. Ties are broken deterministically
-// by predecessor vertex id.
-func (g *Graph) ShortestPath(a, b string) ([]string, float64) {
-	if !g.HasVertex(a) || !g.HasVertex(b) {
-		return nil, math.Inf(1)
-	}
-	if a == b {
-		return []string{a}, 0
-	}
-	dist := map[string]float64{a: 0}
-	prev := make(map[string]string)
-	done := make(map[string]bool)
-	pq := &priorityQueue{{id: a, dist: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(pqItem)
-		if done[it.id] {
-			continue
-		}
-		done[it.id] = true
-		if it.id == b {
-			break
-		}
-		for _, w := range g.Neighbors(it.id) { // sorted → deterministic ties
-			nd := it.dist + g.adj[it.id][w]
-			if cur, seen := dist[w]; !seen || nd < cur {
-				dist[w] = nd
-				prev[w] = it.id
-				heap.Push(pq, pqItem{id: w, dist: nd})
-			}
-		}
-	}
-	total, ok := dist[b]
-	if !ok || !done[b] {
-		return nil, math.Inf(1)
-	}
-	var path []string
-	for v := b; ; v = prev[v] {
-		path = append(path, v)
-		if v == a {
-			break
-		}
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path, total
-}
-
 // Diameter returns the maximum finite hop distance over all vertex pairs,
 // or -1 when the graph is disconnected or empty.
 func (g *Graph) Diameter() int {

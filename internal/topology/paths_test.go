@@ -85,70 +85,6 @@ func TestDijkstraMatchesBFSOnUnitDelays(t *testing.T) {
 	}
 }
 
-func TestShortestPath(t *testing.T) {
-	g := New()
-	for _, id := range []string{"a", "b", "c", "d"} {
-		g.AddVertex(id, KindCompute)
-	}
-	g.MustAddEdge("a", "b", 1)
-	g.MustAddEdge("b", "c", 1)
-	g.MustAddEdge("a", "c", 5) // direct edge is worse than a-b-c
-	g.MustAddEdge("c", "d", 1)
-
-	path, delay := g.ShortestPath("a", "c")
-	if delay != 2 {
-		t.Errorf("delay = %v, want 2", delay)
-	}
-	want := []string{"a", "b", "c"}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v", path)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Errorf("path[%d] = %s, want %s", i, path[i], want[i])
-		}
-	}
-
-	if p, d := g.ShortestPath("a", "a"); d != 0 || len(p) != 1 || p[0] != "a" {
-		t.Errorf("self path = %v, %v", p, d)
-	}
-	if p, d := g.ShortestPath("a", "ghost"); p != nil || !math.IsInf(d, 1) {
-		t.Errorf("missing target = %v, %v", p, d)
-	}
-	g.AddVertex("island", KindCompute)
-	if p, d := g.ShortestPath("a", "island"); p != nil || !math.IsInf(d, 1) {
-		t.Errorf("disconnected = %v, %v", p, d)
-	}
-}
-
-func TestShortestPathConsistentWithDelayDistance(t *testing.T) {
-	g, err := RandomConnected(15, 30, rng.New(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := g.ComputeVertices()
-	for _, a := range ids[:5] {
-		for _, b := range ids[5:10] {
-			path, delay := g.ShortestPath(a, b)
-			if math.Abs(delay-g.DelayDistance(a, b)) > 1e-9 {
-				t.Errorf("%s→%s: path delay %v vs DelayDistance %v", a, b, delay, g.DelayDistance(a, b))
-			}
-			// Path really is a walk with that total delay.
-			var sum float64
-			for i := 1; i < len(path); i++ {
-				d, ok := g.EdgeDelay(path[i-1], path[i])
-				if !ok {
-					t.Fatalf("path uses missing edge %s-%s", path[i-1], path[i])
-				}
-				sum += d
-			}
-			if math.Abs(sum-delay) > 1e-9 {
-				t.Errorf("path edge sum %v vs reported %v", sum, delay)
-			}
-		}
-	}
-}
-
 func TestDiameter(t *testing.T) {
 	if got := Line(5).Diameter(); got != 4 {
 		t.Errorf("Line(5) diameter = %d, want 4", got)

@@ -96,8 +96,7 @@ const analysisSeed = 0x9e3779b97f4a7c15
 // horizon both scales Rate and bounds the pull — arrivals at or past it are
 // not consumed, which is what makes never-ending generator cursors (a
 // MergedStream over renewal sources) analyzable at all; pass <= 0 to drain
-// a finite cursor and use the latest arrival time observed (ReadTraceCSV's
-// convention).
+// a finite cursor and use the latest arrival time observed.
 func AnalyzeArrivals(c ArrivalCursor, horizon float64) ([]TraceStats, error) {
 	type reqState struct {
 		count int
@@ -162,7 +161,8 @@ func AnalyzeArrivals(c ArrivalCursor, horizon float64) ([]TraceStats, error) {
 }
 
 // AnalyzeTraceCSV streams a trace CSV through AnalyzeArrivals — the
-// constant-memory replacement for ReadTraceCSV + AnalyzeTrace.
+// constant-memory replacement for loading the whole trace and calling
+// AnalyzeTrace.
 func AnalyzeTraceCSV(r io.Reader) ([]TraceStats, error) {
 	ts, err := NewTraceStream(r)
 	if err != nil {

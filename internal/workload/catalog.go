@@ -81,16 +81,3 @@ func Catalog() []CatalogEntry {
 // CatalogSize is the number of catalog entries (the paper scales the number
 // of VNFs from 6 up to this value).
 const CatalogSize = 30
-
-// CatalogCategories returns the distinct category labels in catalog order.
-func CatalogCategories() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, e := range catalog {
-		if !seen[e.Category] {
-			seen[e.Category] = true
-			out = append(out, e.Category)
-		}
-	}
-	return out
-}

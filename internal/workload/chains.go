@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"fmt"
-
-	"nfvchain/internal/model"
-)
+import "nfvchain/internal/model"
 
 // ChainTemplate is a named service-function chain drawn from the deployment
 // patterns the paper's introduction motivates (e.g. "some flows need to
@@ -55,74 +51,4 @@ func ChainTemplates() []ChainTemplate {
 	out := make([]ChainTemplate, len(chainTemplates))
 	copy(out, chainTemplates)
 	return out
-}
-
-// ChainTemplate returns the template with the given name.
-func ChainTemplateByName(name string) (ChainTemplate, error) {
-	for _, t := range chainTemplates {
-		if t.Name == name {
-			return t, nil
-		}
-	}
-	return ChainTemplate{}, fmt.Errorf("workload: unknown chain template %q", name)
-}
-
-// TemplateProblem builds a small, fully deterministic problem from the chain
-// templates: one request per template with the given per-request rate and
-// delivery probability, over nodes of the given capacity. It is the
-// quickstart-friendly counterpart of Generate.
-func TemplateProblem(numNodes int, capacity, rate, deliveryProb float64) (*model.Problem, error) {
-	if numNodes < 1 {
-		return nil, fmt.Errorf("workload: numNodes %d < 1", numNodes)
-	}
-	p := &model.Problem{}
-	for i := 0; i < numNodes; i++ {
-		p.Nodes = append(p.Nodes, model.Node{
-			ID:       model.NodeID(fmt.Sprintf("node%02d", i)),
-			Capacity: capacity,
-		})
-	}
-	used := make(map[model.VNFID]int) // → request count
-	for _, t := range chainTemplates {
-		for _, f := range t.VNFs {
-			used[f]++
-		}
-	}
-	for _, e := range Catalog() {
-		id := model.VNFID(e.Name)
-		n, ok := used[id]
-		if !ok {
-			continue
-		}
-		// One instance unless several template chains share the VNF heavily.
-		instances := 1
-		if n >= 4 {
-			instances = 2
-		}
-		mu := e.ServiceRate
-		needed := float64(n) * rate / deliveryProb / float64(instances) * 1.5
-		if needed > mu {
-			mu = needed
-		}
-		p.VNFs = append(p.VNFs, model.VNF{
-			ID:          id,
-			Name:        e.Name,
-			Category:    e.Category,
-			Instances:   instances,
-			Demand:      e.Demand,
-			ServiceRate: mu,
-		})
-	}
-	for i, t := range chainTemplates {
-		p.Requests = append(p.Requests, model.Request{
-			ID:           model.RequestID(fmt.Sprintf("req-%s-%d", t.Name, i)),
-			Chain:        append([]model.VNFID(nil), t.VNFs...),
-			Rate:         rate,
-			DeliveryProb: deliveryProb,
-		})
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("workload: template problem invalid: %w", err)
-	}
-	return p, nil
 }

@@ -19,7 +19,7 @@ import (
 // non-decreasing time order — the order WriteCSV emits — and replay order is
 // file order. TraceStream satisfies simulate.TraceSource: hand it to
 // simulate.Config.TraceStream for constant-memory replay, bit-identical to
-// materializing the same file through ReadTraceCSV + Config.Trace.
+// replaying the written Trace through Config.Trace.
 type TraceStream struct {
 	cr   *csv.Reader
 	ids  map[string]model.RequestID
@@ -88,9 +88,6 @@ func (t *TraceStream) NextArrival() (float64, model.RequestID, bool) {
 // Err reports why the stream stopped: nil after a clean end of file, the
 // first row error otherwise.
 func (t *TraceStream) Err() error { return t.err }
-
-// Row returns the number of data rows consumed so far.
-func (t *TraceStream) Row() int { return t.row }
 
 func (t *TraceStream) fail(err error) {
 	t.done = true

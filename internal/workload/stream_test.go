@@ -39,9 +39,6 @@ func TestTraceStreamRoundTrip(t *testing.T) {
 	if err := ts.Err(); err != nil {
 		t.Fatalf("clean EOF reported error %v", err)
 	}
-	if ts.Row() != len(tr.Arrivals) {
-		t.Errorf("Row() = %d, want %d", ts.Row(), len(tr.Arrivals))
-	}
 }
 
 // TestTraceStreamErrors covers header and row validation; after the first bad

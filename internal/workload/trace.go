@@ -83,20 +83,6 @@ func (t *Trace) sort() {
 // Len returns the number of arrivals.
 func (t *Trace) Len() int { return len(t.Arrivals) }
 
-// Rate returns the empirical mean arrival rate of one request in the trace.
-func (t *Trace) Rate(r model.RequestID) float64 {
-	if t.Horizon <= 0 {
-		return 0
-	}
-	n := 0
-	for _, a := range t.Arrivals {
-		if a.Request == r {
-			n++
-		}
-	}
-	return float64(n) / t.Horizon
-}
-
 // WriteCSV writes the trace as "time,request" rows with a header.
 func (t *Trace) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
@@ -114,36 +100,4 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 		return fmt.Errorf("workload: flush trace: %w", err)
 	}
 	return nil
-}
-
-// ReadTraceCSV parses a trace written by WriteCSV. The horizon is the
-// latest arrival time unless every row is empty.
-func ReadTraceCSV(r io.Reader) (*Trace, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("workload: read trace: %w", err)
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("workload: empty trace file")
-	}
-	if len(records[0]) != 2 || records[0][0] != "time" || records[0][1] != "request" {
-		return nil, fmt.Errorf("workload: bad trace header %v", records[0])
-	}
-	tr := &Trace{}
-	for i, rec := range records[1:] {
-		tm, err := strconv.ParseFloat(rec[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: trace row %d: bad time %q: %w", i+1, rec[0], err)
-		}
-		if tm < 0 {
-			return nil, fmt.Errorf("workload: trace row %d: negative time %v", i+1, tm)
-		}
-		tr.Arrivals = append(tr.Arrivals, Arrival{Time: tm, Request: model.RequestID(rec[1])})
-		if tm > tr.Horizon {
-			tr.Horizon = tm
-		}
-	}
-	tr.sort()
-	return tr, nil
 }

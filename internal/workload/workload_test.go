@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"nfvchain/internal/model"
@@ -33,7 +32,11 @@ func TestCatalog(t *testing.T) {
 			t.Errorf("catalog[%d] = %s, want %s", i, entries[i].Name, w)
 		}
 	}
-	if got := len(CatalogCategories()); got != 9 {
+	categories := make(map[string]bool)
+	for _, e := range entries {
+		categories[e.Category] = true
+	}
+	if got := len(categories); got != 9 {
 		t.Errorf("categories = %d, want 9 (Li & Chen survey)", got)
 	}
 	// Catalog() returns a copy.
@@ -282,12 +285,6 @@ func TestChainTemplates(t *testing.T) {
 			t.Errorf("template %s has %d VNFs", tpl.Name, len(tpl.VNFs))
 		}
 	}
-	if _, err := ChainTemplateByName("web-ingress"); err != nil {
-		t.Errorf("ChainTemplateByName: %v", err)
-	}
-	if _, err := ChainTemplateByName("nope"); err == nil {
-		t.Error("unknown template accepted")
-	}
 	// Returned slice is a copy.
 	ts[0].Name = "mutated"
 	if ChainTemplates()[0].Name == "mutated" {
@@ -295,27 +292,35 @@ func TestChainTemplates(t *testing.T) {
 	}
 }
 
-func TestTemplateProblem(t *testing.T) {
-	p, err := TemplateProblem(4, 2000, 20, 0.98)
+// traceProblem generates a problem whose requests all arrive at rate λ
+// with certain delivery, so a trace's empirical rates have a known target.
+func traceProblem(t *testing.T, requests int, rate float64) *model.Problem {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.NumRequests = requests
+	cfg.RateMin, cfg.RateMax = rate, rate
+	cfg.DeliveryProb = 1
+	p, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("template problem invalid: %v", err)
+	return p
+}
+
+// empiricalRate is request r's arrival rate in tr, as AnalyzeTrace reports it.
+func empiricalRate(t *testing.T, tr *Trace, r model.RequestID) float64 {
+	t.Helper()
+	for _, st := range AnalyzeTrace(tr) {
+		if st.Request == r {
+			return st.Rate
+		}
 	}
-	if len(p.Requests) != len(ChainTemplates()) {
-		t.Errorf("requests = %d, want one per template", len(p.Requests))
-	}
-	if _, err := TemplateProblem(0, 1, 1, 1); err == nil {
-		t.Error("zero nodes accepted")
-	}
+	t.Fatalf("request %s has no arrivals in the trace", r)
+	return 0
 }
 
 func TestTraceGeneration(t *testing.T) {
-	p, err := TemplateProblem(4, 2000, 50, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := traceProblem(t, 6, 50)
 	tr, err := GenerateTrace(p, 10, InterArrivalExponential, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -331,30 +336,27 @@ func TestTraceGeneration(t *testing.T) {
 	}
 	// Empirical rate ≈ λ within 20% for λ·horizon = 500 samples.
 	r := p.Requests[0]
-	got := tr.Rate(r.ID)
+	got := empiricalRate(t, tr, r.ID)
 	if math.Abs(got-r.Rate)/r.Rate > 0.2 {
 		t.Errorf("empirical rate %v vs λ=%v", got, r.Rate)
 	}
 }
 
 func TestTraceLogNormalMeanRate(t *testing.T) {
-	p, err := TemplateProblem(4, 2000, 50, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := traceProblem(t, 6, 50)
 	tr, err := GenerateTrace(p, 50, InterArrivalLogNormal, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := p.Requests[0]
-	got := tr.Rate(r.ID)
+	got := empiricalRate(t, tr, r.ID)
 	if math.Abs(got-r.Rate)/r.Rate > 0.35 { // heavy tail → wider tolerance
 		t.Errorf("lognormal empirical rate %v vs λ=%v", got, r.Rate)
 	}
 }
 
 func TestTraceErrors(t *testing.T) {
-	p, _ := TemplateProblem(2, 2000, 10, 1)
+	p := traceProblem(t, 6, 10)
 	if _, err := GenerateTrace(p, 0, InterArrivalExponential, 1); err == nil {
 		t.Error("zero horizon accepted")
 	}
@@ -363,51 +365,8 @@ func TestTraceErrors(t *testing.T) {
 	}
 }
 
-func TestTraceCSVRoundTrip(t *testing.T) {
-	p, _ := TemplateProblem(2, 2000, 30, 1)
-	tr, err := GenerateTrace(p, 2, InterArrivalExponential, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTraceCSV(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != tr.Len() {
-		t.Fatalf("round trip lost arrivals: %d vs %d", back.Len(), tr.Len())
-	}
-	for i := range tr.Arrivals {
-		if tr.Arrivals[i].Request != back.Arrivals[i].Request {
-			t.Fatal("round trip reordered arrivals")
-		}
-		if math.Abs(tr.Arrivals[i].Time-back.Arrivals[i].Time) > 1e-12 {
-			t.Fatal("round trip changed times")
-		}
-	}
-}
-
-func TestReadTraceCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":         "",
-		"bad header":    "a,b\n1,x\n",
-		"bad time":      "time,request\nnope,x\n",
-		"negative time": "time,request\n-1,x\n",
-	}
-	for name, in := range cases {
-		t.Run(name, func(t *testing.T) {
-			if _, err := ReadTraceCSV(strings.NewReader(in)); err == nil {
-				t.Error("bad trace accepted")
-			}
-		})
-	}
-}
-
 func TestTraceDeterministicPerRequest(t *testing.T) {
-	p, _ := TemplateProblem(2, 2000, 10, 1)
+	p := traceProblem(t, 6, 10)
 	a, _ := GenerateTrace(p, 5, InterArrivalExponential, 9)
 	b, _ := GenerateTrace(p, 5, InterArrivalExponential, 9)
 	if a.Len() != b.Len() {

@@ -12,7 +12,6 @@ import (
 	"nfvchain/internal/placement"
 	"nfvchain/internal/portfolio"
 	"nfvchain/internal/repair"
-	"nfvchain/internal/rng"
 	"nfvchain/internal/routing"
 	"nfvchain/internal/scheduling"
 	"nfvchain/internal/simulate"
@@ -124,19 +123,11 @@ func SimulateCluster(cs *ClusterSolution, cfg ClusterSimConfig) (*ClusterResults
 	return core.SimulateCluster(cs, cfg)
 }
 
-// SimulateClusterContext is SimulateCluster with cancellation.
-func SimulateClusterContext(ctx context.Context, cs *ClusterSolution, cfg ClusterSimConfig) (*ClusterResults, error) {
-	return core.SimulateClusterContext(ctx, cs, cfg)
-}
-
 // NewClusterRouter parses a routing policy name
 // (locality|least-loaded|weighted) into its ClusterRouter.
 func NewClusterRouter(policy string) (ClusterRouter, error) {
 	return cluster.ParseRoutePolicy(policy)
 }
-
-// ClusterRoutePolicies lists the built-in routing policy names.
-func ClusterRoutePolicies() []string { return cluster.RoutePolicies() }
 
 // Fault injection and self-healing, re-exported.
 type (
@@ -322,7 +313,8 @@ type (
 // Solver portfolio with anytime racing, re-exported.
 type (
 	// PortfolioSpec is one parsed portfolio entry: a solver name plus its
-	// tuning parameters (see ParsePortfolioSpec for the grammar).
+	// tuning parameters, written "name" or "name:key=value;key=value"
+	// (e.g. "sa:iters=20000;t0=2.0"); ParsePortfolioSpecs parses a list.
 	PortfolioSpec = portfolio.Spec
 	// PortfolioIncumbent is one monotone best-so-far improvement reported
 	// by a racing solver: its objective, iteration and elapsed time. It
@@ -345,11 +337,6 @@ type (
 	SolverOutcome = portfolio.SolverOutcome
 )
 
-// ParsePortfolioSpec parses one solver spec, "name" or
-// "name:key=value;key=value" — e.g. "sa:iters=20000;t0=2.0". Solver names
-// are listed by PortfolioSolverNames.
-func ParsePortfolioSpec(s string) (PortfolioSpec, error) { return portfolio.ParseSpec(s) }
-
 // ParsePortfolioSpecs parses and validates a full portfolio (rejecting
 // empty and oversized portfolios).
 func ParsePortfolioSpecs(specs []string) ([]PortfolioSpec, error) { return portfolio.ParseSpecs(specs) }
@@ -357,9 +344,6 @@ func ParsePortfolioSpecs(specs []string) ([]PortfolioSpec, error) { return portf
 // DefaultPortfolio returns the standard racing lineup: greedy, ffd, nah
 // baselines plus the sa, lns, and pso metaheuristics at default budgets.
 func DefaultPortfolio() []string { return portfolio.DefaultPortfolio() }
-
-// PortfolioSolverNames lists the recognized portfolio solver names.
-func PortfolioSolverNames() []string { return portfolio.SolverNames() }
 
 // SolveRace races a portfolio of solvers on parallel workers sharing a
 // best-so-far incumbent, and returns the winner finalized exactly like
@@ -461,39 +445,14 @@ type Topology = topology.Graph
 // computing nodes; k must be even.
 func NewFatTree(k int) (*Topology, error) { return topology.FatTree(k) }
 
-// NewSNDlibTopology returns one of the embedded SNDlib-style reference
-// networks; see SNDlibTopologyNames.
-func NewSNDlibTopology(name string) (*Topology, error) { return topology.SNDlib(name) }
-
-// SNDlibTopologyNames lists the embedded reference networks.
-func SNDlibTopologyNames() []string { return topology.SNDlibNames() }
-
-// NewRandomTopology returns a seeded random connected topology of n
-// computing nodes and about m links.
-func NewRandomTopology(n, m int, seed uint64) (*Topology, error) {
-	return topology.RandomConnected(n, m, rng.New(seed))
-}
-
 // NewCKK returns the Complete Karmarkar-Karp scheduler (bounded complete
 // search; the first descent is RCKK).
 func NewCKK() SchedulingAlgorithm { return scheduling.CKK{} }
 
-// NewKKForward returns the forward-combining KK ablation variant.
-func NewKKForward() SchedulingAlgorithm { return scheduling.KKForward{} }
-
 // NewRoundRobin returns the cyclic-assignment baseline scheduler.
 func NewRoundRobin() SchedulingAlgorithm { return scheduling.RoundRobin{} }
 
-// Routing and locality.
-
-// ChainRouter resolves placed chains to physical paths over a topology.
-type ChainRouter = routing.Router
-
-// ChainPath is one request's physical route under a placement.
-type ChainPath = routing.Path
-
-// NewChainRouter builds a router over the topology.
-func NewChainRouter(g *Topology) (*ChainRouter, error) { return routing.NewRouter(g) }
+// Topology-aware placement.
 
 // NewTopologyAwarePlacer returns the locality-extended BFDSU (TA-BFDSU):
 // snug fits weighted toward nodes close to each VNF's chain peers.
@@ -547,10 +506,6 @@ func AnalyzeArrivals(c workload.ArrivalCursor, horizon float64) ([]TraceStats, e
 // AnalyzeTraceCSV streams a trace CSV through AnalyzeArrivals — the
 // constant-memory replacement for reading the file and calling AnalyzeTrace.
 func AnalyzeTraceCSV(r io.Reader) ([]TraceStats, error) { return workload.AnalyzeTraceCSV(r) }
-
-// ReadProblemJSON parses and validates a problem written with
-// Problem.WriteJSON (or cmd/tracegen).
-func ReadProblemJSON(r io.Reader) (*Problem, error) { return model.ReadJSON(r) }
 
 // ReadSolutionJSON parses and validates a solution written with
 // Solution.WriteJSON (or nfvsim -out).
