@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet lint test race bench bench-json serve-smoke profile clean
+.PHONY: check fmt build vet lint test race bench bench-json figs-check serve-smoke profile clean
 
 check: fmt build vet race
 
@@ -56,6 +56,17 @@ bench:
 # performance-sensitive changes.
 bench-json:
 	$(GO) run ./cmd/nfvbench -out results/BENCH.json
+
+# Regenerate every figure CSV at the full config into a temporary directory
+# and compare the files byte for byte with the committed results/*.csv
+# (about 40 s on a 2-vCPU host). A change that moves any figure cell, or
+# adds or drops a figure, fails here; a change meant to move the figures
+# commits the regenerated files.
+figs-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/nfvsim -fig all -csv "$$tmp" > /dev/null && \
+	diff -r --exclude='*.json' "$$tmp" results && \
+	echo "figs-check: every results/*.csv regenerates byte for byte"
 
 # End-to-end smoke test of the serving daemon: boot nfvd on a random port,
 # curl /healthz, run a tiny /v1/solve round-trip, and shut down gracefully.

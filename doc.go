@@ -63,7 +63,7 @@
 // replays run in O(#requests) long-lived memory; ExpectedArrivals pre-sizes
 // the latency-sample slice, and AnalyzeArrivals computes per-flow rate, burstiness
 // and a Poisson KS test from any cursor in one pass. Streamed replay is
-// bit-identical to materializing the same trace, and explicit Poisson
+// bit-identical to replaying the same trace from memory, and explicit Poisson
 // sources on the canonical streams are bit-identical to the built-in tier
 // (also for cluster global flows via GlobalRequest sources).
 //

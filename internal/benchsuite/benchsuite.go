@@ -101,6 +101,7 @@ func Scenarios() []Scenario {
 		Scenario{"Improve/placement", improvePlacement},
 		Scenario{"Improve/schedule", improveSchedule},
 		Scenario{"Optimize/end-to-end", optimizeEndToEnd},
+		Scenario{"Evaluate/end-to-end", evaluateEndToEnd},
 	)
 }
 
@@ -600,6 +601,21 @@ func optimizeEndToEnd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Optimize(p, core.Options{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// evaluateEndToEnd runs core.Evaluate, the analytic Eq. 11/16 scoring, on
+// the solution Optimize/end-to-end computes.
+func evaluateEndToEnd(b *testing.B) {
+	sol, err := core.Optimize(placementInstance(b, 15, 200, 10), core.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Evaluate(sol); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -106,7 +106,7 @@ type SimulationConfig struct {
 	Trace           *workload.Trace
 	// TraceStream replays arrivals from a forward-only cursor (e.g. a
 	// workload.TraceStream over a CSV) in constant memory — bit-identical to
-	// materializing the same trace into Trace. Mutually exclusive with
+	// handing the same trace to Trace. Mutually exclusive with
 	// Trace and Sources.
 	TraceStream simulate.TraceSource
 	// Sources overrides individual requests' arrival processes with

@@ -155,6 +155,61 @@ func TestEvaluateMatchesEq12UnderUniformP(t *testing.T) {
 	}
 }
 
+// TestEvaluateInstanceArrivals checks Λ and Σλ per instance on a hand-built
+// solution in which one request was rejected: Arrival inflates each rate by
+// 1/P_r (Eq. 7), RawArrival does not, and the rejected request counts in
+// neither. Arrival must also match Schedule.InstanceLoads bit for bit, since
+// both sum R_f in request order.
+func TestEvaluateInstanceArrivals(t *testing.T) {
+	p := &model.Problem{
+		Nodes: []model.Node{{ID: "n1", Capacity: 100}},
+		VNFs: []model.VNF{
+			{ID: "fw", Instances: 2, Demand: 10, ServiceRate: 100},
+			{ID: "nat", Instances: 1, Demand: 30, ServiceRate: 150},
+			{ID: "ids", Instances: 3, Demand: 5, ServiceRate: 80},
+		},
+		Requests: []model.Request{
+			{ID: "r1", Chain: []model.VNFID{"fw", "nat"}, Rate: 10, DeliveryProb: 1},
+			{ID: "r2", Chain: []model.VNFID{"fw"}, Rate: 20, DeliveryProb: 0.98},
+			{ID: "r3", Chain: []model.VNFID{"ids", "fw", "nat"}, Rate: 5, DeliveryProb: 0.5},
+			{ID: "r4", Chain: []model.VNFID{"fw"}, Rate: 7, DeliveryProb: 1},
+		},
+	}
+	pl := model.NewPlacement()
+	for _, f := range p.VNFs {
+		pl.Assign(f.ID, "n1")
+	}
+	s := model.NewSchedule()
+	s.Assign("r1", "fw", 0)
+	s.Assign("r1", "nat", 0)
+	s.Assign("r2", "fw", 1)
+	s.Assign("r3", "ids", 2)
+	s.Assign("r3", "fw", 0)
+	s.Assign("r3", "nat", 0) // r4 was rejected
+	ev, err := Evaluate(&Solution{Problem: p, Placement: pl, Schedule: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[simulate.InstanceKey][2]float64{ // Λ, Σλ
+		{VNF: "fw", Instance: 0}:  {10 + 5/0.5, 15},
+		{VNF: "fw", Instance: 1}:  {20 / 0.98, 20},
+		{VNF: "nat", Instance: 0}: {10 + 5/0.5, 15},
+		{VNF: "ids", Instance: 2}: {5 / 0.5, 5},
+	}
+	for _, ie := range ev.Instances {
+		w := want[simulate.InstanceKey{VNF: ie.VNF, Instance: ie.Instance}]
+		if math.Abs(ie.Arrival-w[0]) > 1e-9 || math.Abs(ie.RawArrival-w[1]) > 1e-9 {
+			t.Errorf("%s/%d: Λ=%v Σλ=%v, want %v %v", ie.VNF, ie.Instance, ie.Arrival, ie.RawArrival, w[0], w[1])
+		}
+		if loads := s.InstanceLoads(p, ie.VNF); math.Float64bits(loads[ie.Instance]) != math.Float64bits(ie.Arrival) {
+			t.Errorf("%s/%d: Λ=%v, InstanceLoads %v", ie.VNF, ie.Instance, ie.Arrival, loads[ie.Instance])
+		}
+	}
+	if _, ok := ev.PerRequestLatency["r4"]; ok || len(ev.PerRequestLatency) != 3 {
+		t.Errorf("PerRequestLatency = %v, want r1..r3 only", ev.PerRequestLatency)
+	}
+}
+
 func TestEvaluateUnstableWithoutAdmission(t *testing.T) {
 	p := &model.Problem{
 		Nodes:    []model.Node{{ID: "n", Capacity: 100}},

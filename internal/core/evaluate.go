@@ -63,14 +63,25 @@ func Evaluate(sol *Solution) (*Evaluation, error) {
 		PerRequestLatency:  make(map[model.RequestID]float64),
 	}
 
-	// Per-instance response times, W(f,k) of Eq. 11.
-	response := make(map[model.VNFID][]float64) // per VNF, indexed by k
+	// Per-instance response times, W(f,k) of Eq. 11, from R_f in request
+	// order. w holds, per chain slot, W of the instance serving it; the
+	// slots of rejected requests are never read.
+	ix := model.Compile(p)
+	w, inst := make([]float64, ix.Slots()), make([]int, ix.Slots())
 	var grand float64
 	var grandN int
-	for _, f := range p.VNFs {
-		eff := sol.Schedule.InstanceLoads(p, f.ID)
-		raw := sol.Schedule.RawInstanceLoads(p, f.ID)
-		ws := make([]float64, f.Instances)
+	for fi, f := range p.VNFs {
+		eff, raw := make([]float64, f.Instances), make([]float64, f.Instances)
+		slots := ix.UserSlots(fi)
+		for i, r := range ix.Users(fi) {
+			req := &p.Requests[r]
+			if k, ok := sol.Schedule.Instance(req.ID, f.ID); ok {
+				inst[slots[i]] = k
+				eff[k] += req.EffectiveRate() // Λ_k^f, Eq. 7
+				raw[k] += req.Rate
+			}
+		}
+		base := len(ev.Instances)
 		var sum float64
 		var loaded int
 		for k := 0; k < f.Instances; k++ {
@@ -93,10 +104,11 @@ func Evaluate(sol *Solution) (*Evaluation, error) {
 				sum += ie.ResponseTime
 				loaded++
 			}
-			ws[k] = ie.ResponseTime
 			ev.Instances = append(ev.Instances, ie)
 		}
-		response[f.ID] = ws
+		for _, s := range slots {
+			w[s] = ev.Instances[base+inst[s]].ResponseTime
+		}
 		if loaded > 0 {
 			ev.PerVNFResponse[f.ID] = sum / float64(loaded)
 			grand += sum
@@ -107,21 +119,21 @@ func Evaluate(sol *Solution) (*Evaluation, error) {
 		ev.AvgResponseTime = grand / float64(grandN)
 	}
 
-	// Eq. 16 over admitted requests.
-	for _, r := range p.Requests {
-		if len(sol.Schedule.InstanceOf[r.ID]) == 0 {
+	// Eq. 16 over admitted requests, each chain summed in chain order.
+	for r, req := range p.Requests {
+		if len(sol.Schedule.InstanceOf[req.ID]) == 0 {
 			continue // rejected
 		}
 		var lat float64
-		for _, fid := range r.Chain {
-			k, _ := sol.Schedule.Instance(r.ID, fid)
-			lat += response[fid][k]
+		lo, hi := ix.ChainSlots(r)
+		for _, wk := range w[lo:hi] {
+			lat += wk
 		}
-		span := sol.Placement.NodeSpan(r)
+		span := sol.Placement.NodeSpan(req)
 		if span > 1 {
 			lat += float64(span-1) * sol.LinkDelay
 		}
-		ev.PerRequestLatency[r.ID] = lat
+		ev.PerRequestLatency[req.ID] = lat
 		ev.TotalLatency += lat
 	}
 

@@ -252,28 +252,6 @@ func (p *Problem) Node(id NodeID) (Node, bool) {
 	return Node{}, false
 }
 
-// Request returns the request with the given id, or false when undefined.
-func (p *Problem) Request(id RequestID) (Request, bool) {
-	for _, r := range p.Requests {
-		if r.ID == id {
-			return r, true
-		}
-	}
-	return Request{}, false
-}
-
-// RequestsUsing returns the ids of requests whose chain contains f, in the
-// order they appear in p.Requests (the paper's set R_f).
-func (p *Problem) RequestsUsing(f VNFID) []RequestID {
-	var ids []RequestID
-	for _, r := range p.Requests {
-		if r.Uses(f) {
-			ids = append(ids, r.ID)
-		}
-	}
-	return ids
-}
-
 // TotalDemand returns Σ_f M_f·D_f, the aggregate resource footprint of every
 // VNF in the problem.
 func (p *Problem) TotalDemand() float64 {

@@ -177,27 +177,6 @@ func TestProblemLookups(t *testing.T) {
 	if _, ok := p.Node("nX"); ok {
 		t.Error("Node(nX) found")
 	}
-	if r, ok := p.Request("r3"); !ok || len(r.Chain) != 3 {
-		t.Errorf("Request(r3) = %+v, %v", r, ok)
-	}
-	if _, ok := p.Request("rX"); ok {
-		t.Error("Request(rX) found")
-	}
-}
-
-func TestProblemRequestsUsing(t *testing.T) {
-	p := testProblem()
-	got := p.RequestsUsing("fw")
-	if len(got) != 3 {
-		t.Fatalf("RequestsUsing(fw) = %v, want all 3", got)
-	}
-	got = p.RequestsUsing("ids")
-	if len(got) != 1 || got[0] != "r3" {
-		t.Errorf("RequestsUsing(ids) = %v, want [r3]", got)
-	}
-	if got := p.RequestsUsing("ghost"); got != nil {
-		t.Errorf("RequestsUsing(ghost) = %v, want nil", got)
-	}
 }
 
 func TestProblemTotals(t *testing.T) {

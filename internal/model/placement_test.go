@@ -118,11 +118,11 @@ func TestPlacementResourceOccupation(t *testing.T) {
 func TestPlacementNodeSpan(t *testing.T) {
 	p := testProblem()
 	pl := testPlacement()
-	r3, _ := p.Request("r3") // chain ids,fw,nat → nodes n2,n1,n1
+	r3 := p.Requests[2] // chain ids,fw,nat → nodes n2,n1,n1
 	if got := pl.NodeSpan(r3); got != 2 {
 		t.Errorf("NodeSpan(r3) = %d, want 2", got)
 	}
-	r2, _ := p.Request("r2") // chain fw → n1 only
+	r2 := p.Requests[1] // chain fw → n1 only
 	if got := pl.NodeSpan(r2); got != 1 {
 		t.Errorf("NodeSpan(r2) = %d, want 1", got)
 	}

@@ -154,22 +154,3 @@ func (s *Schedule) InstanceLoads(p *Problem, f VNFID) []float64 {
 	}
 	return loads
 }
-
-// RawInstanceLoads is like InstanceLoads but sums the external rates λ_r
-// without the 1/P_r retransmission inflation (the denominator of Eq. 11).
-func (s *Schedule) RawInstanceLoads(p *Problem, f VNFID) []float64 {
-	vnf, ok := p.VNF(f)
-	if !ok {
-		return nil
-	}
-	loads := make([]float64, vnf.Instances)
-	for _, r := range p.Requests {
-		if !r.Uses(f) {
-			continue
-		}
-		if k, assigned := s.Instance(r.ID, f); assigned && k >= 0 && k < len(loads) {
-			loads[k] += r.Rate
-		}
-	}
-	return loads
-}

@@ -144,18 +144,6 @@ func TestScheduleInstanceLoads(t *testing.T) {
 	}
 }
 
-func TestScheduleRawInstanceLoads(t *testing.T) {
-	p := testProblem()
-	s := testSchedule()
-	loads := s.RawInstanceLoads(p, "fw")
-	if !almostEqual(loads[0], 15, 1e-9) { // r1=10 + r3=5, no inflation
-		t.Errorf("raw loads[0] = %v, want 15", loads[0])
-	}
-	if !almostEqual(loads[1], 20, 1e-9) {
-		t.Errorf("raw loads[1] = %v, want 20", loads[1])
-	}
-}
-
 func TestScheduleClone(t *testing.T) {
 	s := testSchedule()
 	c := s.Clone()

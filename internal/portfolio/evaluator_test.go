@@ -60,7 +60,7 @@ func fullValue(c *compiled, cand *candidate) float64 {
 		epoch++
 		span := 0
 		for _, fid := range req.Chain {
-			f := c.vnfIndex[fid]
+			f, _ := c.ix.VNF(fid)
 			lat += w[f][cand.assign[f][item[f][req.ID]]]
 			n := cand.nodeOf[f]
 			if stamp[n] != epoch {

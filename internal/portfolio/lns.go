@@ -107,7 +107,8 @@ func (l *lns) closeNode(c *compiled, trial *candidate, r *rng.Stream) {
 	victim := used[r.IntN(len(used))]
 	if moves, ok := placement.PlanEvacuation(c.p, pl, victim); ok {
 		for fid, nid := range moves {
-			trial.nodeOf[c.vnfIndex[fid]] = c.nodeIndex[nid]
+			f, _ := c.ix.VNF(fid)
+			trial.nodeOf[f], _ = c.ix.Node(nid)
 		}
 	}
 }

@@ -128,14 +128,19 @@ const improveEps = 1e-12
 type compiled struct {
 	p   *model.Problem
 	obj Objective
+	// ix holds the problem's ordinals and chain layout. Each (request,
+	// chain position) term of the evaluator lives at its chain slot, and
+	// items[f] is built from R_f, so item i of VNF f belongs to request
+	// ix.Users(f)[i] and its term sits at slot ix.UserSlots(f)[i]. Validate
+	// rejects a VNF repeated within one chain, so each request appears at
+	// most once per VNF.
+	ix *model.Index
 
 	nodeIDs    []model.NodeID
-	nodeIndex  map[model.NodeID]int
 	cap        []float64
 	nodeExtras [][]float64
 
 	vnfIDs    []model.VNFID
-	vnfIndex  map[model.VNFID]int
 	demand    []float64   // TotalDemand per VNF
 	vnfExtras [][]float64 // TotalExtras per VNF
 	inst      []int       // M_f
@@ -144,12 +149,6 @@ type compiled struct {
 	items [][]scheduling.Item // per VNF, in ItemsFor order
 	rawW  [][]float64         // per VNF item: raw rate λ_r (items carry λ_r/P_r)
 
-	// reqsOf lists, per VNF, the requests whose chain contains it, indexed
-	// like items: ItemsFor walks requests in order and Validate rejects a
-	// VNF repeated within one chain, so item i belongs to request
-	// reqsOf[f][i] and each request appears at most once.
-	reqsOf [][]int
-
 	// movable lists VNF indices with ≥1 item and ≥2 instances — the ones
 	// scheduling moves can act on. demandOrder sorts VNF indices by total
 	// demand descending (ties by ID), the order every repair packs in.
@@ -157,15 +156,10 @@ type compiled struct {
 	demandOrder []int
 	dims        int
 
-	// The evaluator's flat layout. W(f,k) of every VNF lives in one slice
-	// of nInst entries, VNF f's row from woff[f]. Each (request, chain
-	// position) term has a slot, request r's from chainOff[r] in chain
-	// order (chainOff has one entry per request plus the end), and
-	// itemSlot[f][i] is the slot of item i of VNF f.
-	woff     []int
-	nInst    int
-	chainOff []int
-	itemSlot [][]int
+	// W(f,k) of every VNF lives in one slice of nInst entries, VNF f's row
+	// from woff[f].
+	woff  []int
+	nInst int
 
 	// The deterministic starting points, computed once on first use and
 	// shared by every solver on this compiled problem.
@@ -184,24 +178,22 @@ func compile(p *model.Problem, obj Objective) (*compiled, error) {
 		return nil, fmt.Errorf("portfolio: %w", err)
 	}
 	c := &compiled{
-		p:         p,
-		obj:       obj.withDefaults(),
-		nodeIndex: make(map[model.NodeID]int, len(p.Nodes)),
-		vnfIndex:  make(map[model.VNFID]int, len(p.VNFs)),
-		dims:      p.ExtraResources(),
+		p:    p,
+		obj:  obj.withDefaults(),
+		ix:   model.Compile(p),
+		dims: p.ExtraResources(),
 	}
-	for i, n := range p.Nodes {
+	for _, n := range p.Nodes {
 		c.nodeIDs = append(c.nodeIDs, n.ID)
-		c.nodeIndex[n.ID] = i
 		c.cap = append(c.cap, n.Capacity)
 		row := make([]float64, c.dims)
 		copy(row, n.Extras)
 		c.nodeExtras = append(c.nodeExtras, row)
 	}
-	itemPos := make([]map[model.RequestID]int, len(p.VNFs))
+	items := make([]scheduling.Item, c.ix.Slots())
+	raw := make([]float64, c.ix.Slots())
 	for i, f := range p.VNFs {
 		c.vnfIDs = append(c.vnfIDs, f.ID)
-		c.vnfIndex[f.ID] = i
 		c.demand = append(c.demand, f.TotalDemand())
 		row := make([]float64, c.dims)
 		copy(row, f.TotalExtras())
@@ -209,15 +201,17 @@ func compile(p *model.Problem, obj Objective) (*compiled, error) {
 		c.inst = append(c.inst, f.Instances)
 		c.mu = append(c.mu, f.ServiceRate)
 
-		items := scheduling.ItemsFor(p, f.ID)
-		c.items = append(c.items, items)
-		itemPos[i] = make(map[model.RequestID]int, len(items))
-		raw := make([]float64, len(items))
-		for j, it := range items {
-			itemPos[i][it.ID] = j
+		// R_f in request order is scheduling.ItemsFor's item order.
+		users := c.ix.Users(i)
+		fItems, fRaw := carve(&items, len(users)), carve(&raw, len(users))
+		for j, r := range users {
+			req := &p.Requests[r]
+			fItems[j] = scheduling.Item{ID: req.ID, Weight: req.EffectiveRate()}
+			fRaw[j] = req.Rate
 		}
-		c.rawW = append(c.rawW, raw)
-		if len(items) > 0 && f.Instances > 1 {
+		c.items = append(c.items, fItems)
+		c.rawW = append(c.rawW, fRaw)
+		if len(users) > 0 && f.Instances > 1 {
 			c.movable = append(c.movable, i)
 		}
 	}
@@ -225,25 +219,6 @@ func compile(p *model.Problem, obj Objective) (*compiled, error) {
 	for f, m := range c.inst {
 		c.woff[f] = c.nInst
 		c.nInst += m
-	}
-	nItems := totalItems(c.items)
-	ints := make([]int, 2*nItems)
-	c.reqsOf = make([][]int, len(c.items))
-	c.itemSlot = make([][]int, len(c.items))
-	for f, items := range c.items {
-		c.reqsOf[f] = carve(&ints, len(items))
-		c.itemSlot[f] = carve(&ints, len(items))
-	}
-	c.chainOff = make([]int, len(p.Requests)+1)
-	for ri, r := range p.Requests {
-		for j, fid := range r.Chain {
-			f := c.vnfIndex[fid]
-			i := itemPos[f][r.ID]
-			c.rawW[f][i] = r.Rate
-			c.reqsOf[f][i] = ri
-			c.itemSlot[f][i] = c.chainOff[ri] + j
-		}
-		c.chainOff[ri+1] = c.chainOff[ri] + len(r.Chain)
 	}
 	c.demandOrder = make([]int, len(p.VNFs))
 	for i := range c.demandOrder {
@@ -277,7 +252,7 @@ func (c *compiled) newCandidate() *candidate {
 // newRows allocates one assignment row per VNF, all in one buffer.
 func (c *compiled) newRows() [][]int {
 	rows := make([][]int, len(c.items))
-	buf := make([]int, totalItems(c.items))
+	buf := make([]int, c.ix.Slots())
 	for f := range c.items {
 		rows[f] = carve(&buf, len(c.items[f]))
 	}
@@ -329,7 +304,7 @@ func (c *compiled) fromPlacement(pl *model.Placement, nodeOf []int) error {
 		if !ok {
 			return fmt.Errorf("portfolio: vnf %s unplaced", fid)
 		}
-		n, ok := c.nodeIndex[nid]
+		n, ok := c.ix.Node(nid)
 		if !ok {
 			return fmt.Errorf("portfolio: vnf %s on unknown node %s", fid, nid)
 		}
@@ -356,7 +331,7 @@ func (c *compiled) fromSchedule(s *model.Schedule, assign [][]int) error {
 func (c *compiled) applyPlacement(pl *model.Placement, cand *candidate) {
 	for f, fid := range c.vnfIDs {
 		if nid, ok := pl.Node(fid); ok {
-			cand.nodeOf[f] = c.nodeIndex[nid]
+			cand.nodeOf[f], _ = c.ix.Node(nid)
 		}
 	}
 }
@@ -473,21 +448,13 @@ func carve[T any](buf *[]T, n int) []T {
 	return s
 }
 
-func totalItems(items [][]scheduling.Item) int {
-	n := 0
-	for _, it := range items {
-		n += len(it)
-	}
-	return n
-}
-
 func newEvaluator(c *compiled) *evaluator {
 	nV, nN, nR := len(c.vnfIDs), len(c.nodeIDs), len(c.p.Requests)
 	maxInst := 0
 	for _, m := range c.inst {
 		maxInst = max(maxInst, m)
 	}
-	nItems := totalItems(c.items)
+	nItems := c.ix.Slots()
 	ints := make([]int, nN+4*nV+4*nItems)
 	floats := make([]float64, 2*maxInst+2*c.nInst)
 	intRows := make([][]int, 2*nV)
@@ -546,8 +513,8 @@ func (e *evaluator) score(cand *candidate, lo, hi int) float64 {
 			j.nodes = append(j.nodes, f)
 			j.nodeOf[f], e.nodeOf[f] = e.nodeOf[f], n
 			e.moveVNF(f, n)
-			for _, r := range c.reqsOf[f] {
-				e.markReq(r, dirtySpan)
+			for _, r := range c.ix.Users(f) {
+				e.markReq(int(r), dirtySpan)
 			}
 		}
 		if !slices.Equal(cand.assign[f], e.assign[f]) {
@@ -596,7 +563,7 @@ func (e *evaluator) markReq(r int, dirty uint8) {
 // moveVNF records node n as the node of every chain position VNF f
 // serves.
 func (e *evaluator) moveVNF(f, n int) {
-	for _, s := range e.c.itemSlot[f] {
+	for _, s := range e.c.ix.UserSlots(f) {
 		e.node[s] = n
 	}
 }
@@ -634,14 +601,14 @@ func (e *evaluator) rescoreVNF(f int, next []int) {
 			w[k] = rho / ((1 - rho) * raw[k])
 		}
 	}
-	slots, reqs := c.itemSlot[f], c.reqsOf[f]
+	slots, reqs := c.ix.UserSlots(f), c.ix.Users(f)
 	for i, k := range asg {
 		if k != prev[i] {
 			e.slot[slots[i]] = lo + k
 		} else if math.Float64bits(w[k]) == math.Float64bits(prevW[k]) {
 			continue
 		}
-		e.markReq(reqs[i], dirtyWsum)
+		e.markReq(int(reqs[i]), dirtyWsum)
 	}
 }
 
@@ -650,7 +617,7 @@ func (e *evaluator) rescoreVNF(f int, next []int) {
 func (e *evaluator) rescoreRequest(r int) {
 	c := e.c
 	t := &e.req[r]
-	lo, hi := c.chainOff[r], c.chainOff[r+1]
+	lo, hi := c.ix.ChainSlots(r)
 	dirty := e.mark[r]
 	e.mark[r] = 0
 	if dirty&dirtyWsum != 0 {
@@ -695,7 +662,7 @@ func (e *evaluator) undo() {
 	for _, f := range j.rows {
 		lo := c.woff[f]
 		copy(e.w[lo:lo+c.inst[f]], j.w[lo:lo+c.inst[f]])
-		asg, slots := e.assign[f], c.itemSlot[f]
+		asg, slots := e.assign[f], c.ix.UserSlots(f)
 		for i, k := range j.assign[f] {
 			if asg[i] != k {
 				asg[i] = k

@@ -284,7 +284,8 @@ func (rc *RepairControl) MigrateInstance(f model.VNFID, k int, node model.NodeID
 	if !ok {
 		return fmt.Errorf("simulate: migrate: vnf %s has no live instance %d", f, k)
 	}
-	nid, ok := s.nodeIndex[node]
+	n, ok := s.ix.Node(node)
+	nid := int32(n)
 	if !ok {
 		return fmt.Errorf("simulate: migrate: unknown node %s", node)
 	}

@@ -130,11 +130,10 @@ func (a *agenda) push(e event) {
 }
 
 // pushStamped enqueues an event that already carries its (time, seq) stamp —
-// the streamed-trace replay path. A materialized trace replay pushes every
-// arrival at seed time, so trace arrivals hold the lowest sequence numbers
-// and win every time tie against in-run events; streamed replay reproduces
-// that exact pop order by stamping each trace row with its row index from a
-// band below the regular counter (see streamSeqBase). The event bypasses the
+// the trace replay path. Trace arrivals win every time tie against in-run
+// events and order among themselves by row, so replay stamps each trace row
+// with its row index from a band below the regular counter (see
+// streamSeqBase). The event bypasses the
 // due-now FIFO — its low seq would violate the FIFO's ascending-seq
 // invariant — and goes straight to the heap, whose pop tie-break against
 // the FIFO is exact. Unlike push, the cached head key update must be

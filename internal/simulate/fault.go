@@ -127,26 +127,21 @@ type nodeState struct {
 	instances []int32
 }
 
-// buildFaults prepares the node table, instance→node links, and the
-// request-index map used by RepairControl. Called from build only when a
-// FaultPlan is configured.
+// buildFaults prepares the node table, the instance→node links, and the
+// per-VNF instance counters of RepairControl.AddInstance. Called from build
+// only when a FaultPlan or a control hook is configured.
 func (s *simulation) buildFaults() error {
 	p := s.cfg.Problem
 	// Rebuild into the retained node table: slots up to the previous run's
 	// capacity keep their instances backing arrays, so churn-heavy sweeps
-	// stop re-allocating per-node state every trial. The maps were cleared
-	// (not dropped) by Reset.
+	// stop re-allocating per-node state every trial.
 	nodes := s.nodes[:cap(s.nodes)]
-	if s.nodeIndex == nil {
-		s.nodeIndex = make(map[model.NodeID]int32, len(p.Nodes))
-	}
 	for i, n := range p.Nodes {
 		if i < len(nodes) {
 			nodes[i] = nodeState{id: n.ID, instances: nodes[i].instances[:0]}
 		} else {
 			nodes = append(nodes, nodeState{id: n.ID})
 		}
-		s.nodeIndex[n.ID] = int32(i)
 	}
 	s.nodes = nodes[:len(p.Nodes)]
 	for iid := range s.instances {
@@ -155,27 +150,21 @@ func (s *simulation) buildFaults() error {
 		if !ok {
 			return fmt.Errorf("simulate: fault plan: vnf %s unplaced", inst.key.VNF)
 		}
-		nid := s.nodeIndex[node]
-		inst.node = nid
+		nid, _ := s.ix.Node(node)
+		inst.node = int32(nid)
 		s.nodes[nid].instances = append(s.nodes[nid].instances, int32(iid))
 	}
-	if s.reqIndex == nil {
-		s.reqIndex = make(map[model.RequestID]int32, len(s.requests))
-	}
-	for i, r := range s.requests {
-		s.reqIndex[r.ID] = int32(i)
-	}
-	if s.nextInst == nil {
-		s.nextInst = make(map[model.VNFID]int)
+	for _, f := range p.VNFs {
+		s.nextInst = append(s.nextInst, f.Instances)
 	}
 	return nil
 }
 
 // seedFaults schedules the first random failure of every node and the
 // deterministic outage list. Random fault chains alternate down/up events
-// (flagged random=1 in reqIndex) so each down draws its repair time and
-// each up draws the next failure; scheduled outages push both edges up
-// front.
+// (flagged random=1 in the event's reqIndex) so each down draws its repair
+// time and each up draws the next failure; scheduled outages push both
+// edges up front.
 func (s *simulation) seedFaults() {
 	fp := s.cfg.FaultPlan
 	if fp == nil {
@@ -195,9 +184,9 @@ func (s *simulation) seedFaults() {
 		if o.DownAt >= s.cfg.Horizon {
 			continue
 		}
-		nid := s.nodeIndex[o.Node]
-		s.agenda.push(event{time: o.DownAt, kind: evNodeDown, inst: nid})
-		s.agenda.push(event{time: o.UpAt, kind: evNodeUp, inst: nid})
+		nid, _ := s.ix.Node(o.Node)
+		s.agenda.push(event{time: o.DownAt, kind: evNodeDown, inst: int32(nid)})
+		s.agenda.push(event{time: o.UpAt, kind: evNodeUp, inst: int32(nid)})
 	}
 	if fp.Preemption != nil {
 		s.seedPreemption()
@@ -332,7 +321,7 @@ func (rc *RepairControl) Now() float64 { return rc.s.now }
 
 // NodeIsUp reports whether the named node is currently in service.
 func (rc *RepairControl) NodeIsUp(n model.NodeID) bool {
-	idx, ok := rc.s.nodeIndex[n]
+	idx, ok := rc.s.ix.Node(n)
 	return ok && rc.s.nodes[idx].downDepth == 0
 }
 
@@ -342,24 +331,22 @@ func (rc *RepairControl) NodeIsUp(n model.NodeID) bool {
 // It returns the new instance index, to be targeted with Reassign.
 func (rc *RepairControl) AddInstance(f model.VNFID, node model.NodeID, readyAt float64) (int, error) {
 	s := rc.s
-	vnf, ok := s.cfg.Problem.VNF(f)
+	fo, ok := s.ix.VNF(f)
 	if !ok {
 		return 0, fmt.Errorf("simulate: repair: unknown vnf %s", f)
 	}
-	nid, ok := s.nodeIndex[node]
+	n, ok := s.ix.Node(node)
 	if !ok {
 		return 0, fmt.Errorf("simulate: repair: unknown node %s", node)
 	}
+	nid := int32(n)
 	if math.IsNaN(readyAt) || math.IsInf(readyAt, 0) || readyAt < s.now {
 		return 0, fmt.Errorf("simulate: repair: ready time %v before now %v", readyAt, s.now)
 	}
-	k, ok := s.nextInst[f]
-	if !ok {
-		k = vnf.Instances
-	}
-	s.nextInst[f] = k + 1
+	k := s.nextInst[fo]
+	s.nextInst[fo]++
 	key := InstanceKey{VNF: f, Instance: k}
-	iid := s.addInstance(key, vnf.ServiceRate, s.serviceStream(f, k))
+	iid := s.addInstance(key, s.cfg.Problem.VNFs[fo].ServiceRate, s.serviceStream(f, k))
 	s.instIndex[key] = iid
 	inst := &s.instances[iid]
 	inst.node = nid
@@ -380,14 +367,15 @@ func (rc *RepairControl) AddInstance(f model.VNFID, node model.NodeID, readyAt f
 // hosting nodes.
 func (rc *RepairControl) Reassign(r model.RequestID, f model.VNFID, k int) error {
 	s := rc.s
-	ri, ok := s.reqIndex[r]
+	ri, ok := s.requestIndex(r)
 	if !ok {
 		return fmt.Errorf("simulate: repair: unknown request %s", r)
 	}
-	vnf, ok := s.cfg.Problem.VNF(f)
+	fo, ok := s.ix.VNF(f)
 	if !ok {
 		return fmt.Errorf("simulate: repair: unknown vnf %s", f)
 	}
+	vnf := &s.cfg.Problem.VNFs[fo]
 	key := InstanceKey{VNF: f, Instance: k}
 	iid, exists := s.instIndex[key]
 	if !exists {
@@ -401,7 +389,8 @@ func (rc *RepairControl) Reassign(r model.RequestID, f model.VNFID, k int) error
 		if !ok {
 			return fmt.Errorf("simulate: repair: vnf %s unplaced", f)
 		}
-		nid := s.nodeIndex[node]
+		n, _ := s.ix.Node(node)
+		nid := int32(n)
 		iid = s.addInstance(key, vnf.ServiceRate, s.serviceStream(f, k))
 		s.instIndex[key] = iid
 		s.instances[iid].node = nid

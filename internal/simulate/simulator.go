@@ -1,10 +1,12 @@
 package simulate
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"nfvchain/internal/model"
@@ -35,7 +37,7 @@ type ArrivalSource interface {
 }
 
 // TraceSource is a forward-only cursor over a time-ordered arrival trace —
-// the streaming counterpart of a materialized Config.Trace. NextArrival
+// the streaming counterpart of an in-memory Config.Trace. NextArrival
 // returns consecutive (time, request) rows in non-decreasing time order;
 // ok=false ends the trace, after which Err reports whether it ended cleanly
 // or on a malformed row. workload.TraceStream (a CSV cursor) and
@@ -79,14 +81,14 @@ type Config struct {
 	RetransmitDelay float64
 
 	// Trace optionally replays recorded external arrivals instead of
-	// generating Poisson arrivals online. Every arrival is materialized into
-	// the agenda at seeding time — O(total arrivals) memory; prefer
-	// TraceStream for large traces. Mutually exclusive with TraceStream and
-	// Sources.
+	// generating Poisson arrivals online. It is replayed like TraceStream,
+	// its rows walked in stable time order, so a trace that is not sorted
+	// replays in (time, row) order; a row at a negative or NaN time fails
+	// the run. Mutually exclusive with TraceStream and Sources.
 	Trace *workload.Trace
 
 	// TraceStream replays external arrivals from a forward-only cursor
-	// instead of a materialized Trace: exactly one trace arrival is pending
+	// instead of an in-memory Trace: exactly one trace arrival is pending
 	// at any moment, so a 10M-row trace runs in constant memory. Replay is
 	// bit-identical to handing the same (time-ordered) trace to Trace. Rows
 	// naming unknown or inject-only requests are skipped; rows at or past
@@ -420,6 +422,8 @@ type simulation struct {
 	now     float64
 	results *Results
 
+	// requests holds the admitted requests, those the schedule serves, in
+	// problem order.
 	requests []model.Request
 	// instances is the flat instance table; instIndex resolves keys to
 	// table indices during build.
@@ -453,10 +457,8 @@ type simulation struct {
 	hasStaged bool
 
 	// injectOnly[i] marks request i as externally driven (Config.InjectOnly):
-	// seedArrivals generates no traffic for it. injectIndex resolves request
-	// IDs for Simulator.Inject, built lazily on first use.
-	injectOnly  []bool
-	injectIndex map[model.RequestID]int32
+	// seedArrivals generates no traffic for it.
+	injectOnly []bool
 
 	// sources[i] is request i's arrival process: the caller's override from
 	// Config.Sources, or a pointer into the poisson arena — the flat-Poisson
@@ -465,10 +467,10 @@ type simulation struct {
 	sources []ArrivalSource
 	poisson []poissonSource
 
-	// Streamed-trace state (Config.TraceStream): streamRow stamps each
-	// admitted row with its position in the low sequence band (see
-	// streamSeqBase), streamErr latches the first cursor failure — the
-	// stream stops pulling and Run/Finalize surface it after the drain.
+	// Trace replay state (see trace below): streamRow stamps each admitted
+	// row with its position in the low sequence band (see streamSeqBase),
+	// streamErr latches the first cursor failure — the stream stops pulling
+	// and Run/Finalize surface it after the drain.
 	streamRow uint64
 	streamErr error
 
@@ -479,12 +481,10 @@ type simulation struct {
 	packetFree []int32
 
 	// Fault state, populated only when cfg.FaultPlan != nil (see fault.go).
-	nodes     []nodeState
-	nodeIndex map[model.NodeID]int32
-	reqIndex  map[model.RequestID]int32
-	// nextInst tracks the next free instance index per VNF for
+	nodes []nodeState
+	// nextInst tracks, per VNF ordinal, the next free instance index for
 	// RepairControl.AddInstance (base indices [0, M_f) are reserved).
-	nextInst map[model.VNFID]int
+	nextInst []int
 
 	// Control-plane state, inert unless cfg.Control is set (ctrlOn) or a
 	// hook enables shedding. lastTick anchors the per-tick observation
@@ -514,6 +514,18 @@ type simulation struct {
 	// allocate.
 	streams  map[string]*rng.Stream
 	labelBuf []byte
+
+	// ix is the problem's ordinal layout, rebuilt in place by Reset.
+	// admitted maps a problem ordinal to its admitted ordinal, the index of
+	// every per-request table above, or −1; tables is the one allocation
+	// behind admitted, chainOff and routeFlat. trace is the cursor being
+	// replayed, Config.TraceStream or traceRows over Config.Trace (nil
+	// without trace replay).
+	ix        model.Index
+	admitted  []int32
+	tables    []int32
+	trace     TraceSource
+	traceRows sliceCursor
 }
 
 // poissonSource is the default ArrivalSource: the flat-Poisson process of
@@ -729,8 +741,6 @@ func (sim *Simulator) Reset(cfg Config) error {
 	s.packets = s.packets[:0]
 	s.packetFree = s.packetFree[:0]
 	s.requests = s.requests[:0]
-	s.chainOff = s.chainOff[:0]
-	s.routeFlat = s.routeFlat[:0]
 	s.hopFlat = s.hopFlat[:0]
 	s.arrivalStreams = s.arrivalStreams[:0]
 	s.deliveryStreams = s.deliveryStreams[:0]
@@ -738,24 +748,18 @@ func (sim *Simulator) Reset(cfg Config) error {
 	s.injectOnly = s.injectOnly[:0]
 	s.sources = s.sources[:0]
 	s.poisson = s.poisson[:0]
+	s.trace = cfg.TraceStream
+	if cfg.Trace != nil {
+		s.traceRows.reset(cfg.Trace.Arrivals)
+		s.trace = &s.traceRows
+	}
 	s.streamRow = 0
 	s.streamErr = nil
-	if s.injectIndex != nil {
-		clear(s.injectIndex)
-	}
 	// Fault state is truncated, not dropped: buildFaults recycles the node
-	// table (and each node's instances slice) and the maps below, so
-	// failure-churn sweeps reuse memory like the packet arena does.
+	// table (and each node's instances slice), so failure-churn sweeps
+	// reuse memory like the packet arena does.
 	s.nodes = s.nodes[:0]
-	if s.nodeIndex != nil {
-		clear(s.nodeIndex)
-	}
-	if s.reqIndex != nil {
-		clear(s.reqIndex)
-	}
-	if s.nextInst != nil {
-		clear(s.nextInst)
-	}
+	s.nextInst = s.nextInst[:0]
 	s.resetResults()
 	if err := s.build(); err != nil {
 		return err
@@ -952,7 +956,7 @@ func (sim *Simulator) Inject(at, birth float64, id model.RequestID) (bool, error
 	}
 	s := &sim.s
 	s.start()
-	ri, ok := s.requestIndexOf(id)
+	ri, ok := s.requestIndex(id)
 	if !ok {
 		return false, fmt.Errorf("simulate: Inject: request %q is not scheduled in this simulation", id)
 	}
@@ -997,7 +1001,7 @@ func (sim *Simulator) CanServe(id model.RequestID) bool {
 	if !sim.ready {
 		return false
 	}
-	_, ok := sim.s.requestIndexOf(id)
+	_, ok := sim.s.requestIndex(id)
 	return ok
 }
 
@@ -1012,9 +1016,8 @@ func (sim *Simulator) PendingPackets() int {
 // any staged peeked event), seeding the run first if no primitive has. It is
 // the observable behind the streaming-memory guarantee: immediately after
 // Reset, a flat-Poisson run holds one evSource per live source and a
-// streamed-trace run holds exactly one evStream — independent of how many
-// arrivals the trace or the sources will eventually deliver — whereas a
-// materialized Trace run holds every admitted trace arrival.
+// trace-replay run holds exactly one evStream — independent of how many
+// arrivals the trace or the sources will eventually deliver.
 func (sim *Simulator) PendingEvents() int {
 	if !sim.ready {
 		return 0
@@ -1028,20 +1031,14 @@ func (sim *Simulator) PendingEvents() int {
 	return n
 }
 
-// requestIndexOf resolves a request ID to its index, building the lookup
-// lazily on first use (pure Run/Reset cycles never pay for it).
-func (s *simulation) requestIndexOf(id model.RequestID) (int32, bool) {
-	if s.injectIndex == nil {
-		s.injectIndex = make(map[model.RequestID]int32, len(s.requests))
+// requestIndex resolves a request ID to its admitted ordinal; ok is false
+// for a request the problem does not define or the schedule does not serve.
+func (s *simulation) requestIndex(id model.RequestID) (int32, bool) {
+	r, ok := s.ix.Request(id)
+	if !ok || s.admitted[r] < 0 {
+		return -1, false
 	}
-	if len(s.injectIndex) != len(s.requests) {
-		clear(s.injectIndex)
-		for i := range s.requests {
-			s.injectIndex[s.requests[i].ID] = int32(i)
-		}
-	}
-	ri, ok := s.injectIndex[id]
-	return ri, ok
+	return s.admitted[r], true
 }
 
 // start seeds the initial arrivals and faults exactly once per Reset; every
@@ -1146,38 +1143,40 @@ func (s *simulation) build() error {
 	} else {
 		clear(s.instIndex)
 	}
-	for _, r := range p.Requests {
+	s.ix.Rebuild(p)
+	// At most every request is admitted, and the admitted chains fill at
+	// most every slot of the index.
+	nR, slots := len(p.Requests), s.ix.Slots()
+	s.tables = slices.Grow(s.tables[:0], 2*nR+slots)
+	s.admitted = s.tables[:0:nR]
+	s.chainOff = s.tables[nR : nR : 2*nR]
+	s.routeFlat = s.tables[2*nR : 2*nR : 2*nR+slots]
+	s.hopFlat = slices.Grow(s.hopFlat, slots)
+	for ri := range p.Requests {
+		r := &p.Requests[ri]
 		// Skip requests the admission controller removed from the schedule.
 		if len(s.cfg.Schedule.InstanceOf[r.ID]) == 0 {
+			s.admitted = append(s.admitted, -1)
 			continue
 		}
-		s.requests = append(s.requests, r)
+		s.admitted = append(s.admitted, int32(len(s.requests)))
+		s.requests = append(s.requests, *r)
 		s.injectOnly = append(s.injectOnly, false)
-	}
-	for _, id := range s.cfg.InjectOnly {
-		for i := range s.requests {
-			if s.requests[i].ID == id {
-				s.injectOnly[i] = true
-			}
-		}
-	}
-
-	for _, r := range s.requests {
 		s.arrivalStreams = append(s.arrivalStreams, s.namedStream("arrivals/", string(r.ID)))
 		s.deliveryStreams = append(s.deliveryStreams, s.namedStream("delivery/", string(r.ID)))
 		s.chainOff = append(s.chainOff, int32(len(s.routeFlat)))
 		s.perReq = append(s.perReq, stats.Summary{})
 		var prevNode model.NodeID
-		for stage, fid := range r.Chain {
+		for stage, f := range s.ix.Chain(ri) {
+			fid := r.Chain[stage]
 			k, ok := s.cfg.Schedule.Instance(r.ID, fid)
 			if !ok {
 				return fmt.Errorf("simulate: request %s unassigned at vnf %s", r.ID, fid)
 			}
-			f, _ := p.VNF(fid)
 			key := InstanceKey{VNF: fid, Instance: k}
 			iid, exists := s.instIndex[key]
 			if !exists {
-				iid = s.addInstance(key, f.ServiceRate, s.serviceStream(fid, k))
+				iid = s.addInstance(key, p.VNFs[f].ServiceRate, s.serviceStream(fid, k))
 				s.instIndex[key] = iid
 			}
 			hop := 0.0
@@ -1190,6 +1189,11 @@ func (s *simulation) build() error {
 			}
 			s.routeFlat = append(s.routeFlat, iid)
 			s.hopFlat = append(s.hopFlat, hop)
+		}
+	}
+	for _, id := range s.cfg.InjectOnly {
+		if i, ok := s.requestIndex(id); ok {
+			s.injectOnly[i] = true
 		}
 	}
 	// Arrival sources: the caller's override where one exists, otherwise a
@@ -1247,46 +1251,22 @@ func (s *simulation) presizeSamples() {
 	}
 }
 
-// streamSeqBase is where the regular sequence counter starts on a streamed-
-// trace run. Materialized replay pushes every trace arrival at seed time, so
-// trace arrivals occupy the lowest sequence numbers and win every time tie
-// against in-run events while ordering among themselves by row position;
-// streamed replay reproduces that exact pop order by stamping admitted rows
-// with their row index from the band [1, streamSeqBase] and starting the
-// in-run counter above it. 2^48 rows dwarfs any replayable trace, and the
-// in-run counter keeps 2^64−2^48 values of headroom. Sequence values are
-// unobservable — only pop order matters — so raising the base is invisible
-// to every measurement.
+// streamSeqBase is where the regular sequence counter starts on a
+// trace-replay run. Trace arrivals pop in (time, row) order and win every
+// time tie against in-run events: replay stamps each admitted row with its
+// position from the band [1, streamSeqBase] and starts the in-run counter
+// above it. 2^48 rows dwarfs any replayable trace, and the in-run counter
+// keeps 2^64−2^48 values of headroom. Sequence values are unobservable —
+// only pop order matters — so raising the base is invisible to every
+// measurement.
 const streamSeqBase = 1 << 48
 
-// seedArrivals schedules the first external arrival of every request, pushes
-// the whole materialized trace, or stages the first streamed-trace row.
+// seedArrivals schedules the first external arrival of every request, or
+// stages the first trace row.
 func (s *simulation) seedArrivals() {
-	if s.cfg.TraceStream != nil {
+	if s.trace != nil {
 		s.agenda.startSeqAt(streamSeqBase)
 		s.scheduleNextStream()
-		return
-	}
-	if s.cfg.Trace != nil {
-		index := make(map[model.RequestID]int32, len(s.requests))
-		for i, r := range s.requests {
-			index[r.ID] = int32(i)
-		}
-		for _, a := range s.cfg.Trace.Arrivals {
-			i, ok := index[a.Request]
-			if !ok || a.Time >= s.cfg.Horizon || s.injectOnly[i] {
-				continue
-			}
-			s.results.Generated++
-			s.live++
-			pid := s.newPacket(i, a.Time)
-			s.agenda.push(event{
-				time: a.Time,
-				kind: evArrival,
-				pkt:  pid,
-				inst: s.routeFlat[s.chainOff[i]],
-			})
-		}
 		return
 	}
 	for i := range s.requests {
@@ -1296,6 +1276,30 @@ func (s *simulation) seedArrivals() {
 		s.scheduleNextSource(int32(i), 0)
 	}
 }
+
+// sliceCursor is the TraceSource behind Config.Trace: it walks a copy of
+// the trace's rows sorted stably by time, so a hand-built trace that is not
+// sorted replays in (time, row) order.
+type sliceCursor struct {
+	rows []workload.Arrival
+	next int
+}
+
+// reset points the cursor at arrivals, reusing its row buffer.
+func (c *sliceCursor) reset(arrivals []workload.Arrival) {
+	c.rows, c.next = append(c.rows[:0], arrivals...), 0
+	slices.SortStableFunc(c.rows, func(a, b workload.Arrival) int { return cmp.Compare(a.Time, b.Time) })
+}
+
+func (c *sliceCursor) NextArrival() (float64, model.RequestID, bool) {
+	if c.next >= len(c.rows) {
+		return 0, "", false
+	}
+	c.next++
+	return c.rows[c.next-1].Time, c.rows[c.next-1].Request, true
+}
+
+func (c *sliceCursor) Err() error { return nil }
 
 // scheduleNextSource pulls request i's next external arrival after t from
 // its arrival source and stages it as the request's single pending evSource.
@@ -1317,16 +1321,16 @@ func (s *simulation) scheduleNextSource(i int32, t float64) {
 	s.agenda.push(event{time: next, kind: evSource, reqIndex: i})
 }
 
-// scheduleNextStream pulls trace rows from the streamed cursor until one is
+// scheduleNextStream pulls trace rows from the cursor until one is
 // admissible — a scheduled, non-inject-only request arriving before the
 // horizon — and stages it as a stamped evStream event carrying its row-band
 // sequence number, so exactly one trace arrival is ever pending. The first
 // row at or past the horizon ends the replay (rows are time-ordered, so
-// everything after it is cut off too, exactly like materialized seeding
-// skipping those rows). A malformed or out-of-order row latches streamErr,
-// stops the stream, and fails the run once the agenda drains.
+// everything after it is cut off too). A malformed or out-of-order row — a
+// Config.Trace row at a negative or NaN time among them — latches
+// streamErr, stops the stream, and fails the run once the agenda drains.
 func (s *simulation) scheduleNextStream() {
-	ts := s.cfg.TraceStream
+	ts := s.trace
 	for {
 		t, id, ok := ts.NextArrival()
 		if !ok {
@@ -1342,7 +1346,7 @@ func (s *simulation) scheduleNextStream() {
 		if t >= s.cfg.Horizon {
 			return
 		}
-		i, known := s.requestIndexOf(id)
+		i, known := s.requestIndex(id)
 		if !known || s.injectOnly[i] {
 			continue
 		}
@@ -1403,14 +1407,9 @@ func (s *simulation) dispatch(e event) {
 	case evPreemptNotice:
 		s.preemptNotice()
 	case evStream:
-		// A streamed trace arrival: admit the packet exactly as a
-		// materialized replay dispatches its seeded evArrival — same time,
-		// same (row-band) sequence position, no admission shed (seeded trace
-		// arrivals never consult the shed either) — then pull the next row.
-		// Packet arena indices differ from the materialized run (packets are
-		// born lazily and recycled instead of all at seed time), but indices
-		// influence no ordering or measurement, which is what keeps the two
-		// replays fingerprint-identical while this one holds O(live) packets.
+		// A trace arrival: admit the packet at its row's time and (row-band)
+		// sequence position, never shed — trace arrivals bypass admission
+		// shedding — then pull the next row.
 		i := e.reqIndex
 		s.results.Generated++
 		s.live++

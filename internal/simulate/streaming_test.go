@@ -11,26 +11,16 @@ import (
 	"nfvchain/internal/workload"
 )
 
-// sliceCursor replays a materialized arrival slice through the TraceSource
-// interface — the minimal in-memory streamed counterpart of Config.Trace.
-type sliceCursor struct {
-	arrivals []workload.Arrival
-	i        int
+// newSliceCursor streams an in-memory trace through the TraceSource
+// interface, the cursor Config.Trace replays through.
+func newSliceCursor(arrivals []workload.Arrival) *sliceCursor {
+	c := new(sliceCursor)
+	c.reset(arrivals)
+	return c
 }
-
-func (c *sliceCursor) NextArrival() (float64, model.RequestID, bool) {
-	if c.i >= len(c.arrivals) {
-		return 0, "", false
-	}
-	a := c.arrivals[c.i]
-	c.i++
-	return a.Time, a.Request, true
-}
-
-func (c *sliceCursor) Err() error { return nil }
 
 // streamFixture solves the default generated workload and samples a trace —
-// the shared fixture of the streamed-vs-materialized differentials.
+// the shared fixture of the trace replay tests.
 func streamFixture(t *testing.T) (*model.Problem, *model.Schedule, *workload.Trace) {
 	t.Helper()
 	wcfg := workload.DefaultConfig()
@@ -51,9 +41,17 @@ func streamFixture(t *testing.T) (*model.Problem, *model.Schedule, *workload.Tra
 	return p, sched, tr
 }
 
-// TestStreamReplayMatchesMaterialized pins the tentpole identity: replaying a
-// trace through the streaming cursor is bit-identical to materializing it
-// into Config.Trace.
+// Fingerprints of replaying streamFixture's trace, and unsortedTrace of it,
+// through Config.Trace, recorded when Config.Trace was still materialized
+// into the agenda at seeding time. Every replay path must keep them.
+const (
+	goldenTraceReplay    = 0x28938ab6f8d34ac8
+	goldenUnsortedReplay = 0x4f9b8e217f70a634
+)
+
+// TestStreamReplayMatchesMaterialized pins the replay identity: a trace
+// replayed through Config.Trace and through a streaming cursor both match
+// the fingerprint of the materialized replay the simulator once had.
 func TestStreamReplayMatchesMaterialized(t *testing.T) {
 	p, sched, tr := streamFixture(t)
 	// The subtest is named for the agenda it runs on, the heap.
@@ -66,23 +64,73 @@ func TestStreamReplayMatchesMaterialized(t *testing.T) {
 			t.Fatal(err)
 		}
 		str := base
-		str.TraceStream = &sliceCursor{arrivals: tr.Arrivals}
+		str.TraceStream = newSliceCursor(tr.Arrivals)
 		resS, err := Run(str)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fm, fs := fingerprintResults(resM), fingerprintResults(resS); fm != fs {
-			t.Errorf("streamed replay fingerprint %#x != materialized %#x", fs, fm)
+		if fm := fingerprintResults(resM); fm != goldenTraceReplay {
+			t.Errorf("Config.Trace fingerprint %#x != golden %#x", fm, uint64(goldenTraceReplay))
+		}
+		if fs := fingerprintResults(resS); fs != goldenTraceReplay {
+			t.Errorf("streamed replay fingerprint %#x != golden %#x", fs, uint64(goldenTraceReplay))
 		}
 		if resM.Generated != resS.Generated {
-			t.Errorf("generated: streamed %d != materialized %d", resS.Generated, resM.Generated)
+			t.Errorf("generated: streamed %d != Config.Trace %d", resS.Generated, resM.Generated)
 		}
 	})
 }
 
+// unsortedTrace hand-builds a trace that is not in time order from tr: rows
+// reversed in blocks of seven, every fifth row duplicated at the same time
+// for the next request (an exact tie), and rows for an unknown request and
+// past the horizon mixed in. Replay pops it in (time, row) order.
+func unsortedTrace(tr *workload.Trace) *workload.Trace {
+	src := tr.Arrivals
+	out := &workload.Trace{Horizon: tr.Horizon}
+	for lo := 0; lo < len(src); lo += 7 {
+		hi := min(lo+7, len(src))
+		for i := hi - 1; i >= lo; i-- {
+			a := src[i]
+			out.Arrivals = append(out.Arrivals, a)
+			if i%5 == 0 {
+				tie := src[(i+1)%len(src)]
+				out.Arrivals = append(out.Arrivals, workload.Arrival{Time: a.Time, Request: tie.Request})
+			}
+			if i%97 == 0 {
+				out.Arrivals = append(out.Arrivals,
+					workload.Arrival{Time: a.Time, Request: "ghost"},
+					workload.Arrival{Time: tr.Horizon + a.Time, Request: a.Request})
+			}
+		}
+	}
+	return out
+}
+
+// TestUnsortedTraceReplay replays a hand-built trace that is not sorted
+// through Config.Trace: the rows pop in (time, row) order, as they did when
+// the trace was materialized into the agenda, and a row at a negative time
+// fails the run instead of running the clock backwards.
+func TestUnsortedTraceReplay(t *testing.T) {
+	p, sched, tr := streamFixture(t)
+	u := unsortedTrace(tr)
+	cfg := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7, Trace: u}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprintResults(res); got != goldenUnsortedReplay {
+		t.Errorf("unsorted trace fingerprint %#x != golden %#x", got, uint64(goldenUnsortedReplay))
+	}
+	cfg.Trace = &workload.Trace{Horizon: 20, Arrivals: append([]workload.Arrival{{Time: -1, Request: p.Requests[0].ID}}, u.Arrivals...)}
+	if _, err := Run(cfg); err == nil {
+		t.Error("trace row at a negative time accepted")
+	}
+}
+
 // TestStreamReplayFromCSV closes the loop through the file format: a CSV
 // written by the trace is replayed via workload.TraceStream and must match
-// the materialized run bit for bit.
+// the Config.Trace replay bit for bit.
 func TestStreamReplayFromCSV(t *testing.T) {
 	p, sched, tr := streamFixture(t)
 	var buf bytes.Buffer
@@ -107,7 +155,7 @@ func TestStreamReplayFromCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fm, fs := fingerprintResults(resM), fingerprintResults(resS); fm != fs {
-		t.Errorf("CSV-streamed fingerprint %#x != materialized %#x", fs, fm)
+		t.Errorf("CSV-streamed fingerprint %#x != Config.Trace %#x", fs, fm)
 	}
 }
 
@@ -163,7 +211,8 @@ func (c *syntheticCursor) Err() error { return nil }
 
 // TestStreamPendingEventsConstant is the acceptance-scale check: a streamed
 // replay of 1M arrivals stages exactly one arrival event at t=0 — the live
-// cursor count, not the arrival count — and still generates every packet.
+// cursor count, not the arrival count — and still generates every packet;
+// an in-memory Config.Trace stages one too.
 func TestStreamPendingEventsConstant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-arrival replay")
@@ -188,8 +237,7 @@ func TestStreamPendingEventsConstant(t *testing.T) {
 		t.Fatalf("generated %d of %d streamed arrivals", res.Generated, n)
 	}
 
-	// Materialized contrast: the same replay through Config.Trace stages
-	// every arrival up front.
+	// The same replay through Config.Trace stages one arrival too.
 	const small = 1000
 	tr := &workload.Trace{Horizon: 30}
 	for i := 1; i <= small; i++ {
@@ -199,8 +247,8 @@ func TestStreamPendingEventsConstant(t *testing.T) {
 	if err := simM.Reset(Config{Problem: prob, Schedule: sched, Horizon: 60, Seed: 5, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
-	if got := simM.PendingEvents(); got != small {
-		t.Fatalf("materialized pending events at t=0 = %d, want %d (every arrival staged)", got, small)
+	if got := simM.PendingEvents(); got != 1 {
+		t.Fatalf("Config.Trace pending events at t=0 = %d, want 1 (one live cursor)", got)
 	}
 }
 
@@ -238,7 +286,7 @@ func TestStreamConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := func() TraceSource { return &sliceCursor{arrivals: tr.Arrivals} }
+	cur := func() TraceSource { return newSliceCursor(tr.Arrivals) }
 	srcs := map[model.RequestID]ArrivalSource{
 		prob.Requests[0].ID: workload.NewPoisson(50, rng.Derive(1, "x")),
 	}

@@ -149,8 +149,9 @@ func TestGenerateInstanceSizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range p.VNFs {
-		users := len(p.RequestsUsing(f.ID))
+	ix := model.Compile(p)
+	for fi, f := range p.VNFs {
+		users := len(ix.Users(fi))
 		if users == 0 {
 			if f.Instances != 1 {
 				t.Errorf("unused vnf %s has %d instances", f.ID, f.Instances)
@@ -176,11 +177,11 @@ func TestGenerateStabilityHeadroom(t *testing.T) {
 	}
 	// A perfectly balanced split must be stable: Σ effective rates over
 	// M_f·µ_f below 1.
-	for _, f := range p.VNFs {
+	ix := model.Compile(p)
+	for fi, f := range p.VNFs {
 		var sum float64
-		for _, rid := range p.RequestsUsing(f.ID) {
-			r, _ := p.Request(rid)
-			sum += r.EffectiveRate()
+		for _, r := range ix.Users(fi) {
+			sum += p.Requests[r].EffectiveRate()
 		}
 		if sum >= float64(f.Instances)*f.ServiceRate {
 			t.Errorf("vnf %s: aggregate load %v >= capacity %v", f.ID, sum, float64(f.Instances)*f.ServiceRate)
