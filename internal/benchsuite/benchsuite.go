@@ -73,6 +73,7 @@ func Scenarios() []Scenario {
 		partition("CKK", scheduling.CKK{MaxNodes: 20_000}, 40, 4),
 		Scenario{"Portfolio/anytime-race", portfolioAnytimeRace},
 		Scenario{"Portfolio/race-paper", portfolioRacePaper},
+		Scenario{"Portfolio/pso-paper", portfolioPSOPaper},
 		Scenario{"Codec/solution-encode", codecSolutionEncode},
 		Scenario{"Codec/solution-decode", codecSolutionDecode},
 		Scenario{"Codec/results-encode", codecResultsEncode},
@@ -657,6 +658,24 @@ func portfolioRacePaper(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := core.SolveRace(context.Background(), prob, core.RaceOptions{
 			Portfolio: portfolio.DefaultPortfolio(),
+			Workers:   1,
+			Seed:      1,
+			LinkDelay: 0.001,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// portfolioPSOPaper races PSO alone at its default budget on the
+// Portfolio/race-paper problem: the particle swarm's own number, its
+// decode, placement memo and placement-only scoring, inside the race.
+func portfolioPSOPaper(b *testing.B) {
+	prob := placementInstance(b, 15, 200, 10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := core.SolveRace(context.Background(), prob, core.RaceOptions{
+			Portfolio: []string{"pso"},
 			Workers:   1,
 			Seed:      1,
 			LinkDelay: 0.001,

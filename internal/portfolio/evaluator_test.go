@@ -103,22 +103,31 @@ func extrasProblem(tb testing.TB) *model.Problem {
 	return p
 }
 
+// evaluatorFixture is one named problem the evaluator and PSO tests run on.
+type evaluatorFixture struct {
+	name string
+	p    *model.Problem
+}
+
+// evaluatorFixtures are the evaluator tests' problems: a small generated
+// one, a §V-A paper instance, and one with extra resource dimensions.
+func evaluatorFixtures(tb testing.TB) []evaluatorFixture {
+	return []evaluatorFixture{
+		{"8x40x6", testProblem(tb, 8, 40, 6, 11)},
+		{"paper-15x200x10-load0.6", paperProblem(tb, 5, 0.6)},
+		{"extras-7x35x6", extrasProblem(tb)},
+	}
+}
+
 // TestEvaluatorIncrementalMatchesFull drives one evaluator through every
 // kind of candidate change the solvers make — SA moves scored move-aware
 // (valueAt with the touched VNF) with revert and undo, LNS destroy/repair
-// trials, PSO decodes, polish, and alternation between two candidates and
-// between move-aware and full-diff calls — and requires each incremental
-// value to equal fullValue exactly (== on float64, not a tolerance).
+// trials, polish, PSO decodes scored placement-only, and alternation
+// between two candidates and between move-aware and full-diff calls — and
+// requires each incremental value to equal fullValue exactly (== on
+// float64, not a tolerance).
 func TestEvaluatorIncrementalMatchesFull(t *testing.T) {
-	problems := []struct {
-		name string
-		p    *model.Problem
-	}{
-		{"8x40x6", testProblem(t, 8, 40, 6, 11)},
-		{"paper-15x200x10-load0.6", paperProblem(t, 5, 0.6)},
-		{"extras-7x35x6", extrasProblem(t)},
-	}
-	for _, pr := range problems {
+	for _, pr := range evaluatorFixtures(t) {
 		t.Run(pr.name, func(t *testing.T) {
 			c, err := compile(pr.p, DefaultObjective())
 			if err != nil {
@@ -260,8 +269,9 @@ func TestEvaluatorIncrementalMatchesFull(t *testing.T) {
 				check("post-polish", cand)
 			}
 
-			// PSO: random score vectors decoded onto a fixed assignment.
-			s := &pso{}
+			// PSO: random score vectors decoded onto the snapshot's
+			// assignment, scored placement-only.
+			dec := newDecoder(c)
 			nN := len(c.nodeIDs)
 			x := make([]float64, len(c.vnfIDs)*nN)
 			decoded := make([]int, len(c.vnfIDs))
@@ -274,11 +284,11 @@ func TestEvaluatorIncrementalMatchesFull(t *testing.T) {
 						x[f*nN+n] += 1
 					}
 				}
-				if !s.decode(c, x, decoded) {
+				if !dec.decode(x, decoded) {
 					continue
 				}
 				copy(cand.nodeOf, decoded)
-				check("pso decode", cand)
+				verify("pso decode", cand, ev.valuePlacement(cand))
 			}
 		})
 	}

@@ -38,18 +38,26 @@ func trajectoryHash(tb testing.TB, spec Spec, p *model.Problem, seed uint64) uin
 	if err != nil {
 		tb.Fatalf("Build(%s): %v", spec.Name, err)
 	}
+	return runHash(tb, func(report func(Incumbent)) (*Solution, error) {
+		return solver.Solve(context.Background(), p, report)
+	})
+}
+
+// runHash is trajectoryHash of one run of solve.
+func runHash(tb testing.TB, solve func(report func(Incumbent)) (*Solution, error)) uint64 {
+	tb.Helper()
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	sol, err := solver.Solve(context.Background(), p, func(inc Incumbent) {
+	sol, err := solve(func(inc Incumbent) {
 		put(uint64(inc.Iteration))
 		put(math.Float64bits(inc.Objective))
 	})
 	if err != nil {
-		tb.Fatalf("Solve(%s): %v", spec.Name, err)
+		tb.Fatalf("solve: %v", err)
 	}
 	put(math.Float64bits(sol.Objective))
 	return h.Sum64()

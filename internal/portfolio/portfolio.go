@@ -495,16 +495,29 @@ func newEvaluator(c *compiled) *evaluator {
 // service) + LatencyWeight·(mean Eq. 16 latency), with UnstablePenalty
 // standing in for Eq. 11 on overloaded instances. cand becomes the
 // snapshot the next call is diffed against.
-func (e *evaluator) value(cand *candidate) float64 { return e.score(cand, 0, len(e.nodeOf)) }
+func (e *evaluator) value(cand *candidate) float64 { return e.score(cand, 0, len(e.nodeOf), true) }
 
 // valueAt is value for a candidate that differs from the snapshot in VNF f
 // alone — its node, its assignment row, or both — as after one SA move on
 // the last scored candidate. It diffs only VNF f.
-func (e *evaluator) valueAt(cand *candidate, f int) float64 { return e.score(cand, f, f+1) }
+func (e *evaluator) valueAt(cand *candidate, f int) float64 { return e.score(cand, f, f+1, true) }
+
+// valuePlacement is value for a candidate whose assignment rows equal the
+// snapshot's, as in PSO, which fixes the assignment for a whole run: it
+// diffs the placement alone. The snapshot holds no assignment until a full
+// scoring installs one (its nodes are −1 until then), so before that it is
+// value.
+func (e *evaluator) valuePlacement(cand *candidate) float64 {
+	if len(e.nodeOf) == 0 || e.nodeOf[0] < 0 {
+		return e.value(cand)
+	}
+	return e.score(cand, 0, len(e.nodeOf), false)
+}
 
 // score is value restricted to diffing VNFs lo..hi−1 against the
-// snapshot; VNFs outside the range must already match it.
-func (e *evaluator) score(cand *candidate, lo, hi int) float64 {
+// snapshot, and to their nodes alone unless rows is set; whatever is not
+// diffed must already match it.
+func (e *evaluator) score(cand *candidate, lo, hi int, rows bool) float64 {
 	c, j := e.c, &e.j
 	j.ok, j.val, j.used = true, e.val, e.used
 	j.nodes, j.rows, j.reqs = j.nodes[:0], j.rows[:0], j.reqs[:0]
@@ -517,7 +530,7 @@ func (e *evaluator) score(cand *candidate, lo, hi int) float64 {
 				e.markReq(int(r), dirtySpan)
 			}
 		}
-		if !slices.Equal(cand.assign[f], e.assign[f]) {
+		if rows && !slices.Equal(cand.assign[f], e.assign[f]) {
 			j.rows = append(j.rows, f)
 			e.rescoreVNF(f, cand.assign[f])
 		}

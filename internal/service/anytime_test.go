@@ -1,8 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"testing"
+	"time"
+
+	"nfvchain/internal/core"
 )
 
 func anytimeRequest(t *testing.T, deadlineMS int, specs ...string) SolveRequest {
@@ -96,6 +100,59 @@ func TestAnytimeDeadlineReturnsBestSoFar(t *testing.T) {
 	}
 	if m.Races.DeadlineExpired != 1 {
 		t.Errorf("DeadlineExpired = %d, want 1", m.Races.DeadlineExpired)
+	}
+}
+
+// TestRaceDeadline: a race runs under deadline_ms when it is set and
+// under MaxDeadlineMS otherwise, so iteration budgets alone cannot hold a
+// worker past the cap.
+func TestRaceDeadline(t *testing.T) {
+	for _, c := range []struct {
+		ms   int
+		want time.Duration
+	}{
+		{0, 10 * time.Minute},
+		{1, time.Millisecond},
+		{300, 300 * time.Millisecond},
+		{MaxDeadlineMS, 10 * time.Minute},
+	} {
+		if got := raceDeadline(c.ms); got != c.want {
+			t.Errorf("raceDeadline(%d) = %v, want %v", c.ms, got, c.want)
+		}
+	}
+}
+
+// TestAnytimeNoDeadlineBitIdentical: a race without deadline_ms that
+// finishes within MaxDeadlineMS serves the same document as the direct,
+// deadline-free core.SolveRace.
+func TestAnytimeNoDeadlineBitIdentical(t *testing.T) {
+	req := anytimeRequest(t, 0, "greedy", "sa:iters=800;polish=200", "lns:iters=40", "pso:iters=15;particles=6")
+	sol, _, err := core.SolveRace(context.Background(), req.Problem, core.RaceOptions{
+		Portfolio: req.Portfolio,
+		Seed:      req.Options.Seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := sol.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	_, c := newTestServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	st, err := c.Solve(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.Wait(ctx, st.ID); err != nil || st.State != StateDone {
+		t.Fatalf("wait: %v, state %s", err, st.State)
+	}
+	got, err := c.ResultBytes(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("served race differs from direct core.SolveRace (%d vs %d bytes)", len(got), want.Len())
 	}
 }
 

@@ -395,9 +395,21 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// raceDeadline is the wall-clock budget of an anytime race: deadline_ms
+// when set, MaxDeadlineMS otherwise. Every race runs under a deadline
+// because iteration budgets are uncapped: "sa:iters=2000000000" alone
+// would hold a worker for most of an hour.
+func raceDeadline(deadlineMS int) time.Duration {
+	if deadlineMS == 0 {
+		deadlineMS = MaxDeadlineMS
+	}
+	return time.Duration(deadlineMS) * time.Millisecond
+}
+
 // submitAnytime validates and enqueues an anytime-portfolio solve: a race
 // of the requested solver specs, bounded by deadline_ms, streaming the
-// incumbent trajectory into the job's progress. The result document is a
+// incumbent trajectory into the job's progress; without deadline_ms, the
+// race is bounded by MaxDeadlineMS. The result document is a
 // regular core.Solution JSON — the winner after admission control — so
 // downstream consumers (e.g. /v1/simulate with a posted solution) work
 // unchanged.
@@ -436,16 +448,13 @@ func (s *Server) submitAnytime(w http.ResponseWriter, req *SolveRequest) {
 	}
 	problem := req.Problem
 	options := req.Options
-	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
+	deadline := raceDeadline(req.DeadlineMS)
 	s.submit(w, "solve", fp, true, func(ctx context.Context, j *job) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if deadline > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, deadline)
-			defer cancel()
-		}
+		ctx, cancel := context.WithTimeout(ctx, deadline)
+		defer cancel()
 		s.mu.Lock()
 		s.races.Started++
 		s.mu.Unlock()

@@ -170,8 +170,8 @@ type SolveRequest struct {
 	// single-pipeline solve.
 	Portfolio []string `json:"portfolio,omitempty"`
 	// DeadlineMS bounds the race's wall-clock budget in milliseconds
-	// (0 = no deadline, allowed only when every spec has an iteration
-	// budget; max MaxDeadlineMS). Ignored without Portfolio.
+	// (max MaxDeadlineMS; 0 = MaxDeadlineMS, allowed only when every spec
+	// has an iteration budget). Ignored without Portfolio.
 	DeadlineMS int `json:"deadline_ms,omitempty"`
 }
 
