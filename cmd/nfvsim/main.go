@@ -77,7 +77,6 @@ func runTo(args []string, stdout io.Writer) error {
 		wanLatency  = fs.Float64("wan-latency", 0.005, "with -datacenters: inter-datacenter entry-hop latency in seconds")
 		routeStr    = fs.String("route", "locality", "with -datacenters: cross-datacenter routing policy: locality|least-loaded|weighted")
 		globalFrac  = fs.Float64("global-fraction", 0.25, "with -datacenters: fraction of requests promoted to cluster-level flows routed across datacenters")
-		clusterWork = fs.Int("cluster-workers", 0, "with -datacenters: cluster execution driver: 0 = sequential event interleaving, >= 1 = conservative-window driver draining datacenters between routing barriers (in parallel on that many goroutines when > 1); results are bit-identical")
 
 		workloadStr = fs.String("workload", "flat", "with -simulate: arrival workload: flat (homogeneous Poisson), classes (heterogeneous client classes: steady/diurnal/bursty), trace-stream (constant-memory CSV replay via -trace-file)")
 		traceFile   = fs.String("trace-file", "", "with -workload trace-stream: trace CSV to replay (as written by cmd/tracegen)")
@@ -170,21 +169,17 @@ func runTo(args []string, stdout io.Writer) error {
 				return fmt.Errorf("-mtbf fault injection is not wired into cluster mode; drop -datacenters or -mtbf")
 			}
 			if ctrl.enabled() {
-				return fmt.Errorf("-control/-preempt-interval are not wired into cluster mode from the CLI; drop -datacenters (the library supports per-region hooks via ClusterSimConfig.FaultPlans/FaultHooks)")
+				return fmt.Errorf("-control/-preempt-interval are not wired into cluster mode from the CLI; drop -datacenters (the library takes one fault plan and one hook per region via ClusterSimConfig.FaultPlans/FaultHooks)")
 			}
 			router, err := nfvchain.NewClusterRouter(*routeStr)
 			if err != nil {
 				return err
-			}
-			if *clusterWork < 0 {
-				return fmt.Errorf("-cluster-workers %d must be >= 0", *clusterWork)
 			}
 			cc := clusterOptions{
 				datacenters: *datacenters,
 				wanLatency:  *wanLatency,
 				globalFrac:  *globalFrac,
 				router:      router,
-				workers:     *clusterWork,
 			}
 			return runClusterDemo(*seed, *vnfs, *requests, *nodes, *simulateIt, algs, cc, out)
 		}
@@ -471,7 +466,6 @@ type clusterOptions struct {
 	wanLatency  float64
 	globalFrac  float64
 	router      nfvchain.ClusterRouter
-	workers     int
 }
 
 // runClusterDemo partitions a generated workload across N datacenters, solves
@@ -528,7 +522,7 @@ func runClusterDemo(seed uint64, vnfs, requests, nodes int, simulate bool, algs 
 		WANLatency: cc.wanLatency,
 		Router:     cc.router,
 		Seed:       seed,
-		Workers:    cc.workers,
+		Workers:    1,
 	})
 	if err != nil {
 		return err

@@ -42,13 +42,15 @@
 // workload across N regions (a configurable fraction of requests promoted
 // to global flows any region can serve) and SimulateCluster composes the N
 // per-region simulators under one global clock: the underlying Simulator
-// exposes stepping primitives (HasPendingEvents, PeekNextEventTime,
-// ProcessNextEvent, Inject), and internal/cluster always advances the
-// datacenter with the earliest pending event, routing each global arrival
+// exposes stepping primitives (PeekNextEventTime, ProcessNextEvent,
+// DrainUntil, Inject). internal/cluster drains every datacenter to the next
+// global arrival (ClusterSimConfig.Workers > 0) or advances the one with the
+// earliest pending event (Workers 0, the reference); both run on the
+// caller's goroutine and agree bit for bit. Each global arrival is routed
 // with a pluggable policy (NewClusterRouter: locality, least-loaded,
-// weighted) and charging a WAN entry hop for off-home service. A
-// 1-datacenter cluster at zero WAN latency is bit-identical to a plain
-// Simulate call at the same seed.
+// weighted), and off-home service pays a WAN entry hop. A 1-datacenter
+// cluster at zero WAN latency is bit-identical to a plain Simulate call at
+// the same seed.
 //
 // # Streaming workloads
 //
@@ -100,7 +102,8 @@
 // node-group losses with optional advance notice the controller evacuates
 // ahead of. Control == nil and Preemption == nil keep every run
 // bit-identical to historical ones; per-region controllers compose into
-// cluster mode via ClusterSimConfig.FaultPlans and FaultHooks.
+// cluster mode via ClusterSimConfig.FaultPlans and FaultHooks (one hook per
+// region: a controller set on Sim itself is rejected with several regions).
 //
 // The cmd/nfvsim binary regenerates every figure of the paper's evaluation;
 // see EXPERIMENTS.md for the paper-vs-measured record and DESIGN.md for the

@@ -20,7 +20,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"nfvchain/internal/cluster"
@@ -63,7 +62,7 @@ func Scenarios() []Scenario {
 		{"Simulator/preemption-churn", simulatorPreemptionChurn},
 		{"Simulator/cluster", func(b *testing.B) { simulatorCluster(b, 300, 10, 0) }},
 		{"Simulator/cluster-sequential", func(b *testing.B) { simulatorCluster(b, 4, 25, 0) }},
-		{"Simulator/cluster-parallel", func(b *testing.B) { simulatorCluster(b, 4, 25, runtime.GOMAXPROCS(0)) }},
+		{"Simulator/cluster-windowed", func(b *testing.B) { simulatorCluster(b, 4, 25, 1) }},
 	}
 	for _, n := range []int{250, 1000, 2000} {
 		out = append(out, partition("RCKK", scheduling.RCKK{}, n, 5))
@@ -463,13 +462,13 @@ func simulatorPreemptionChurn(b *testing.B) {
 //   - Simulator/cluster: a 300/s global flow over a 10 s horizon with the
 //     default driver. Exercises the stepping primitives (peek/process),
 //     Inject and the routing hot path.
-//   - Simulator/cluster-sequential and Simulator/cluster-parallel: the A/B
-//     behind the Config.Workers knob. Sparse global traffic (4 arrivals/s
-//     against ~300 pps of local load per datacenter) over 25 s, so each
-//     conservative window carries thousands of drainable events. workers = 0
-//     measures the event-interleaved sequential driver, workers = GOMAXPROCS
-//     the windowed driver with the pool sized to the machine. Results are
-//     bit-identical; the two differ only in driver overhead.
+//   - Simulator/cluster-sequential and Simulator/cluster-windowed: the A/B
+//     behind the Config.Workers driver selector. Sparse global traffic (4
+//     arrivals/s against ~300 pps of local load per datacenter) over 25 s,
+//     so each conservative window carries thousands of drainable events.
+//     workers = 0 measures the event-interleaved sequential driver,
+//     workers = 1 the windowed driver. Results are bit-identical; the two
+//     differ only in driver overhead.
 func simulatorCluster(b *testing.B, globalRate, horizon float64, workers int) {
 	prob, sched := clusterFixture()
 	const dcs = 8

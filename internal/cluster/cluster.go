@@ -61,17 +61,16 @@ type Config struct {
 	Seed uint64
 	// Workers selects the cluster execution driver. 0 (the default) keeps
 	// the event-interleaved sequential driver: one global event at a time in
-	// exact (time, seq) order. Workers >= 1 switches to the conservative-
-	// window driver: datacenters only interact at global arrival instants,
-	// so between consecutive arrivals each datacenter drains its own agenda
-	// to the barrier in one batch (simulate.Simulator.DrainUntil) — inline
-	// when Workers == 1, fanned out across min(Workers, N) goroutines when a
-	// window carries enough events to pay for the handoff. Results are
-	// bit-identical across every Workers value, so this is purely a
-	// performance knob. The windowed driver assumes routing
-	// policies read DCState.Pending only for datacenters with CanServe —
-	// every built-in policy does — because datacenters no global flow can
-	// reach are drained ahead of the barrier.
+	// exact (time, seq) order. Any positive value switches to the
+	// conservative-window driver: datacenters only interact at global
+	// arrival instants, so between consecutive arrivals each datacenter
+	// drains its own agenda to the barrier in one batch
+	// (simulate.Simulator.DrainUntil). Both drivers run on the caller's
+	// goroutine and give bit-identical results; the sequential one is kept
+	// as the oracle the windowed one is checked against. The windowed
+	// driver assumes routing policies read DCState.Pending only for
+	// datacenters with CanServe — every built-in policy does — because
+	// datacenters no global flow can reach are drained ahead of the barrier.
 	Workers int
 }
 
@@ -290,7 +289,7 @@ func (c *ClusterSimulator) RunContext(ctx context.Context) (*Results, error) {
 	}
 	var err error
 	if c.cfg.Workers >= 1 {
-		err = c.runWindowed(ctx, c.cfg.Workers)
+		err = c.runWindowed(ctx)
 	} else {
 		err = c.runSequential(ctx)
 	}

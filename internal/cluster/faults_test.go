@@ -97,11 +97,9 @@ func runFaultsDiff(t *testing.T, workers int) *Results {
 // TestClusterParallelFaultsDifferential extends the driver differential to
 // the full online control plane: under per-datacenter outages, correlated
 // preemption and per-region autoscale+migrate controllers, the windowed
-// driver — inline and pooled — must produce bit-identical per-datacenter
-// fingerprints and aggregates to the sequential driver. Run under -race in
-// CI, this also proves region-confined controllers share no mutable state.
+// driver must produce bit-identical per-datacenter fingerprints and
+// aggregates to the sequential driver.
 func TestClusterParallelFaultsDifferential(t *testing.T) {
-	forcePool(t)
 	base := runFaultsDiff(t, 0)
 	var downtime, shed int
 	for d := range base.Datacenters {

@@ -11,16 +11,6 @@ import (
 	"nfvchain/internal/simulate"
 )
 
-// forcePool drops the windowed driver's pool-engagement threshold to zero for
-// the duration of a test, so even tiny fixtures exercise the goroutine
-// fan-out (and its -race coverage) instead of the inline drain.
-func forcePool(t *testing.T) {
-	t.Helper()
-	old := parallelMinWindowEvents
-	parallelMinWindowEvents = 0
-	t.Cleanup(func() { parallelMinWindowEvents = old })
-}
-
 // diffProblem is a compact two-stage datacenter problem: one local flow plus
 // two globally routed flows sharing the chain. withGlobals=false drops the
 // global requests, producing a datacenter that cannot serve them — the
@@ -96,12 +86,11 @@ func runDiff(t *testing.T, wan float64, router Router, workers int) *Results {
 	return res
 }
 
-// TestClusterParallelDifferential pins the tentpole contract: the windowed
-// driver — inline, small pool, and machine-sized pool — produces bit-identical
-// per-datacenter fingerprints and routing counters to the sequential driver,
-// across every built-in router and with and without WAN latency.
+// TestClusterParallelDifferential pins the windowed driver's contract: every
+// positive Workers value produces bit-identical per-datacenter fingerprints
+// and routing counters to the sequential driver, across every built-in
+// router and with and without WAN latency.
 func TestClusterParallelDifferential(t *testing.T) {
-	forcePool(t)
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, router := range []Router{LocalityFirst{}, LeastLoaded{}, Weighted{}} {
 		for _, wan := range []float64{0, 0.005} {
@@ -137,8 +126,8 @@ func TestClusterParallelDifferential(t *testing.T) {
 }
 
 // TestClusterWindowedSingleDCGolden re-pins the N=1 plain-Simulator
-// equivalence golden under the windowed driver: the tentpole must not move
-// the composition's bit-exact fingerprint.
+// equivalence golden under the windowed driver: windowing must not move the
+// composition's bit-exact fingerprint.
 func TestClusterWindowedSingleDCGolden(t *testing.T) {
 	const plainGolden = 0x4af579b7b3270177
 	for _, workers := range []int{1, 2} {
@@ -162,9 +151,8 @@ func TestClusterWindowedSingleDCGolden(t *testing.T) {
 // TestClusterParallelCancellation asserts the windowed driver aborts promptly
 // when the context is cancelled mid-window: the long-horizon fixture would
 // take far longer to drain than the allowed deadline, and the chunked drains
-// poll the shared stop flag between batches.
+// check the context between batches.
 func TestClusterParallelCancellation(t *testing.T) {
-	forcePool(t)
 	cfg, err := diffFixture(0.005, LeastLoaded{}, 4, 3000)
 	if err != nil {
 		t.Fatal(err)

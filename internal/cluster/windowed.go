@@ -3,8 +3,6 @@ package cluster
 import (
 	"context"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"nfvchain/internal/simulate"
 )
@@ -12,13 +10,6 @@ import (
 // drainChunk bounds how many events a datacenter drains between cancellation
 // checks, mirroring the sequential driver's polling cadence.
 const drainChunk = simulate.CtxCheckInterval
-
-// parallelMinWindowEvents is the smoothed per-window event count below which
-// the windowed driver drains datacenters inline instead of fanning out to the
-// worker pool: a window that carries only a handful of events costs more in
-// goroutine handoff than it saves. A package variable so tests can force the
-// pool on for tiny fixtures.
-var parallelMinWindowEvents = 1024
 
 // runWindowed advances the composition in conservative windows. Datacenters
 // only interact at global arrival instants, so between consecutive arrivals
@@ -38,32 +29,11 @@ var parallelMinWindowEvents = 1024
 //     next[i]+WANLatency for flows that would pay the WAN entry hop. That
 //     keeps every injection at or after the datacenter's local clock.
 //
-// Windows with enough events (a smoothed estimate against
-// parallelMinWindowEvents) fan the per-datacenter drains across min(workers,
-// active) goroutines; distinct datacenters share no mutable state, so the
-// only coordination is an atomic work cursor. Routing and injection always
-// happen on the caller's goroutine at the deterministic barrier, so results
-// are bit-identical to the sequential driver.
-func (c *ClusterSimulator) runWindowed(ctx context.Context, workers int) error {
+// Each window drains its datacenters one after another, then routes and
+// injects the barrier arrival, so results are bit-identical to the
+// sequential driver.
+func (c *ClusterSimulator) runWindowed(ctx context.Context) error {
 	n := len(c.sims)
-	if workers > n {
-		workers = n
-	}
-
-	// A context watcher translates cancellation into a flag the drain loops
-	// can poll without channel operations on the hot path.
-	var stop atomic.Bool
-	if done := ctx.Done(); done != nil {
-		finished := make(chan struct{})
-		defer close(finished)
-		go func() {
-			select {
-			case <-done:
-				stop.Store(true)
-			case <-finished:
-			}
-		}()
-	}
 
 	oblivious := false
 	if lo, ok := c.router.(LoadOblivious); ok {
@@ -78,9 +48,6 @@ func (c *ClusterSimulator) runWindowed(ctx context.Context, workers int) error {
 		}
 	}
 
-	limits := make([]float64, n)
-	active := make([]int32, 0, n)
-	winEW := 0 // smoothed events-per-window estimate
 	for {
 		// Barrier: the earliest pending global arrival (+Inf when none
 		// remain, which makes the last window drain everything).
@@ -91,15 +58,16 @@ func (c *ClusterSimulator) runWindowed(ctx context.Context, workers int) error {
 			}
 		}
 
-		// Per-datacenter drain limits for this window.
+		// Drain every datacenter to its limit for this window.
 		for d := 0; d < n; d++ {
+			var limit float64
 			switch {
 			case !servesGlobal[d]:
-				limits[d] = math.Inf(1)
+				limit = math.Inf(1)
 			case !oblivious:
-				limits[d] = arrT
+				limit = arrT
 			default:
-				lim := math.Inf(1)
+				limit = math.Inf(1)
 				for i, t := range c.next {
 					if !c.canServe[i][d] || math.IsInf(t, 1) {
 						continue
@@ -107,36 +75,22 @@ func (c *ClusterSimulator) runWindowed(ctx context.Context, workers int) error {
 					if c.cfg.Global[i].Home != d {
 						t += c.cfg.WANLatency
 					}
-					if t < lim {
-						lim = t
+					if t < limit {
+						limit = t
 					}
 				}
-				limits[d] = lim
 			}
-		}
-		active = active[:0]
-		for d := 0; d < n; d++ {
-			if c.times[d] <= limits[d] {
-				active = append(active, int32(d))
+			if c.times[d] > limit {
+				continue
 			}
-		}
-
-		total := 0
-		if workers > 1 && len(active) >= 2 &&
-			(winEW >= parallelMinWindowEvents || math.IsInf(arrT, 1)) {
-			total = c.drainParallel(active, limits, workers, &stop)
-		} else {
-			for _, d := range active {
-				total += drainDC(c.sims[d], limits[d], &stop)
-				c.times[d] = c.sims[d].PeekNextEventTime()
-			}
-		}
-		winEW = (3*winEW + total) / 4
-
-		if stop.Load() {
-			if err := ctx.Err(); err != nil {
+			if err := drainDC(ctx, c.sims[d], limit); err != nil {
 				return err
 			}
+			c.times[d] = c.sims[d].PeekNextEventTime()
+		}
+
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		if minA < 0 {
 			return nil
@@ -146,46 +100,14 @@ func (c *ClusterSimulator) runWindowed(ctx context.Context, workers int) error {
 	}
 }
 
-// drainParallel fans the window's active datacenters across min(workers,
-// len(active)) goroutines pulling from an atomic cursor. Each datacenter is
-// drained by exactly one worker and workers touch no shared simulator state,
-// so the fan-out is race-free by construction.
-func (c *ClusterSimulator) drainParallel(active []int32, limits []float64, workers int, stop *atomic.Bool) int {
-	if workers > len(active) {
-		workers = len(active)
-	}
-	var cursor atomic.Int32
-	var total atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(active) {
-					return
-				}
-				d := active[i]
-				total.Add(int64(drainDC(c.sims[d], limits[d], stop)))
-				c.times[d] = c.sims[d].PeekNextEventTime()
-			}
-		}()
-	}
-	wg.Wait()
-	return int(total.Load())
-}
-
 // drainDC drains one datacenter inclusively to t in drainChunk-sized batches,
-// checking the stop flag between batches so cancellation interrupts even a
-// window holding millions of events.
-func drainDC(sim *simulate.Simulator, t float64, stop *atomic.Bool) int {
-	total := 0
-	for {
-		n := sim.DrainUntil(t, drainChunk)
-		total += n
-		if n < drainChunk || stop.Load() {
-			return total
+// checking ctx between batches so cancellation interrupts even a window
+// holding millions of events.
+func drainDC(ctx context.Context, sim *simulate.Simulator, t float64) error {
+	for sim.DrainUntil(t, drainChunk) == drainChunk {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 	}
+	return nil
 }

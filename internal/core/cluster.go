@@ -114,7 +114,10 @@ func OptimizeCluster(base *model.Problem, opts ClusterOptions) (*ClusterSolution
 // per-region SimulationConfig.
 type ClusterSimConfig struct {
 	// Sim parameterizes every region's simulator; Sim.Seed is varied per
-	// region (Seed+d) so regional traffic differs.
+	// region (Seed+d) so regional traffic differs. With more than one
+	// region, Sim.Control must be nil and Sim.FaultHook may only be set
+	// alongside FaultHooks: a controller is bound to one region's problem,
+	// placement and schedule, so it cannot be shared.
 	Sim SimulationConfig
 	// WANLatency is the inter-datacenter entry-hop latency (seconds).
 	WANLatency float64
@@ -124,9 +127,8 @@ type ClusterSimConfig struct {
 	// Seed drives the cluster-level global arrival streams.
 	Seed uint64
 	// Workers selects the cluster execution driver (see cluster.Config): 0
-	// runs the event-interleaved sequential loop, >= 1 the conservative-
-	// window loop, draining datacenters between routing barriers in parallel
-	// when Workers > 1. Results are bit-identical across all values.
+	// runs the event-interleaved sequential loop, any positive value the
+	// conservative-window loop. Results are bit-identical across all values.
 	Workers int
 	// FaultPlans optionally injects per-datacenter fault plans: entry d
 	// overrides Sim.FaultPlan for region d, so each datacenter can face its
@@ -134,10 +136,9 @@ type ClusterSimConfig struct {
 	// the region count.
 	FaultPlans []*simulate.FaultPlan
 	// FaultHooks optionally attaches one repair/control hook per datacenter
-	// (entry d overrides Sim.FaultHook for region d). Hooks must not be
-	// shared across regions: under the parallel windowed driver each region
-	// runs on its own goroutine, so give every datacenter its own controller.
-	// Length must be zero or match the region count.
+	// (entry d overrides Sim.FaultHook for region d). A hook is bound to its
+	// region's problem, placement and schedule, so give every datacenter its
+	// own controller. Length must be zero or match the region count.
 	FaultHooks []simulate.FaultHook
 }
 
@@ -159,6 +160,12 @@ func SimulateClusterContext(ctx context.Context, cs *ClusterSolution, cfg Cluste
 	if len(cfg.FaultHooks) != 0 && len(cfg.FaultHooks) != len(cs.Regions) {
 		return nil, fmt.Errorf("core: %d fault hooks for %d regions (want 0 or %d)",
 			len(cfg.FaultHooks), len(cs.Regions), len(cs.Regions))
+	}
+	if len(cs.Regions) > 1 && cfg.Sim.Control != nil {
+		return nil, fmt.Errorf("core: Sim.Control would be shared by %d regions; a controller is bound to one region", len(cs.Regions))
+	}
+	if len(cs.Regions) > 1 && cfg.Sim.FaultHook != nil && len(cfg.FaultHooks) == 0 {
+		return nil, fmt.Errorf("core: Sim.FaultHook would be shared by %d regions; set one hook per region in FaultHooks", len(cs.Regions))
 	}
 	ccfg := cluster.Config{
 		WANLatency: cfg.WANLatency,

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"nfvchain/internal/model"
 	"nfvchain/internal/repair"
 	"nfvchain/internal/simulate"
 )
@@ -89,5 +90,47 @@ func TestClusterFaultPlanValidation(t *testing.T) {
 		FaultHooks: []simulate.FaultHook{nil},
 	}); err == nil || !strings.Contains(err.Error(), "fault hooks") {
 		t.Errorf("mismatched FaultHooks accepted: %v", err)
+	}
+}
+
+// tickHook counts control ticks; as a FaultHook it ignores transitions.
+type tickHook struct{ ticks int }
+
+func (h *tickHook) NodeDown(float64, model.NodeID, *simulate.RepairControl) {}
+func (h *tickHook) NodeUp(float64, model.NodeID, *simulate.RepairControl)   {}
+func (h *tickHook) Tick(float64, *simulate.ControlPlane)                    { h.ticks++ }
+
+// TestClusterRejectsSharedHooks pins the per-region hook rule: a controller
+// is bound to one region, so with several regions Sim.Control is rejected
+// and Sim.FaultHook is only accepted when FaultHooks overrides it per
+// region. A single region may still use both.
+func TestClusterRejectsSharedHooks(t *testing.T) {
+	cs := clusterSolution(t)
+	plan := &simulate.FaultPlan{MTBF: 1, MTTR: 0.1}
+	shared := &tickHook{}
+	for name, cfg := range map[string]ClusterSimConfig{
+		"control":   {Sim: SimulationConfig{Horizon: 2, Seed: 1, Control: shared, ControlInterval: 0.5}},
+		"faulthook": {Sim: SimulationConfig{Horizon: 2, Seed: 1, FaultPlan: plan, FaultHook: shared}},
+	} {
+		if _, err := SimulateCluster(cs, cfg); err == nil || !strings.Contains(err.Error(), "shared") {
+			t.Errorf("%s: a hook shared by %d regions was accepted: %v", name, len(cs.Regions), err)
+		}
+	}
+	if _, err := SimulateCluster(cs, ClusterSimConfig{
+		Sim:        SimulationConfig{Horizon: 2, Seed: 1, FaultPlan: plan, FaultHook: shared},
+		FaultHooks: []simulate.FaultHook{&tickHook{}, &tickHook{}},
+	}); err != nil {
+		t.Errorf("Sim.FaultHook overridden by FaultHooks rejected: %v", err)
+	}
+
+	solo := &ClusterSolution{Regions: cs.Regions[:1], Names: cs.Names[:1]}
+	h := &tickHook{}
+	if _, err := SimulateCluster(solo, ClusterSimConfig{
+		Sim: SimulationConfig{Horizon: 2, Seed: 1, FaultPlan: plan, FaultHook: h, Control: h, ControlInterval: 0.5},
+	}); err != nil {
+		t.Fatalf("single region with Sim hooks rejected: %v", err)
+	}
+	if h.ticks == 0 {
+		t.Error("single region's Sim.Control never ticked")
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"nfvchain/internal/placement"
 	"nfvchain/internal/scheduling"
 	"nfvchain/internal/simulate"
-	"nfvchain/internal/workload"
 )
 
 // Options configures the pipeline. Zero values select the paper's proposed
@@ -92,54 +91,12 @@ func Optimize(p *model.Problem, opts Options) (*Solution, error) {
 	return sol, nil
 }
 
-// SimulationConfig carries the simulator knobs not already fixed by the
-// solution.
-type SimulationConfig struct {
-	Horizon    float64
-	Warmup     float64
-	BufferSize int
-	// DropPolicy selects the fate of packets meeting a full buffer (zero
-	// value = DropDiscard, the historical silent-loss semantics);
-	// DropRetransmit re-injects them from the source after RetransmitDelay.
-	DropPolicy      simulate.DropPolicy
-	RetransmitDelay float64
-	Trace           *workload.Trace
-	// TraceStream replays arrivals from a forward-only cursor (e.g. a
-	// workload.TraceStream over a CSV) in constant memory — bit-identical to
-	// handing the same trace to Trace. Mutually exclusive with
-	// Trace and Sources.
-	TraceStream simulate.TraceSource
-	// Sources overrides individual requests' arrival processes with
-	// pull-based generators (e.g. workload.BuildSources client classes);
-	// absent requests keep the flat-Poisson default. Mutually exclusive
-	// with Trace and TraceStream.
-	Sources map[model.RequestID]simulate.ArrivalSource
-	// ExpectedArrivals hints the total arrival count for streamed runs; it
-	// only sizes the latency-sample reservation. 0 falls back to the
-	// offered-rate estimate.
-	ExpectedArrivals int
-	// ServiceDist selects the service-time distribution (zero value =
-	// exponential, the paper's assumption).
-	ServiceDist simulate.ServiceDist
-	Seed        uint64
-
-	// FaultPlan injects node failures; nil (the zero value) disables fault
-	// injection and keeps runs bit-identical to historical ones.
-	FaultPlan *simulate.FaultPlan
-	// FailurePolicy selects the fate of packets caught at failed instances
-	// (zero value FailDrop). Ignored without a FaultPlan.
-	FailurePolicy simulate.FailurePolicy
-	// FaultHook observes node transitions and may repair the run mid-
-	// flight (e.g. a repair.Controller). Ignored without a FaultPlan.
-	FaultHook simulate.FaultHook
-
-	// Control attaches a periodic control plane (e.g. a control.Controller):
-	// it ticks every ControlInterval simulated seconds and may autoscale,
-	// migrate and shed. nil (the zero value) keeps runs bit-identical to
-	// historical ones; ControlInterval must be positive and finite when set.
-	Control         simulate.ControlHook
-	ControlInterval float64
-}
+// SimulationConfig is the simulator's config. Simulate, SimulateContext,
+// SimulateWith and SimulateCluster set its Problem, Schedule, Placement and
+// LinkDelay from the solution and clear InjectOnly (these entry points never
+// Inject, and the cluster driver marks its own globally routed requests), so
+// values a caller puts there are ignored.
+type SimulationConfig = simulate.Config
 
 // Simulate runs the discrete-event simulator on a solution, wiring in its
 // placement, post-admission schedule and link delay.
@@ -166,29 +123,10 @@ func SimulateWith(ctx context.Context, sim *simulate.Simulator, sol *Solution, c
 	return sim.RunContext(ctx)
 }
 
-// simConfig wires a solution and the remaining knobs into the simulator's
-// config.
+// simConfig wires a solution's problem, post-admission schedule, placement
+// and link delay into cfg and clears InjectOnly.
 func simConfig(sol *Solution, cfg SimulationConfig) simulate.Config {
-	return simulate.Config{
-		Problem:          sol.Problem,
-		Schedule:         sol.Schedule,
-		Placement:        sol.Placement,
-		LinkDelay:        sol.LinkDelay,
-		Horizon:          cfg.Horizon,
-		Warmup:           cfg.Warmup,
-		BufferSize:       cfg.BufferSize,
-		DropPolicy:       cfg.DropPolicy,
-		RetransmitDelay:  cfg.RetransmitDelay,
-		Trace:            cfg.Trace,
-		TraceStream:      cfg.TraceStream,
-		Sources:          cfg.Sources,
-		ExpectedArrivals: cfg.ExpectedArrivals,
-		ServiceDist:      cfg.ServiceDist,
-		Seed:             cfg.Seed,
-		FaultPlan:        cfg.FaultPlan,
-		FailurePolicy:    cfg.FailurePolicy,
-		FaultHook:        cfg.FaultHook,
-		Control:          cfg.Control,
-		ControlInterval:  cfg.ControlInterval,
-	}
+	cfg.Problem, cfg.Schedule, cfg.Placement, cfg.LinkDelay = sol.Problem, sol.Schedule, sol.Placement, sol.LinkDelay
+	cfg.InjectOnly = nil
+	return cfg
 }

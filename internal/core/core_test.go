@@ -282,6 +282,33 @@ func TestSimulateBridge(t *testing.T) {
 	}
 }
 
+// TestSimulateIgnoresInjectOnly pins that InjectOnly, which the entry points
+// can never follow with an Inject, is cleared rather than silently zeroing
+// those requests' traffic.
+func TestSimulateIgnoresInjectOnly(t *testing.T) {
+	p := genProblem(t, 6)
+	sol, err := Optimize(p, Options{Seed: 6, LinkDelay: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SimulationConfig{Horizon: 20, Warmup: 2, Seed: 6}
+	want, err := Simulate(sol, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range p.Requests {
+		cfg.InjectOnly = append(cfg.InjectOnly, r.ID)
+	}
+	got, err := Simulate(sol, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Generated != want.Generated || got.Delivered != want.Delivered {
+		t.Errorf("with InjectOnly set: generated/delivered %d/%d, want %d/%d",
+			got.Generated, got.Delivered, want.Generated, want.Delivered)
+	}
+}
+
 func TestAnalyticVsSimulatedLatencyAgree(t *testing.T) {
 	// End-to-end validation of the open-Jackson model: the analytic mean
 	// request latency (Eq. 16 with L=0) must match the simulator within a

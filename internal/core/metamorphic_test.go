@@ -1,0 +1,144 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"nfvchain/internal/cluster"
+	"nfvchain/internal/model"
+	"nfvchain/internal/workload"
+)
+
+// Exact rate scaling. Eq. 11's W = 1/(P·µ − Σλ) is homogeneous of degree −1
+// in the rates, and scaling by a power of two is exact in IEEE-754. So
+// doubling every λ_r and µ_f while halving every absolute time (link delay,
+// horizon, warmup, WAN latency) must leave every decision unchanged and
+// halve every latency bit for bit. A mismatch is a program bug — an absolute
+// time constant or an order dependence — never a reason to drop the path.
+
+// doubleRates returns a copy of p with every request rate λ_r and every
+// service rate µ_f doubled.
+func doubleRates(p *model.Problem) *model.Problem {
+	q := &model.Problem{
+		Nodes:    slices.Clone(p.Nodes),
+		VNFs:     slices.Clone(p.VNFs),
+		Requests: slices.Clone(p.Requests),
+	}
+	for i := range q.VNFs {
+		q.VNFs[i].ServiceRate *= 2
+	}
+	for i := range q.Requests {
+		q.Requests[i].Rate *= 2
+	}
+	return q
+}
+
+// halved reports whether got is exactly want/2.
+func halved(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want/2)
+}
+
+// TestRateScalingSolve checks the solve path (Optimize + Evaluate) on 100
+// seeds of the default workload: identical rejections and nodes in service,
+// exactly halved total latency and mean response time.
+func TestRateScalingSolve(t *testing.T) {
+	const linkDelay = 0.001
+	for seed := uint64(1); seed <= 100; seed++ {
+		cfg := workload.DefaultConfig()
+		cfg.Seed = seed
+		base, err := workload.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evaluate := func(p *model.Problem, link float64) (*Solution, *Evaluation) {
+			t.Helper()
+			sol, err := Optimize(p, Options{Seed: seed, LinkDelay: link})
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			ev, err := Evaluate(sol)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			return sol, ev
+		}
+		sol, ev := evaluate(base, linkDelay)
+		sol2, ev2 := evaluate(doubleRates(base), linkDelay/2)
+		if !slices.Equal(sol2.Rejected, sol.Rejected) {
+			t.Errorf("seed %d: rejected %v, want %v", seed, sol2.Rejected, sol.Rejected)
+		}
+		if ev2.NodesInService != ev.NodesInService {
+			t.Errorf("seed %d: %d nodes in service, want %d", seed, ev2.NodesInService, ev.NodesInService)
+		}
+		if !halved(ev2.TotalLatency, ev.TotalLatency) {
+			t.Errorf("seed %d: total latency %v, want exactly %v/2", seed, ev2.TotalLatency, ev.TotalLatency)
+		}
+		if !halved(ev2.AvgResponseTime, ev.AvgResponseTime) {
+			t.Errorf("seed %d: mean response time %v, want exactly %v/2", seed, ev2.AvgResponseTime, ev.AvgResponseTime)
+		}
+	}
+}
+
+// TestRateScalingCluster checks the cluster path (OptimizeCluster +
+// SimulateCluster over 4 regions) on 20 seeds, for every built-in router and
+// both drivers: identical packet and WAN-hop counts, exactly halved mean
+// latency.
+func TestRateScalingCluster(t *testing.T) {
+	const (
+		linkDelay = 0.001
+		horizon   = 1.0
+		warmup    = 0.25
+		wan       = 0.005
+	)
+	routers := []cluster.Router{cluster.LocalityFirst{}, cluster.LeastLoaded{}, cluster.Weighted{}}
+	for seed := uint64(1); seed <= 20; seed++ {
+		cfg := workload.DefaultConfig()
+		cfg.Seed = seed
+		base, err := workload.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		optimize := func(p *model.Problem, scale float64) *ClusterSolution {
+			t.Helper()
+			cs, err := OptimizeCluster(p, ClusterOptions{
+				Datacenters:    4,
+				GlobalFraction: 0.25,
+				Options:        Options{Seed: seed, LinkDelay: linkDelay * scale},
+			})
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			return cs
+		}
+		cs, cs2 := optimize(base, 1), optimize(doubleRates(base), 0.5)
+		for _, router := range routers {
+			for _, workers := range []int{0, 1} {
+				simulate := func(cs *ClusterSolution, scale float64) *cluster.Results {
+					t.Helper()
+					res, err := SimulateCluster(cs, ClusterSimConfig{
+						Sim:        SimulationConfig{Horizon: horizon * scale, Warmup: warmup * scale, Seed: seed},
+						WANLatency: wan * scale,
+						Router:     router,
+						Seed:       seed,
+						Workers:    workers,
+					})
+					if err != nil {
+						t.Fatalf("seed %d: %v", seed, err)
+					}
+					return res
+				}
+				res, res2 := simulate(cs, 1), simulate(cs2, 0.5)
+				where := fmt.Sprintf("seed %d, %s, workers=%d", seed, router.Name(), workers)
+				if res2.Generated != res.Generated || res2.Delivered != res.Delivered || res2.WANHops != res.WANHops {
+					t.Errorf("%s: generated/delivered/WAN hops %d/%d/%d, want %d/%d/%d", where,
+						res2.Generated, res2.Delivered, res2.WANHops, res.Generated, res.Delivered, res.WANHops)
+				}
+				if !halved(res2.Latency.Mean(), res.Latency.Mean()) {
+					t.Errorf("%s: mean latency %v, want exactly %v/2", where, res2.Latency.Mean(), res.Latency.Mean())
+				}
+			}
+		}
+	}
+}

@@ -50,7 +50,9 @@ type (
 	Solution = core.Solution
 	// Evaluation carries the analytic objective values of a solution.
 	Evaluation = core.Evaluation
-	// SimulationConfig carries discrete-event simulation knobs.
+	// SimulationConfig carries discrete-event simulation knobs. Its
+	// Problem, Schedule, Placement and LinkDelay come from the Solution, and
+	// InjectOnly is cleared; values the caller sets there are ignored.
 	SimulationConfig = core.SimulationConfig
 	// SimulationResults aggregates one simulation run's measurements.
 	SimulationResults = simulate.Results
