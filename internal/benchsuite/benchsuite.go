@@ -110,7 +110,7 @@ func Scenarios() []Scenario {
 // spreadSchedule serves request i at instance i mod Instances of every VNF
 // on its chain: instance 0 throughout when each VNF has one instance.
 func spreadSchedule(prob *model.Problem) *model.Schedule {
-	sched := model.NewSchedule()
+	sched := model.NewSchedule(model.Compile(prob))
 	for i, r := range prob.Requests {
 		for _, f := range prob.VNFs {
 			sched.Assign(r.ID, f.ID, i%f.Instances)

@@ -29,7 +29,7 @@ func faultsProblem(withGlobals bool) (*model.Problem, *model.Schedule, *model.Pl
 			model.Request{ID: "g1", Chain: []model.VNFID{"f1", "f2"}, Rate: 25, DeliveryProb: 0.98},
 		)
 	}
-	sched := model.NewSchedule()
+	sched := model.NewSchedule(model.Compile(prob))
 	for _, r := range prob.Requests {
 		for _, f := range prob.VNFs {
 			sched.Assign(r.ID, f.ID, 0)

@@ -179,7 +179,7 @@ func TestEvaluateInstanceArrivals(t *testing.T) {
 	for _, f := range p.VNFs {
 		pl.Assign(f.ID, "n1")
 	}
-	s := model.NewSchedule()
+	s := model.NewSchedule(model.Compile(p))
 	s.Assign("r1", "fw", 0)
 	s.Assign("r1", "nat", 0)
 	s.Assign("r2", "fw", 1)

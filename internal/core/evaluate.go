@@ -51,7 +51,8 @@ func Evaluate(sol *Solution) (*Evaluation, error) {
 	if err := sol.Placement.Validate(p); err != nil {
 		return nil, fmt.Errorf("core: evaluate: %w", err)
 	}
-	if err := sol.Schedule.ValidatePartial(p); err != nil {
+	sched := sol.Schedule.For(p)
+	if err := sched.ValidatePartial(p); err != nil {
 		return nil, fmt.Errorf("core: evaluate: %w", err)
 	}
 
@@ -64,9 +65,9 @@ func Evaluate(sol *Solution) (*Evaluation, error) {
 	}
 
 	// Per-instance response times, W(f,k) of Eq. 11, from R_f in request
-	// order. w holds, per chain slot, W of the instance serving it; the
-	// slots of rejected requests are never read.
-	ix := model.Compile(p)
+	// order on the schedule's index. w holds, per chain slot, W of the
+	// instance serving it; the slots of rejected requests are never read.
+	ix := sched.Index()
 	w, inst := make([]float64, ix.Slots()), make([]int, ix.Slots())
 	var grand float64
 	var grandN int
@@ -75,7 +76,7 @@ func Evaluate(sol *Solution) (*Evaluation, error) {
 		slots := ix.UserSlots(fi)
 		for i, r := range ix.Users(fi) {
 			req := &p.Requests[r]
-			if k, ok := sol.Schedule.Instance(req.ID, f.ID); ok {
+			if k, ok := sched.At(int(slots[i])); ok {
 				inst[slots[i]] = k
 				eff[k] += req.EffectiveRate() // Λ_k^f, Eq. 7
 				raw[k] += req.Rate
@@ -121,7 +122,7 @@ func Evaluate(sol *Solution) (*Evaluation, error) {
 
 	// Eq. 16 over admitted requests, each chain summed in chain order.
 	for r, req := range p.Requests {
-		if len(sol.Schedule.InstanceOf[req.ID]) == 0 {
+		if !sched.Assigned(r) {
 			continue // rejected
 		}
 		var lat float64

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -139,6 +140,90 @@ func TestRateScalingCluster(t *testing.T) {
 					t.Errorf("%s: mean latency %v, want exactly %v/2", where, res2.Latency.Mean(), res.Latency.Mean())
 				}
 			}
+		}
+	}
+}
+
+// Relabeling. Prefixing every node, VNF and request ID with one common
+// prefix keeps their order, and the solve path depends on IDs only through
+// that order (index layout, tie-breaks, JSON key order). So the relabeled
+// problem must solve to the same objective bits and to the same solution
+// document once the prefix is stripped. The DES is not relabel-invariant by
+// design: rng.Derive keys each of its streams by an ID.
+
+// relabelPrefix is prepended to every ID; it occurs nowhere else in a
+// solution document.
+const relabelPrefix = "~rl~"
+
+// relabeled returns a copy of p with relabelPrefix before every ID.
+func relabeled(p *model.Problem) *model.Problem {
+	q := &model.Problem{
+		Nodes:    slices.Clone(p.Nodes),
+		VNFs:     slices.Clone(p.VNFs),
+		Requests: slices.Clone(p.Requests),
+	}
+	for i := range q.Nodes {
+		q.Nodes[i].ID = relabelPrefix + q.Nodes[i].ID
+	}
+	for i := range q.VNFs {
+		q.VNFs[i].ID = relabelPrefix + q.VNFs[i].ID
+	}
+	for i := range q.Requests {
+		r := &q.Requests[i]
+		r.ID = relabelPrefix + r.ID
+		r.Chain = slices.Clone(r.Chain)
+		for j := range r.Chain {
+			r.Chain[j] = relabelPrefix + r.Chain[j]
+		}
+	}
+	return q
+}
+
+// TestRelabelSolve checks the solve path (Optimize + Evaluate + WriteJSON)
+// on 100 seeds of the default workload: identical objective bits, and the
+// relabeled solution document equals the original with the prefix removed.
+func TestRelabelSolve(t *testing.T) {
+	for seed := uint64(1); seed <= 100; seed++ {
+		cfg := workload.DefaultConfig()
+		cfg.Seed = seed
+		base, err := workload.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solve := func(p *model.Problem) (*Evaluation, []byte) {
+			t.Helper()
+			sol, err := Optimize(p, Options{Seed: seed, LinkDelay: 0.001})
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			ev, err := Evaluate(sol)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			var doc bytes.Buffer
+			if err := sol.WriteJSON(&doc); err != nil {
+				t.Fatal(err)
+			}
+			return ev, doc.Bytes()
+		}
+		ev, doc := solve(base)
+		ev2, doc2 := solve(relabeled(base))
+		for _, m := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"total latency", ev2.TotalLatency, ev.TotalLatency},
+			{"mean response time", ev2.AvgResponseTime, ev.AvgResponseTime},
+			{"mean utilization", ev2.AvgUtilization, ev.AvgUtilization},
+			{"resource occupation", ev2.ResourceOccupation, ev.ResourceOccupation},
+			{"nodes in service", float64(ev2.NodesInService), float64(ev.NodesInService)},
+		} {
+			if math.Float64bits(m.got) != math.Float64bits(m.want) {
+				t.Errorf("seed %d: relabeled %s %v, want %v", seed, m.name, m.got, m.want)
+			}
+		}
+		if stripped := bytes.ReplaceAll(doc2, []byte(`"`+relabelPrefix), []byte(`"`)); !bytes.Equal(stripped, doc) {
+			t.Errorf("seed %d: relabeled solution document differs once the prefix is stripped", seed)
 		}
 	}
 }

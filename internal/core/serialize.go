@@ -79,6 +79,7 @@ func ReadSolutionJSON(r io.Reader) (*Solution, error) {
 	if err := sol.Placement.Validate(sol.Problem); err != nil {
 		return nil, fmt.Errorf("core: solution placement: %w", err)
 	}
+	sol.Schedule = sol.Schedule.For(sol.Problem)
 	if err := sol.Schedule.ValidatePartial(sol.Problem); err != nil {
 		return nil, fmt.Errorf("core: solution schedule: %w", err)
 	}
@@ -103,8 +104,15 @@ func (s *Solution) decodeWire(r *wirejson.Reader) {
 		case 2:
 			s.PlacementIterations = r.Int()
 		case 3:
+			// Rows go straight into the problem's slots when the problem
+			// came first, as WriteJSON writes it; ReadSolutionJSON lays
+			// out a schedule read before its problem.
 			if !r.Null() {
-				s.Schedule = new(model.Schedule)
+				var ix *model.Index
+				if s.Problem != nil {
+					ix = model.Compile(s.Problem)
+				}
+				s.Schedule = model.NewSchedule(ix)
 				s.Schedule.DecodeWire(r)
 			}
 		case 4:
@@ -115,5 +123,4 @@ func (s *Solution) decodeWire(r *wirejson.Reader) {
 			s.LinkDelay = r.Float()
 		}
 	})
-
 }

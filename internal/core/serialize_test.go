@@ -88,13 +88,16 @@ func TestReadSolutionJSONRejectsInfeasiblePlacement(t *testing.T) {
 
 // The oracle types have the fields and tags of the model types but none of
 // their methods, so encoding/json encodes and decodes them by reflection;
-// solutionOracle is the Solution envelope as it was declared for
-// encoding/json.
+// scheduleOracle is the schedule as one inner map per request, its layout
+// before the dense rows, and solutionOracle is the Solution envelope as it
+// was declared for encoding/json.
 type (
 	problemOracle   model.Problem
 	placementOracle model.Placement
-	scheduleOracle  model.Schedule
-	solutionOracle  struct {
+	scheduleOracle  struct {
+		InstanceOf map[model.RequestID]map[model.VNFID]int `json:"instanceOf"`
+	}
+	solutionOracle struct {
 		Problem             *problemOracle    `json:"problem"`
 		Placement           *placementOracle  `json:"placement"`
 		PlacementIterations int               `json:"placementIterations"`
@@ -105,21 +108,60 @@ type (
 	}
 )
 
-func toOracle(s *Solution) solutionOracle {
+// toOracle is s in the oracle types, with sched as its schedule.
+func toOracle(s *Solution, sched *scheduleOracle) solutionOracle {
 	return solutionOracle{
 		Problem:             (*problemOracle)(s.Problem),
 		Placement:           (*placementOracle)(s.Placement),
 		PlacementIterations: s.PlacementIterations,
-		Schedule:            (*scheduleOracle)(s.Schedule),
+		Schedule:            sched,
 		Rejected:            s.Rejected,
 		RejectionRate:       s.RejectionRate,
 		LinkDelay:           s.LinkDelay,
 	}
 }
 
+// lookedUp builds the map layout of a schedule without absent, null or {}
+// rows from its accessors, not from its JSON form.
+func lookedUp(p *model.Problem, s *model.Schedule) *scheduleOracle {
+	if s == nil {
+		return nil
+	}
+	out := &scheduleOracle{InstanceOf: map[model.RequestID]map[model.VNFID]int{}}
+	on := s.For(p)
+	for ri, r := range p.Requests {
+		if !on.Assigned(ri) {
+			continue
+		}
+		row := map[model.VNFID]int{}
+		for _, f := range r.Chain {
+			if k, ok := s.Instance(r.ID, f); ok {
+				row[f] = k
+			}
+		}
+		out.InstanceOf[r.ID] = row
+	}
+	return out
+}
+
+// decoded is the map layout of s's JSON form, decoded by encoding/json.
+func decoded(t testing.TB, s *model.Schedule) *scheduleOracle {
+	t.Helper()
+	if s == nil {
+		return nil
+	}
+	var out scheduleOracle
+	if err := json.Unmarshal(oracleMarshal(t, s), &out); err != nil {
+		t.Fatal(err)
+	}
+	return &out
+}
+
 // oracleReadSolutionJSON is ReadSolutionJSON as it was built on
-// encoding/json: a strict json.Decoder, then the same validation.
-func oracleReadSolutionJSON(data []byte) (*Solution, error) {
+// encoding/json: a strict json.Decoder, then the same validation, with the
+// schedule in the map layout. The schedule is validated by
+// model.Schedule, which internal/model holds to the map layout's answers.
+func oracleReadSolutionJSON(data []byte) (*solutionOracle, error) {
 	var raw solutionOracle
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -129,25 +171,25 @@ func oracleReadSolutionJSON(data []byte) (*Solution, error) {
 	if raw.Problem == nil || raw.Placement == nil || raw.Schedule == nil {
 		return nil, errors.New("missing part")
 	}
-	sol := &Solution{
-		Problem:             (*model.Problem)(raw.Problem),
-		Placement:           (*model.Placement)(raw.Placement),
-		PlacementIterations: raw.PlacementIterations,
-		Schedule:            (*model.Schedule)(raw.Schedule),
-		Rejected:            raw.Rejected,
-		RejectionRate:       raw.RejectionRate,
-		LinkDelay:           raw.LinkDelay,
-	}
-	if err := sol.Problem.Validate(); err != nil {
+	p := (*model.Problem)(raw.Problem)
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if err := sol.Placement.Validate(sol.Problem); err != nil {
+	if err := (*model.Placement)(raw.Placement).Validate(p); err != nil {
 		return nil, err
 	}
-	if err := sol.Schedule.ValidatePartial(sol.Problem); err != nil {
+	doc, err := json.Marshal(raw.Schedule)
+	if err != nil {
 		return nil, err
 	}
-	return sol, nil
+	var sched model.Schedule
+	if err := sched.UnmarshalJSON(doc); err != nil {
+		return nil, err
+	}
+	if err := sched.ValidatePartial(p); err != nil {
+		return nil, err
+	}
+	return &raw, nil
 }
 
 func oracleIndent(t testing.TB, v any) []byte {
@@ -183,11 +225,15 @@ func checkBytes(t *testing.T, what string, got, want []byte) {
 	}
 }
 
+// trickyText holds every character the encoders must escape as
+// encoding/json does.
+const trickyText = "<a href=\"x\">&amp;</a> \\ \x00\x01\x1f\x7f \u2028\u2029 \xff\xe2\x80 sécurité ✓ 🙂"
+
 // trickySolution carries every string and number the encoders must escape
 // or format as encoding/json does, and nil-versus-empty in every slice and
 // map.
 func trickySolution() *Solution {
-	const odd = "<a href=\"x\">&amp;</a> \\ \x00\x01\x1f\x7f \u2028\u2029 \xff\xe2\x80 sécurité ✓ 🙂"
+	const odd = trickyText
 	p := &model.Problem{
 		Nodes: []model.Node{
 			{ID: "n" + odd, Name: odd, Capacity: 1e21, Extras: []float64{0, math.Copysign(0, -1)}},
@@ -208,15 +254,51 @@ func trickySolution() *Solution {
 		Problem:             p,
 		Placement:           &model.Placement{NodeOf: map[model.VNFID]model.NodeID{model.VNFID("f" + odd): model.NodeID("n" + odd), "f2": "n2", "a": "", "Z": "z"}},
 		PlacementIterations: -7,
-		Schedule: &model.Schedule{InstanceOf: map[model.RequestID]map[model.VNFID]int{
-			model.RequestID("r" + odd): {model.VNFID("f" + odd): 2, "f2": 0},
-			"r-nil":                    nil,
-			"r-empty":                  {},
-		}},
-		Rejected:      []model.RequestID{"r-nil", model.RequestID(odd)},
-		RejectionRate: 1e-7,
-		LinkDelay:     math.Copysign(0, -1),
+		Schedule:            fromOracle(p, trickySchedule()),
+		Rejected:            []model.RequestID{"r-nil", model.RequestID(odd)},
+		RejectionRate:       1e-7,
+		LinkDelay:           math.Copysign(0, -1),
 	}
+}
+
+// trickySchedule is trickySolution's schedule in the map layout: a full
+// row, a null row and a {} row.
+func trickySchedule() *scheduleOracle {
+	const odd = trickyText
+	return &scheduleOracle{InstanceOf: map[model.RequestID]map[model.VNFID]int{
+		model.RequestID("r" + odd): {model.VNFID("f" + odd): 2, "f2": 0},
+		"r-nil":                    nil,
+		"r-empty":                  {},
+	}}
+}
+
+// fromOracle builds a map-layout schedule on p's index: its null and {}
+// rows, which no accessor makes, from their encoding/json form, and every
+// entry with Assign (so that IDs that are not valid UTF-8 survive).
+func fromOracle(p *model.Problem, m *scheduleOracle) *model.Schedule {
+	bare := &scheduleOracle{}
+	if m.InstanceOf != nil {
+		bare.InstanceOf = map[model.RequestID]map[model.VNFID]int{}
+	}
+	for r, row := range m.InstanceOf {
+		if len(row) == 0 {
+			bare.InstanceOf[r] = row
+		}
+	}
+	doc, err := json.Marshal(bare)
+	if err != nil {
+		panic(err)
+	}
+	s := model.NewSchedule(model.Compile(p))
+	if err := s.UnmarshalJSON(doc); err != nil {
+		panic(err)
+	}
+	for r, row := range m.InstanceOf {
+		for f, k := range row {
+			s.Assign(r, f, k)
+		}
+	}
+	return s
 }
 
 // TestWireJSONMatchesEncodingJSON requires the hand-written encoders to
@@ -226,6 +308,7 @@ func trickySolution() *Solution {
 // against reflection.
 func TestWireJSONMatchesEncodingJSON(t *testing.T) {
 	sols := map[string]*Solution{"tricky": trickySolution()}
+	mirrors := map[string]*scheduleOracle{"tricky": trickySchedule()}
 	for _, n := range []int{200, 500, 1000} {
 		cfg := workload.DefaultConfig()
 		cfg.Seed = uint64(n)
@@ -243,14 +326,16 @@ func TestWireJSONMatchesEncodingJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		sols[fmt.Sprintf("optimized-%d", n)] = sol
+		mirrors[fmt.Sprintf("optimized-%d", n)] = lookedUp(p, sol.Schedule)
 	}
 	empty := trickySolution()
 	empty.Rejected = []model.RequestID{}
 	empty.Placement.NodeOf = nil
-	empty.Schedule.InstanceOf = map[model.RequestID]map[model.VNFID]int{}
 	empty.Problem.Requests = nil
 	empty.Problem.VNFs = []model.VNF{}
+	empty.Schedule = model.NewSchedule(model.Compile(empty.Problem))
 	sols["nil-and-empty"] = empty
+	mirrors["nil-and-empty"] = &scheduleOracle{InstanceOf: map[model.RequestID]map[model.VNFID]int{}}
 	sols["nil-parts"] = &Solution{RejectionRate: 0.5}
 
 	for name, sol := range sols {
@@ -259,7 +344,7 @@ func TestWireJSONMatchesEncodingJSON(t *testing.T) {
 			if err := sol.WriteJSON(&doc); err != nil {
 				t.Fatal(err)
 			}
-			checkBytes(t, "Solution.WriteJSON", doc.Bytes(), oracleIndent(t, toOracle(sol)))
+			checkBytes(t, "Solution.WriteJSON", doc.Bytes(), oracleIndent(t, toOracle(sol, mirrors[name])))
 			if sol.Problem == nil {
 				return
 			}
@@ -270,7 +355,7 @@ func TestWireJSONMatchesEncodingJSON(t *testing.T) {
 			checkBytes(t, "Problem.WriteJSON", pdoc.Bytes(), oracleIndent(t, (*problemOracle)(sol.Problem)))
 			checkBytes(t, "json.Marshal(Problem)", oracleMarshal(t, sol.Problem), oracleMarshal(t, (*problemOracle)(sol.Problem)))
 			checkBytes(t, "json.Marshal(Placement)", oracleMarshal(t, sol.Placement), oracleMarshal(t, (*placementOracle)(sol.Placement)))
-			checkBytes(t, "json.Marshal(Schedule)", oracleMarshal(t, sol.Schedule), oracleMarshal(t, (*scheduleOracle)(sol.Schedule)))
+			checkBytes(t, "json.Marshal(Schedule)", oracleMarshal(t, sol.Schedule), oracleMarshal(t, mirrors[name]))
 		})
 	}
 
@@ -304,7 +389,7 @@ func smallSolution() *Solution {
 	pl := model.NewPlacement()
 	pl.Assign("fw", "n1")
 	pl.Assign("nat", "n2")
-	s := model.NewSchedule()
+	s := model.NewSchedule(model.Compile(p))
 	s.Assign("r1", "fw", 1)
 	s.Assign("r1", "nat", 0)
 	s.Assign("r2", "fw", 0)
@@ -326,7 +411,7 @@ func FuzzReadSolutionJSON(f *testing.F) {
 	if err := sol.WriteJSON(&doc); err != nil {
 		f.Fatal(err)
 	}
-	compact, err := json.Marshal(toOracle(sol))
+	compact, err := json.Marshal(toOracle(sol, lookedUp(sol.Problem, sol.Schedule)))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -382,7 +467,12 @@ func FuzzReadSolutionJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, gotErr := ReadSolutionJSON(bytes.NewReader(data))
 		want, wantErr := oracleReadSolutionJSON(data)
-		if !wirejsontest.CompareDecode(t, data, got, gotErr, want, wantErr, solutionMaps) {
+		var view *solutionOracle
+		if gotErr == nil {
+			v := toOracle(got, decoded(t, got.Schedule))
+			view = &v
+		}
+		if !wirejsontest.CompareDecode(t, data, view, gotErr, want, wantErr, solutionMaps) {
 			return
 		}
 		// Whatever the decoder accepts, the writer re-encodes exactly as
@@ -391,8 +481,43 @@ func FuzzReadSolutionJSON(f *testing.F) {
 		if err := got.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if wantDoc := oracleIndent(t, toOracle(want)); !bytes.Equal(buf.Bytes(), wantDoc) {
+		if wantDoc := oracleIndent(t, want); !bytes.Equal(buf.Bytes(), wantDoc) {
 			t.Fatalf("re-encoding %q:\n got %s\nwant %s", data, buf.Bytes(), wantDoc)
 		}
 	})
+}
+
+// TestReadSolutionJSONScheduleFirst reads a solution whose schedule comes
+// before its problem, so its rows are decoded before any index exists.
+func TestReadSolutionJSONScheduleFirst(t *testing.T) {
+	sol := smallSolution()
+	var doc bytes.Buffer
+	if err := sol.WriteJSON(&doc); err != nil {
+		t.Fatal(err)
+	}
+	var members map[string]json.RawMessage
+	if err := json.Unmarshal(doc.Bytes(), &members); err != nil {
+		t.Fatal(err)
+	}
+	var reordered bytes.Buffer
+	reordered.WriteString("{")
+	for i, key := range []string{"schedule", "rejected", "placement", "problem", "placementIterations", "rejectionRate", "linkDelay"} {
+		if i > 0 {
+			reordered.WriteString(",")
+		}
+		fmt.Fprintf(&reordered, "%q:%s", key, members[key])
+	}
+	reordered.WriteString("}")
+	back, err := ReadSolutionJSON(&reordered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := back.WriteJSON(&again); err != nil {
+		t.Fatal(err)
+	}
+	checkBytes(t, "re-encoded solution", again.Bytes(), doc.Bytes())
+	if _, err := Evaluate(back); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -51,7 +51,7 @@ func Robustness(cfg Config) (*Table, error) {
 				VNFs:     []model.VNF{{ID: "f", Instances: 1, Demand: 0.5, ServiceRate: mu}},
 				Requests: []model.Request{{ID: "r", Chain: []model.VNFID{"f"}, Rate: lambda, DeliveryProb: 1}},
 			}
-			sched := model.NewSchedule()
+			sched := model.NewSchedule(model.Compile(prob))
 			sched.Assign("r", "f", 0)
 			if err := sim.Reset(simulate.Config{
 				Problem: prob, Schedule: sched,

@@ -10,8 +10,8 @@ import (
 // request ordinals are positions in p.Nodes, p.VNFs and p.Requests. All
 // chains sit in one flat array of VNF ordinals, one slot per (request,
 // stage). R_f, the requests whose chain contains VNF f, is listed in
-// problem request order — the order scheduling.ItemsFor walks — each with
-// the slot of its visit to f.
+// problem request order — the order scheduling.ScheduleAll partitions —
+// each with the slot of its visit to f.
 //
 // Compile assumes a problem that passed Validate; a stage naming an
 // undefined VNF gets ordinal −1 and joins no R_f. An Index is read-only once
@@ -21,6 +21,7 @@ import (
 type Index struct {
 	p                    *Problem
 	byNode, byVNF, byReq []int32 // ordinals sorted by ID, for the lookups
+	vnfRank              []int32 // per VNF: its position in byVNF
 	chainOff             []int32 // request r's slots are [chainOff[r], chainOff[r+1])
 	chain                []int32 // per slot: the VNF ordinal of that stage
 	usersOff             []int32 // R_f is entries [usersOff[f], usersOff[f+1])
@@ -42,7 +43,7 @@ func (ix *Index) Rebuild(p *Problem) {
 	for i := range p.Requests {
 		slots += len(p.Requests[i].Chain)
 	}
-	need := nN + 2*nV + 2*nR + 3*slots + 2
+	need := nN + 3*nV + 2*nR + 3*slots + 2
 	if cap(ix.buf) < need {
 		ix.buf = make([]int32, need)
 	}
@@ -56,6 +57,10 @@ func (ix *Index) Rebuild(p *Problem) {
 	ix.byNode = sortedOrdinals(cut(nN), func(i int32) NodeID { return p.Nodes[i].ID })
 	ix.byVNF = sortedOrdinals(cut(nV), func(i int32) VNFID { return p.VNFs[i].ID })
 	ix.byReq = sortedOrdinals(cut(nR), func(i int32) RequestID { return p.Requests[i].ID })
+	ix.vnfRank = cut(nV)
+	for i, f := range ix.byVNF {
+		ix.vnfRank[f] = int32(i)
+	}
 	ix.chainOff, ix.chain, ix.usersOff = cut(nR+1), cut(slots), cut(nV+1)
 	ix.users, ix.userSlot = cut(slots), cut(slots)
 

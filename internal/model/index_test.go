@@ -54,7 +54,7 @@ func TestIndexChains(t *testing.T) {
 }
 
 // TestIndexUsers checks R_f: the requests using each VNF in problem order
-// (the order scheduling.ItemsFor walks), each with the slot of its visit.
+// (the order scheduling.ScheduleAll partitions), each with the slot of its visit.
 func TestIndexUsers(t *testing.T) {
 	p := testProblem()
 	ix := Compile(p)

@@ -250,47 +250,111 @@ func (pl *Placement) DecodeWire(r *wirejson.Reader) {
 	})
 }
 
-// AppendWire writes the schedule as a JSON object, map keys sorted at both
-// levels.
+// AppendWire writes the schedule as a JSON object: rows in request ID
+// order, each row's entries in VNF ID order, as encoding/json sorts map keys.
 func (s *Schedule) AppendWire(w *wirejson.Writer) {
 	w.BeginObject()
 	w.Key("instanceOf")
-	if s.InstanceOf == nil {
+	if !s.object {
 		w.Null()
 	} else {
 		w.BeginObject()
-		var vnfs []VNFID
-		for _, id := range sortedKeys(s.InstanceOf, nil) {
-			w.Key(string(id))
-			m := s.InstanceOf[id]
-			if m == nil {
+		s.walk(func(r RequestID, null bool) {
+			w.Key(string(r))
+			if null {
 				w.Null()
-				continue
+			} else {
+				w.BeginObject()
 			}
-			w.BeginObject()
-			vnfs = sortedKeys(m, vnfs[:0])
-			for _, f := range vnfs {
-				w.Key(string(f))
-				w.Int(m[f])
+		}, func(f VNFID, k int) {
+			w.Key(string(f))
+			w.Int(k)
+		}, func(null bool) {
+			if !null {
+				w.EndObject()
 			}
-			w.EndObject()
-		}
+		})
 		w.EndObject()
 	}
 	w.EndObject()
 }
 
-// DecodeWire reads a schedule object into s; null leaves s unchanged.
+// DecodeWire replaces s with the schedule object read, laid out on s's
+// index; null leaves s unchanged. Rows whose request the index knows go
+// straight into their slots. What the slots cannot hold is appended in
+// document order and sorted once at the end, so the decode stays linear in
+// whatever order the document lists its keys.
 func (s *Schedule) DecodeWire(r *wirejson.Reader) {
+	if r.Null() {
+		return
+	}
+	s.reset()
+	s.object = false
+	d := looseDecoder{s: s}
+	defer d.finish()
 	var seen uint64
 	r.Object(func(key []byte) {
 		if r.Field(scheduleFields, key, &seen) < 0 {
 			return
 		}
-		s.InstanceOf = wirejson.Map(r, func(m map[RequestID]map[VNFID]int, id RequestID) {
-			m[id] = wirejson.Map(r, func(m map[VNFID]int, f VNFID) { m[f] = r.Int() })
+		if s.object = !r.Null(); !s.object {
+			return
+		}
+		r.Object(func(key []byte) {
+			ri, id := -1, RequestID("")
+			if s.ix != nil {
+				ri, _ = s.ix.Request(RequestID(key))
+			}
+			if ri >= 0 {
+				id = s.ix.p.Requests[ri].ID
+			} else {
+				id = RequestID(key)
+			}
+			if ri >= 0 && s.row[ri] != rowAbsent || ri < 0 && d.hasRow(id) {
+				duplicate(r, id)
+				return
+			}
+			null := r.Null()
+			switch {
+			case ri < 0:
+				d.row(id).null = null
+			case null:
+				s.row[ri] = rowNull
+			default:
+				s.row[ri] = 0
+			}
+			if null {
+				return
+			}
+			r.Object(func(key []byte) {
+				slot, f := -1, VNFID("")
+				if ri >= 0 {
+					slot = s.slotOf(ri, VNFID(key))
+				}
+				if slot >= 0 {
+					lo, _ := s.ix.ChainSlots(ri)
+					f = s.ix.p.Requests[ri].Chain[slot-lo]
+				} else {
+					f = VNFID(key)
+				}
+				if slot >= 0 && s.inst[slot] != unassigned || d.hasEntry(id, f) {
+					duplicate(r, f)
+					return
+				}
+				k := r.Int()
+				if slot >= 0 && fits(k) {
+					s.inst[slot] = int32(k)
+					s.row[ri]++
+					return
+				}
+				d.add(ri, id, f, k)
+			})
 		})
 	})
+}
+
+func duplicate[K ~string](r *wirejson.Reader, k K) {
+	r.Fail(fmt.Errorf("%w %q", wirejson.ErrDuplicateKey, k))
 }
 
 // sortedKeys appends m's keys to dst in increasing byte order, the order

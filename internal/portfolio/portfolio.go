@@ -146,7 +146,7 @@ type compiled struct {
 	inst      []int       // M_f
 	mu        []float64   // µ_f
 
-	items [][]scheduling.Item // per VNF, in ItemsFor order
+	items [][]scheduling.Item // per VNF, in ScheduleAll's item order
 	rawW  [][]float64         // per VNF item: raw rate λ_r (items carry λ_r/P_r)
 
 	// movable lists VNF indices with ≥1 item and ≥2 instances — the ones
@@ -201,7 +201,7 @@ func compile(p *model.Problem, obj Objective) (*compiled, error) {
 		c.inst = append(c.inst, f.Instances)
 		c.mu = append(c.mu, f.ServiceRate)
 
-		// R_f in request order is scheduling.ItemsFor's item order.
+		// R_f in request order is scheduling.ScheduleAll's item order.
 		users := c.ix.Users(i)
 		fItems, fRaw := carve(&items, len(users)), carve(&raw, len(users))
 		for j, r := range users {
@@ -287,11 +287,11 @@ func (c *compiled) toPlacement(cand *candidate) *model.Placement {
 
 // toSchedule materializes the model-space schedule of cand.
 func (c *compiled) toSchedule(cand *candidate) *model.Schedule {
-	s := model.NewSchedule()
-	for f, items := range c.items {
-		fid := c.vnfIDs[f]
-		for i, it := range items {
-			s.Assign(it.ID, fid, cand.assign[f][i])
+	s := model.NewSchedule(c.ix)
+	for f := range c.items {
+		users, slots := c.ix.Users(f), c.ix.UserSlots(f)
+		for i, k := range cand.assign[f] {
+			s.AssignSlot(int(users[i]), int(slots[i]), k)
 		}
 	}
 	return s
@@ -315,9 +315,11 @@ func (c *compiled) fromPlacement(pl *model.Placement, nodeOf []int) error {
 
 // fromSchedule imports a model-space schedule into assignment rows.
 func (c *compiled) fromSchedule(s *model.Schedule, assign [][]int) error {
+	s = s.For(c.p)
 	for f, fid := range c.vnfIDs {
+		slots := c.ix.UserSlots(f)
 		for i, it := range c.items[f] {
-			k, ok := s.Instance(it.ID, fid)
+			k, ok := s.At(int(slots[i]))
 			if !ok {
 				return fmt.Errorf("portfolio: request %s unassigned at %s", it.ID, fid)
 			}

@@ -180,6 +180,7 @@ func New(cfg Config) (*Controller, error) {
 	if err := cfg.Placement.Validate(cfg.Problem); err != nil {
 		return nil, fmt.Errorf("repair: %w", err)
 	}
+	cfg.Schedule = cfg.Schedule.For(cfg.Problem)
 	if err := cfg.Schedule.ValidatePartial(cfg.Problem); err != nil {
 		return nil, fmt.Errorf("repair: %w", err)
 	}
@@ -220,8 +221,9 @@ func (c *Controller) prime() {
 			c.extrasOf(node)[d] += e
 		}
 	}
-	for _, r := range c.cfg.Problem.Requests {
-		if len(c.cfg.Schedule.InstanceOf[r.ID]) == 0 {
+	sched := c.cfg.Schedule
+	for ri, r := range c.cfg.Problem.Requests {
+		if !sched.Assigned(ri) {
 			continue // rejected by admission control: generates no traffic
 		}
 		for _, f := range r.Chain {

@@ -2,7 +2,7 @@ package scheduling
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"nfvchain/internal/model"
 )
@@ -28,45 +28,41 @@ type AdmissionResult struct {
 // penalty the paper's job rejection rate measures. A rejected request is
 // removed from *all* instances, since its whole chain stops being served.
 func ApplyAdmissionControl(p *model.Problem, s *model.Schedule) (*AdmissionResult, error) {
+	s = s.For(p)
 	if err := s.Validate(p); err != nil {
 		return nil, fmt.Errorf("scheduling: admission control on invalid schedule: %w", err)
 	}
 	admitted := s.Clone()
-	rejected := make(map[model.RequestID]bool)
-
-	reject := func(r model.RequestID) {
-		rejected[r] = true
-		delete(admitted.InstanceOf, r)
-	}
+	ix := admitted.Index()
+	res := &AdmissionResult{Admitted: admitted}
 
 	// Iterate to a fixed point: rejecting a request may unload several
 	// instances at once, and order must be deterministic.
+	var loads []float64
 	for changed := true; changed; {
 		changed = false
-		for _, f := range p.VNFs {
-			loads := admitted.InstanceLoads(p, f.ID)
+		for fi, f := range p.VNFs {
+			users, slots := ix.Users(fi), ix.UserSlots(fi)
+			loads = admitted.LoadsInto(fi, loads)
 			for k, load := range loads {
 				if load < f.ServiceRate {
 					continue
 				}
-				victim := lightestRequestOn(p, admitted, f.ID, k)
-				if victim == "" {
+				victim := lightestRequestOn(p, admitted, users, slots, k)
+				if victim < 0 {
 					continue
 				}
-				reject(victim)
+				admitted.Remove(victim)
+				res.Rejected = append(res.Rejected, p.Requests[victim].ID)
 				changed = true
 			}
 		}
 	}
 
-	res := &AdmissionResult{Admitted: admitted}
-	for r := range rejected {
-		res.Rejected = append(res.Rejected, r)
-	}
-	sort.Slice(res.Rejected, func(i, j int) bool { return res.Rejected[i] < res.Rejected[j] })
+	slices.Sort(res.Rejected)
 	scheduled := 0
-	for _, r := range p.Requests {
-		if len(s.InstanceOf[r.ID]) > 0 {
+	for r := range p.Requests {
+		if s.Assigned(r) {
 			scheduled++
 		}
 	}
@@ -76,19 +72,20 @@ func ApplyAdmissionControl(p *model.Problem, s *model.Schedule) (*AdmissionResul
 	return res, nil
 }
 
-// lightestRequestOn returns the lowest-effective-rate request assigned to
-// instance k of VNF f (ties by id), or "" when the instance is empty.
-func lightestRequestOn(p *model.Problem, s *model.Schedule, f model.VNFID, k int) model.RequestID {
-	var best model.RequestID
+// lightestRequestOn returns the ordinal of the lowest-effective-rate request
+// of R_f (users, at slots) assigned to instance k (ties by id), or −1 when
+// the instance is empty.
+func lightestRequestOn(p *model.Problem, s *model.Schedule, users, slots []int32, k int) int {
+	best := -1
 	var bestRate float64
-	for _, r := range p.Requests {
-		kk, ok := s.Instance(r.ID, f)
-		if !ok || kk != k {
+	for i, r := range users {
+		if kk, ok := s.At(int(slots[i])); !ok || kk != k {
 			continue
 		}
-		rate := r.EffectiveRate()
-		if best == "" || rate < bestRate || (rate == bestRate && r.ID < best) {
-			best, bestRate = r.ID, rate
+		q := &p.Requests[r]
+		rate := q.EffectiveRate()
+		if best < 0 || rate < bestRate || (rate == bestRate && q.ID < p.Requests[best].ID) {
+			best, bestRate = int(r), rate
 		}
 	}
 	return best

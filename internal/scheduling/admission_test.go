@@ -1,9 +1,12 @@
 package scheduling
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"nfvchain/internal/model"
+	"nfvchain/internal/workload"
 )
 
 // overloadProblem builds one VNF with two instances where instance 0 is
@@ -20,7 +23,7 @@ func overloadProblem() (*model.Problem, *model.Schedule) {
 			{ID: "r3", Chain: []model.VNFID{"f"}, Rate: 30, DeliveryProb: 1},
 		},
 	}
-	s := model.NewSchedule()
+	s := model.NewSchedule(model.Compile(p))
 	s.Assign("r1", "f", 0)
 	s.Assign("r2", "f", 0) // instance 0: 110 ≥ 100 → overloaded
 	s.Assign("r3", "f", 1)
@@ -73,7 +76,7 @@ func TestAdmissionControlCascade(t *testing.T) {
 			{ID: "r3", Chain: []model.VNFID{"f"}, Rate: 60, DeliveryProb: 1},
 		},
 	}
-	s := model.NewSchedule()
+	s := model.NewSchedule(model.Compile(p))
 	for _, r := range p.Requests {
 		s.Assign(r.ID, "f", 0)
 	}
@@ -107,7 +110,7 @@ func TestAdmissionControlWholeChainRemoved(t *testing.T) {
 			{ID: "r2", Chain: []model.VNFID{"g"}, Rate: 10, DeliveryProb: 1},
 		},
 	}
-	s := model.NewSchedule()
+	s := model.NewSchedule(model.Compile(p))
 	s.Assign("r1", "f", 0)
 	s.Assign("r1", "g", 0)
 	s.Assign("r2", "g", 0)
@@ -133,7 +136,7 @@ func TestAdmissionControlLossFeedbackPushesOverload(t *testing.T) {
 		VNFs:     []model.VNF{{ID: "f", Instances: 1, Demand: 1, ServiceRate: 100}},
 		Requests: []model.Request{{ID: "r", Chain: []model.VNFID{"f"}, Rate: 95, DeliveryProb: 0.94}},
 	}
-	s := model.NewSchedule()
+	s := model.NewSchedule(model.Compile(p))
 	s.Assign("r", "f", 0)
 	res, err := ApplyAdmissionControl(p, s)
 	if err != nil {
@@ -146,9 +149,96 @@ func TestAdmissionControlLossFeedbackPushesOverload(t *testing.T) {
 
 func TestAdmissionControlInvalidSchedule(t *testing.T) {
 	p, _ := overloadProblem()
-	bad := model.NewSchedule()
+	bad := model.NewSchedule(model.Compile(p))
 	bad.Assign("ghost", "f", 0)
 	if _, err := ApplyAdmissionControl(p, bad); err == nil {
 		t.Error("invalid schedule accepted")
 	}
+}
+
+// walkAdmission is admission control as it was written before the schedule
+// had an index: Λ from InstanceLoads and victims found by walking every
+// request with Instance lookups. ApplyAdmissionControl must reject exactly
+// the same requests.
+func walkAdmission(p *model.Problem, s *model.Schedule) ([]model.RequestID, *model.Schedule) {
+	admitted := s.For(p).Clone()
+	var rejected []model.RequestID
+	for changed := true; changed; {
+		changed = false
+		for _, f := range p.VNFs {
+			for k, load := range admitted.InstanceLoads(p, f.ID) {
+				if load < f.ServiceRate {
+					continue
+				}
+				victim := -1
+				for ri, r := range p.Requests {
+					kk, ok := admitted.Instance(r.ID, f.ID)
+					if !ok || kk != k {
+						continue
+					}
+					if v := victim; v < 0 || r.EffectiveRate() < p.Requests[v].EffectiveRate() ||
+						r.EffectiveRate() == p.Requests[v].EffectiveRate() && r.ID < p.Requests[v].ID {
+						victim = ri
+					}
+				}
+				if victim >= 0 {
+					admitted.Remove(victim)
+					rejected = append(rejected, p.Requests[victim].ID)
+					changed = true
+				}
+			}
+		}
+	}
+	slices.Sort(rejected)
+	return rejected, admitted
+}
+
+// TestAdmissionMatchesRequestWalk runs admission on 200 overloaded random
+// problems and requires the request-walking version's rejections, rate and
+// admitted schedule.
+func TestAdmissionMatchesRequestWalk(t *testing.T) {
+	rejections := 0
+	for seed := uint64(1); seed <= 200; seed++ {
+		cfg := workload.DefaultConfig()
+		cfg.Seed = seed
+		cfg.NumRequests = 20 + int(seed%5)*20
+		p, err := workload.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range p.VNFs {
+			p.VNFs[i].ServiceRate *= 0.3 + 0.1*float64(seed%7)
+		}
+		s, err := ScheduleAll(p, RCKK{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ApplyAdmissionControl(p, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, admitted := walkAdmission(p, s)
+		if !slices.Equal(res.Rejected, want) {
+			t.Fatalf("seed %d: rejected %v, want %v", seed, res.Rejected, want)
+		}
+		got, err := res.Admitted.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDoc, err := admitted.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantDoc) {
+			t.Fatalf("seed %d: admitted schedule differs", seed)
+		}
+		if want := float64(len(want)) / float64(len(p.Requests)); res.RejectionRate != want {
+			t.Fatalf("seed %d: rejection rate %v, want %v", seed, res.RejectionRate, want)
+		}
+		rejections += len(want)
+	}
+	if rejections == 0 {
+		t.Fatal("no problem was overloaded")
+	}
+	t.Logf("%d rejections over 200 problems", rejections)
 }

@@ -119,30 +119,30 @@ func improveOnce(items []Item, assign []int, loads []float64) bool {
 
 // ImproveSchedule applies Improve to every VNF of an existing complete
 // schedule and returns the polished schedule; per-VNF makespans never grow.
+// R_f comes from the schedule's index, in request order.
 func ImproveSchedule(p *model.Problem, s *model.Schedule) (*model.Schedule, error) {
+	s = s.For(p)
 	if err := s.Validate(p); err != nil {
 		return nil, fmt.Errorf("scheduling: improve: %w", err)
 	}
 	out := s.Clone()
-	for _, f := range p.VNFs {
-		items := ItemsFor(p, f.ID)
-		if len(items) == 0 {
+	ix := out.Index()
+	for fi, f := range p.VNFs {
+		users, slots := ix.Users(fi), ix.UserSlots(fi)
+		if len(users) == 0 {
 			continue
 		}
-		assign := make([]int, len(items))
-		for i, it := range items {
-			k, ok := out.Instance(it.ID, f.ID)
-			if !ok {
-				return nil, fmt.Errorf("scheduling: improve: request %s unassigned at %s", it.ID, f.ID)
-			}
-			assign[i] = k
+		items, assign := make([]Item, len(users)), make([]int, len(users))
+		for i, r := range users {
+			items[i] = Item{ID: p.Requests[r].ID, Weight: p.Requests[r].EffectiveRate()}
+			assign[i], _ = out.At(int(slots[i])) // Validate saw every slot assigned
 		}
 		better, err := Improve(items, assign, f.Instances, 0)
 		if err != nil {
 			return nil, err
 		}
-		for i, it := range items {
-			out.Assign(it.ID, f.ID, better[i])
+		for i, r := range users {
+			out.AssignSlot(int(r), int(slots[i]), better[i])
 		}
 	}
 	return out, nil

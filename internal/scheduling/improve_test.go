@@ -118,7 +118,7 @@ func TestImproveSchedule(t *testing.T) {
 			{ID: "r6", Chain: []model.VNFID{"f"}, Rate: 5, DeliveryProb: 1},
 		},
 	}
-	bad := model.NewSchedule()
+	bad := model.NewSchedule(model.Compile(p))
 	for _, r := range p.Requests {
 		bad.Assign(r.ID, "f", 0) // everything on one instance
 	}
@@ -139,7 +139,7 @@ func TestImproveSchedule(t *testing.T) {
 		t.Error("ImproveSchedule mutated input")
 	}
 
-	incomplete := model.NewSchedule()
+	incomplete := model.NewSchedule(model.Compile(p))
 	if _, err := ImproveSchedule(p, incomplete); err == nil {
 		t.Error("incomplete schedule accepted")
 	}

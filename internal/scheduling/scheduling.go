@@ -109,33 +109,28 @@ func Makespan(loads []float64) float64 {
 // but zero instances — a malformed problem that Validate would reject.
 var ErrNoRequests = errors.New("scheduling: vnf has zero instances")
 
-// ItemsFor builds the partition input for VNF f: one item per request in
-// R_f, weighted by its effective rate λ_r/P_r (Eq. 7).
-func ItemsFor(p *model.Problem, f model.VNFID) []Item {
-	var items []Item
-	for _, r := range p.Requests {
-		if r.Uses(f) {
-			items = append(items, Item{ID: r.ID, Weight: r.EffectiveRate()})
-		}
-	}
-	return items
-}
-
 // ScheduleAll partitions every VNF's request set across its instances with
 // the given algorithm and returns the complete schedule (the z_{r,k}^f
-// matrix of Eq. 5).
+// matrix of Eq. 5), laid out on one index of p. The partition input of VNF
+// f is one item per request of R_f, in request order, weighted by its
+// effective rate λ_r/P_r (Eq. 7).
 func ScheduleAll(p *model.Problem, alg Partitioner) (*model.Schedule, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("scheduling: %w", err)
 	}
-	s := model.NewSchedule()
-	for _, f := range p.VNFs {
-		items := ItemsFor(p, f.ID)
-		if len(items) == 0 {
+	ix := model.Compile(p)
+	s := model.NewSchedule(ix)
+	for fi, f := range p.VNFs {
+		users := ix.Users(fi)
+		if len(users) == 0 {
 			continue
 		}
 		if f.Instances < 1 {
 			return nil, fmt.Errorf("scheduling: vnf %s: %w", f.ID, ErrNoRequests)
+		}
+		items := make([]Item, len(users))
+		for i, r := range users {
+			items[i] = Item{ID: p.Requests[r].ID, Weight: p.Requests[r].EffectiveRate()}
 		}
 		assign, err := alg.Partition(items, f.Instances)
 		if err != nil {
@@ -145,12 +140,13 @@ func ScheduleAll(p *model.Problem, alg Partitioner) (*model.Schedule, error) {
 			return nil, fmt.Errorf("scheduling: vnf %s: %s returned %d assignments for %d items",
 				f.ID, alg.Name(), len(assign), len(items))
 		}
+		slots := ix.UserSlots(fi)
 		for i, it := range items {
 			if assign[i] < 0 || assign[i] >= f.Instances {
 				return nil, fmt.Errorf("scheduling: vnf %s: %s assigned item %s to instance %d outside [0,%d)",
 					f.ID, alg.Name(), it.ID, assign[i], f.Instances)
 			}
-			s.Assign(it.ID, f.ID, assign[i])
+			s.AssignSlot(int(users[i]), int(slots[i]), assign[i])
 		}
 	}
 	return s, nil

@@ -119,7 +119,15 @@ func TestServedSolveBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.RejectionRate != sol.RejectionRate || len(back.Schedule.InstanceOf) != len(sol.Schedule.InstanceOf) {
+	backSched, err := json.Marshal(back.Schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solSched, err := json.Marshal(sol.Schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.RejectionRate != sol.RejectionRate || !bytes.Equal(backSched, solSched) {
 		t.Error("parsed served solution drifted from the direct one")
 	}
 }

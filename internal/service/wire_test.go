@@ -237,6 +237,16 @@ func FuzzSimulateRequest(f *testing.F) {
 		`{}`, `null`, ``,
 	)
 	addSeeds(f, withProblem, string(withProblem)+string(withProblem))
+	// A valid posted solution, so that the schedule check below runs.
+	sol, err := core.Optimize(fingerprintProblem(), core.Options{Seed: 11})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := sol.WriteJSON(&doc); err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(`{"solution": ` + doc.String() + `, "sim": {"horizon": 1}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got SimulateRequest
 		gotErr := wirejson.Unmarshal(data, got.DecodeWire)
@@ -262,21 +272,51 @@ func FuzzSimulateRequest(f *testing.F) {
 		if want := oracleFingerprint(t, "simulate", &want); fp != want {
 			t.Fatalf("fingerprint of %q: %s, want %s", data, fp, want)
 		}
-		checkSimulateAfterDecode(&got)
+		checkSimulateAfterDecode(t, &got)
 	})
 }
 
 // checkSimulateAfterDecode runs handleSimulate's checks on a decoded body:
 // the simulation options, then either the posted solution's decode and
-// validation or the posted problem's validation and algorithm names. Only
-// panics matter, not verdicts.
-func checkSimulateAfterDecode(req *SimulateRequest) {
+// validation or the posted problem's validation and algorithm names. Their
+// verdicts do not matter here, except that a posted solution the codec
+// accepts must hold the schedule encoding/json decodes into the map layout.
+func checkSimulateAfterDecode(t *testing.T, req *SimulateRequest) {
+	t.Helper()
 	_, _ = req.Sim.simConfig()
 	if len(req.Solution) > 0 {
-		_, _ = core.ReadSolutionJSON(bytes.NewReader(req.Solution))
+		if sol, err := core.ReadSolutionJSON(bytes.NewReader(req.Solution)); err == nil {
+			checkScheduleMirror(t, req.Solution, sol.Schedule)
+		}
 	}
 	if req.Problem != nil {
 		_ = req.Problem.Validate()
 		_, _ = req.Options.coreOptions()
+	}
+}
+
+// checkScheduleMirror requires sched to encode as the "schedule" member of
+// the solution document doc does once encoding/json has decoded it into one
+// inner map per request, the schedule's layout before its dense rows.
+func checkScheduleMirror(t *testing.T, doc []byte, sched *model.Schedule) {
+	t.Helper()
+	var env struct {
+		Schedule *struct {
+			InstanceOf map[model.RequestID]map[model.VNFID]int `json:"instanceOf"`
+		} `json:"schedule"`
+	}
+	if err := json.NewDecoder(bytes.NewReader(doc)).Decode(&env); err != nil {
+		t.Fatalf("encoding/json rejects the accepted solution %q: %v", doc, err)
+	}
+	got, err := json.Marshal(sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(env.Schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("schedule of %q:\n got %s\nwant %s", doc, got, want)
 	}
 }

@@ -18,7 +18,7 @@ func faultProblem(lambda, mu float64) (*model.Problem, *model.Schedule, *model.P
 		},
 		Requests: []model.Request{{ID: "r", Chain: []model.VNFID{"f", "g"}, Rate: lambda, DeliveryProb: 1}},
 	}
-	sched := model.NewSchedule()
+	sched := model.NewSchedule(model.Compile(prob))
 	sched.Assign("r", "f", 0)
 	sched.Assign("r", "g", 0)
 	pl := model.NewPlacement()

@@ -715,6 +715,7 @@ func (sim *Simulator) Reset(cfg Config) error {
 	}
 	// Partial validation: requests absent from the schedule were rejected by
 	// admission control and simply generate no traffic.
+	cfg.Schedule = cfg.Schedule.For(cfg.Problem)
 	if err := cfg.Schedule.ValidatePartial(cfg.Problem); err != nil {
 		return fmt.Errorf("simulate: %w", err)
 	}
@@ -1152,10 +1153,11 @@ func (s *simulation) build() error {
 	s.chainOff = s.tables[nR : nR : 2*nR]
 	s.routeFlat = s.tables[2*nR : 2*nR : 2*nR+slots]
 	s.hopFlat = slices.Grow(s.hopFlat, slots)
+	sched := s.cfg.Schedule
 	for ri := range p.Requests {
 		r := &p.Requests[ri]
 		// Skip requests the admission controller removed from the schedule.
-		if len(s.cfg.Schedule.InstanceOf[r.ID]) == 0 {
+		if !sched.Assigned(ri) {
 			s.admitted = append(s.admitted, -1)
 			continue
 		}
@@ -1167,9 +1169,10 @@ func (s *simulation) build() error {
 		s.chainOff = append(s.chainOff, int32(len(s.routeFlat)))
 		s.perReq = append(s.perReq, stats.Summary{})
 		var prevNode model.NodeID
+		lo, _ := sched.Index().ChainSlots(ri)
 		for stage, f := range s.ix.Chain(ri) {
 			fid := r.Chain[stage]
-			k, ok := s.cfg.Schedule.Instance(r.ID, fid)
+			k, ok := sched.At(lo + stage)
 			if !ok {
 				return fmt.Errorf("simulate: request %s unassigned at vnf %s", r.ID, fid)
 			}

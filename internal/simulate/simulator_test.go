@@ -17,7 +17,7 @@ func singleQueueProblem(lambda, mu, p float64) (*model.Problem, *model.Schedule)
 		VNFs:     []model.VNF{{ID: "f", Instances: 1, Demand: 1, ServiceRate: mu}},
 		Requests: []model.Request{{ID: "r", Chain: []model.VNFID{"f"}, Rate: lambda, DeliveryProb: p}},
 	}
-	sched := model.NewSchedule()
+	sched := model.NewSchedule(model.Compile(prob))
 	sched.Assign("r", "f", 0)
 	return prob, sched
 }
@@ -41,7 +41,7 @@ func TestRunValidation(t *testing.T) {
 		})
 	}
 	t.Run("invalid schedule", func(t *testing.T) {
-		bad := model.NewSchedule()
+		bad := model.NewSchedule(model.Compile(prob))
 		bad.Assign("ghost", "f", 0)
 		if _, err := Run(Config{Problem: prob, Schedule: bad, Horizon: 1}); err == nil {
 			t.Error("invalid schedule accepted")
@@ -110,7 +110,7 @@ func TestTandemChainMatchesJackson(t *testing.T) {
 		},
 		Requests: []model.Request{{ID: "r", Chain: []model.VNFID{"f1", "f2"}, Rate: 40, DeliveryProb: 1}},
 	}
-	sched := model.NewSchedule()
+	sched := model.NewSchedule(model.Compile(prob))
 	sched.Assign("r", "f1", 0)
 	sched.Assign("r", "f2", 0)
 	res, err := Run(Config{Problem: prob, Schedule: sched, Horizon: 2000, Warmup: 100, Seed: 3})
@@ -136,7 +136,7 @@ func TestLinkDelayAddsPerHop(t *testing.T) {
 		},
 		Requests: []model.Request{{ID: "r", Chain: []model.VNFID{"f1", "f2"}, Rate: 20, DeliveryProb: 1}},
 	}
-	sched := model.NewSchedule()
+	sched := model.NewSchedule(model.Compile(prob))
 	sched.Assign("r", "f1", 0)
 	sched.Assign("r", "f2", 0)
 
@@ -285,7 +285,7 @@ func TestSkipsUnscheduledRequests(t *testing.T) {
 			{ID: "rejected", Chain: []model.VNFID{"f"}, Rate: 20, DeliveryProb: 1},
 		},
 	}
-	sched := model.NewSchedule()
+	sched := model.NewSchedule(model.Compile(prob))
 	sched.Assign("kept", "f", 0)
 	res, err := Run(Config{Problem: prob, Schedule: sched, Horizon: 100, Seed: 2})
 	if err != nil {
@@ -439,7 +439,7 @@ func TestKleinrockMergeAtSharedInstance(t *testing.T) {
 			{ID: "r2", Chain: []model.VNFID{"f"}, Rate: 50, DeliveryProb: 1},
 		},
 	}
-	sched := model.NewSchedule()
+	sched := model.NewSchedule(model.Compile(prob))
 	sched.Assign("r1", "f", 0)
 	sched.Assign("r2", "f", 0)
 	res, err := Run(Config{Problem: prob, Schedule: sched, Horizon: 2000, Warmup: 100, Seed: 37})

@@ -37,7 +37,10 @@ type (
 	Problem = model.Problem
 	// Placement maps each VNF to its hosting node.
 	Placement = model.Placement
-	// Schedule maps each (request, VNF) pair to a service instance.
+	// Schedule maps each (request, VNF) pair to a service instance
+	// (z_{r,k}^f, Eq. 5): one instance per chain slot of its problem's
+	// index, plus a per-request row state (absent, null, {} or assigned)
+	// that its JSON form keeps.
 	Schedule = model.Schedule
 )
 
