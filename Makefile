@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet lint test race bench bench-json figs-check serve-smoke profile clean
+.PHONY: check fmt build vet lint test race bench bench-json figs-check serve-smoke profile loc clean
 
 check: fmt build vet race
 
@@ -81,6 +81,11 @@ profile:
 	$(GO) run ./cmd/nfvbench -run Simulator/large-horizon -out /dev/null \
 		-cpuprofile cpu.prof -memprofile mem.prof
 	$(GO) tool pprof -top -nodecount 15 cpu.prof
+
+# Non-test Go lines outside the perfbench module: the size a deletion
+# change reports. Counts tracked files only, like fmt.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

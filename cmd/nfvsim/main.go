@@ -87,7 +87,7 @@ func runTo(args []string, stdout io.Writer) error {
 		repairMode = fs.String("repair", "none", "with -simulate -mtbf: self-healing mode: none|reschedule|replace")
 		retrDelay  = fs.Float64("retransmit-delay", 0.005, "NACK round-trip before a dropped/failed packet is re-injected (seconds)")
 
-		controlStr   = fs.String("control", "none", "with -simulate: online control plane policy: none|repair|autoscale|autoscale+migrate (subsumes -repair)")
+		controlStr   = fs.String("control", "none", "with -simulate: online control plane policy: none|reschedule|repair|autoscale|autoscale+migrate (subsumes -repair)")
 		controlInt   = fs.Float64("control-interval", 1, "with -control: controller tick period in simulated seconds")
 		preemptInt   = fs.Float64("preempt-interval", 0, "with -simulate: mean time between correlated preemption events in seconds (0 disables preemption)")
 		preemptGroup = fs.Int("preempt-group", 2, "with -preempt-interval: nodes taken down together per preemption event")
@@ -263,7 +263,7 @@ func (o output) report() io.Writer {
 type faultOptions struct {
 	mtbf, mttr      float64
 	policy          nfvchain.FailurePolicy
-	repair          nfvchain.RepairMode
+	repair          nfvchain.ControlPolicy // the -repair rung: none, reschedule or repair
 	retransmitDelay float64
 }
 
@@ -277,12 +277,25 @@ func chooseFaults(mtbf, mttr float64, policy, repairMode string, retransmitDelay
 	default:
 		return out, fmt.Errorf("unknown failure policy %q (want drop|retransmit)", policy)
 	}
-	mode, err := nfvchain.ParseRepairMode(repairMode)
-	if err != nil {
-		return out, err
+	switch repairMode {
+	case "none":
+	case "reschedule":
+		out.repair = nfvchain.ControlReschedule
+	case "replace", "reschedule+replace":
+		out.repair = nfvchain.ControlRepair
+	default:
+		return out, fmt.Errorf("unknown repair mode %q (want none|reschedule|replace)", repairMode)
 	}
-	out.repair = mode
 	return out, nil
+}
+
+// repairLabel spells a -repair rung as the flag and the report do: the
+// repair rung reads "replace", the mechanism it adds over reschedule.
+func repairLabel(p nfvchain.ControlPolicy) string {
+	if p == nfvchain.ControlRepair {
+		return "replace"
+	}
+	return p.String()
 }
 
 // controlOptions bundles the online-control-plane flags: the -control policy
@@ -306,8 +319,8 @@ func chooseControl(policyStr string, interval, preemptInterval float64, group in
 		return out, err
 	}
 	out.policy = policy
-	if policy != nfvchain.ControlNone && faults.repair != nfvchain.RepairNone {
-		return out, fmt.Errorf("-control %s subsumes -repair %s; drop one of them", policy, faults.repair)
+	if policy != nfvchain.ControlNone && faults.repair != nfvchain.ControlNone {
+		return out, fmt.Errorf("-control %s subsumes -repair %s; drop one of them", policy, repairLabel(faults.repair))
 	}
 	if preemptInterval > 0 {
 		out.preempt = &nfvchain.PreemptionPlan{
@@ -735,24 +748,10 @@ func solveAndReport(p *model.Problem, seed uint64, simulate bool, solOut string,
 		return err
 	}
 	defer closeWorkload()
-	var repairCtrl *nfvchain.RepairController
 	if faults.mtbf > 0 {
 		simCfg.FaultPlan = &nfvchain.FaultPlan{MTBF: faults.mtbf, MTTR: faults.mttr}
 		simCfg.FailurePolicy = faults.policy
 		simCfg.RetransmitDelay = faults.retransmitDelay
-		if faults.repair != nfvchain.RepairNone {
-			repairCtrl, err = nfvchain.NewRepairController(nfvchain.RepairConfig{
-				Problem:   sol.Problem,
-				Placement: sol.Placement,
-				Schedule:  sol.Schedule,
-				Mode:      faults.repair,
-				Seed:      seed,
-			})
-			if err != nil {
-				return err
-			}
-			simCfg.FaultHook = repairCtrl
-		}
 	}
 	if ctrl.preempt != nil {
 		if simCfg.FaultPlan == nil {
@@ -762,23 +761,30 @@ func solveAndReport(p *model.Problem, seed uint64, simulate bool, solOut string,
 		simCfg.FailurePolicy = faults.policy
 		simCfg.RetransmitDelay = faults.retransmitDelay
 	}
-	var poolCtrl *nfvchain.Controller
-	if ctrl.policy != nfvchain.ControlNone {
-		poolCtrl, err = nfvchain.NewController(nfvchain.ControlConfig{
+	// -control hands the controller both hook slots, node transitions
+	// (FaultHook) and the periodic tick loop (Control); -repair, which acts
+	// on random failures, only the first.
+	policy := ctrl.policy
+	if faults.mtbf > 0 && faults.repair != nfvchain.ControlNone {
+		policy = faults.repair
+	}
+	var healer *nfvchain.Controller
+	if policy != nfvchain.ControlNone {
+		healer, err = nfvchain.NewController(nfvchain.ControlConfig{
 			Problem:   sol.Problem,
 			Placement: sol.Placement,
 			Schedule:  sol.Schedule,
-			Policy:    ctrl.policy,
+			Policy:    policy,
 			Seed:      seed,
 		})
 		if err != nil {
 			return err
 		}
-		// The controller owns both hook slots: node transitions (FaultHook)
-		// and the periodic tick loop (Control).
-		simCfg.FaultHook = poolCtrl
-		simCfg.Control = poolCtrl
-		simCfg.ControlInterval = ctrl.interval
+		simCfg.FaultHook = healer
+		if ctrl.policy != nfvchain.ControlNone {
+			simCfg.Control = healer
+			simCfg.ControlInterval = ctrl.interval
+		}
 	}
 	res, err := nfvchain.Simulate(sol, simCfg)
 	if err != nil {
@@ -805,16 +811,16 @@ func solveAndReport(p *model.Problem, seed uint64, simulate bool, solOut string,
 		}
 		fmt.Fprintf(rep, "faults: availability %.4f, %d failure drops, %d failure retransmits, %.1f node-seconds of downtime across %d nodes\n",
 			res.Availability, res.FailureDrops, res.FailRetransmits, downtime, len(res.Downtime))
-		if repairCtrl != nil {
-			st := repairCtrl.Stats()
-			fmt.Fprintf(rep, "repair (%s): %d failures handled, %d reschedules, %d replacements booted (%d infeasible, %.1fs setup paid)\n",
-				faults.repair, st.NodeFailures, st.Reschedules, st.Replacements, st.ReplacementsFailed, st.SetupSecs)
-		}
 	}
-	if poolCtrl != nil {
-		st := poolCtrl.StatsAt(simCfg.Horizon)
-		fmt.Fprintf(rep, "control (%s): %d ticks, %d scale-ups, %d scale-downs, %d migrations, %d evacuations, %d admissions shed, %.1f node-seconds in service\n",
-			ctrl.policy, st.Ticks, st.ScaleUps, st.ScaleDowns, st.Migrations, st.Evacuations, res.Shed, st.NodeSeconds)
+	if healer != nil {
+		st := healer.StatsAt(simCfg.Horizon)
+		if ctrl.policy == nfvchain.ControlNone {
+			fmt.Fprintf(rep, "repair (%s): %d failures handled, %d reschedules, %d replacements booted (%d infeasible, %.1fs setup paid)\n",
+				repairLabel(faults.repair), st.NodeFailures, st.Reschedules, st.Replacements, st.ReplacementsFailed, st.SetupSecs)
+		} else {
+			fmt.Fprintf(rep, "control (%s): %d ticks, %d scale-ups, %d scale-downs, %d migrations, %d evacuations, %d admissions shed, %.1f node-seconds in service\n",
+				ctrl.policy, st.Ticks, st.ScaleUps, st.ScaleDowns, st.Migrations, st.Evacuations, res.Shed, st.NodeSeconds)
+		}
 	}
 	return nil
 }

@@ -90,15 +90,19 @@
 // cmd/nfvd's POST /v1/solve (portfolio + deadline_ms, trajectory in job
 // progress) and cmd/nfvsim's -solver portfolio flag.
 //
-// # Online control plane
+// # Self-healing control plane
 //
-// The simulator's deployment need not stay static: NewController builds a
-// pool manager that attaches as both SimulationConfig.FaultHook and
-// SimulationConfig.Control (ticking every ControlInterval simulated
-// seconds) and, by ControlPolicy, autoscales each VNF's instance pool
-// against observed utilization, migrates instances off failed/hot/doomed
-// nodes for an explicit cost, and sheds uncoverable admissions
-// deterministically (Results.Shed). FaultPlan.Preemption adds correlated
+// The simulator's deployment need not stay static: NewController builds one
+// self-healing controller (internal/control) whose ControlPolicy picks a rung
+// of an escalation ladder. As SimulationConfig.FaultHook alone it reacts to
+// node failures: ControlReschedule rebalances requests over the surviving
+// instances (RCKK), ControlRepair also boots replacements for VNFs that lost
+// every instance (BFDSU, paying SetupCostVM or SetupCostClickOS). Attached
+// also as SimulationConfig.Control (ticking every ControlInterval simulated
+// seconds), ControlAutoscale scales each VNF's instance pool against
+// observed utilization and sheds uncoverable admissions deterministically
+// (Results.Shed), and ControlAutoscaleMigrate migrates instances off
+// failed/hot/doomed nodes for an explicit cost. FaultPlan.Preemption adds correlated
 // node-group losses with optional advance notice the controller evacuates
 // ahead of. Control == nil and Preemption == nil keep every run
 // bit-identical to historical ones; per-region controllers compose into

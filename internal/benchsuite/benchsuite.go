@@ -7,7 +7,7 @@
 // The scenarios cover the hot paths of the pipeline: the discrete-event
 // simulator (small and large horizons, streaming and bursty arrivals,
 // drop-retransmit loss feedback, failure and preemption churn under the
-// repair and control planes, the multi-datacenter cluster drivers), BFDSU
+// self-healing control plane, the multi-datacenter cluster drivers), BFDSU
 // and its baselines, the KK-family partitioners at growing request counts,
 // admission control, the Jackson solve, the local-search improvers,
 // core.Optimize end to end, the anytime solver race, and the Solution,
@@ -29,7 +29,6 @@ import (
 	"nfvchain/internal/placement"
 	"nfvchain/internal/portfolio"
 	"nfvchain/internal/queueing"
-	"nfvchain/internal/repair"
 	"nfvchain/internal/rng"
 	"nfvchain/internal/routing"
 	"nfvchain/internal/scheduling"
@@ -159,8 +158,8 @@ func fleetFixture() (*model.Problem, *model.Schedule) {
 }
 
 // churnFixture spreads the fleet's chain over three nodes so a node failure
-// takes out a whole VNF (the co-located worst case the repair controller is
-// built for), with headroom left for replacement instances.
+// takes out a whole VNF (the co-located worst case re-placement is built
+// for), with headroom left for replacement instances.
 func churnFixture() (*model.Problem, *model.Schedule, *model.Placement) {
 	prob, sched := fleetFixture()
 	prob.Nodes = []model.Node{
@@ -386,18 +385,19 @@ func simulatorDropRetransmit(b *testing.B) {
 
 // simulatorFailureChurn: the fleet workload under sustained node churn (MTBF
 // = horizon/3, so roughly three outages per run) with failed packets
-// retransmitted and a reschedule+replace repair controller booting ClickOS
-// replacements mid-run. Measures the full self-healing path: fault events,
-// epoch-guarded completions, RCKK rebalancing and BFDSU re-placement.
+// retransmitted and a controller at the repair rung (reschedule+replace)
+// booting ClickOS replacements mid-run. Measures the full self-healing path:
+// fault events, epoch-guarded completions, RCKK rebalancing and BFDSU
+// re-placement.
 func simulatorFailureChurn(b *testing.B) {
 	prob, sched, pl := churnFixture()
 	const horizon = 30.0
-	ctrl, err := repair.New(repair.Config{
+	ctrl, err := control.New(control.Config{
 		Problem:   prob,
 		Placement: pl,
 		Schedule:  sched,
-		Mode:      repair.ModeRescheduleReplace,
-		SetupCost: repair.SetupCostClickOS,
+		Policy:    control.PolicyRepair,
+		SetupCost: control.SetupCostClickOS,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -422,7 +422,7 @@ func simulatorFailureChurn(b *testing.B) {
 // 0.5 s. Measures the full online-control path: preemption notices and
 // ahead-of-loss evacuations, windowed utilization observation, autoscaling
 // with ClickOS boot costs, live migration and deterministic admission
-// shedding, all on top of the repair controller's fault handling.
+// shedding, all on top of the repair rung's fault handling.
 func simulatorPreemptionChurn(b *testing.B) {
 	prob, sched, pl := churnFixture()
 	const horizon = 30.0
@@ -431,8 +431,8 @@ func simulatorPreemptionChurn(b *testing.B) {
 		Placement:     pl,
 		Schedule:      sched,
 		Policy:        control.PolicyAutoscaleMigrate,
-		SetupCost:     repair.SetupCostClickOS,
-		MigrationCost: repair.SetupCostClickOS,
+		SetupCost:     control.SetupCostClickOS,
+		MigrationCost: control.SetupCostClickOS,
 	})
 	if err != nil {
 		b.Fatal(err)

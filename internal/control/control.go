@@ -1,46 +1,69 @@
-// Package control implements an online control plane for the fault-injected
-// simulator: a Navarch-style pool manager that runs as a periodic
-// simulate.ControlHook on top of the repair controller's inventory and
-// placement machinery. Where internal/repair only reacts to node failures,
-// this controller watches live per-instance utilization ρ over each tick
-// window and continuously reshapes the deployment:
+// Package control implements the self-healing control plane of the
+// fault-injected simulator (simulate.FaultPlan). One Controller keeps the
+// deployment's instance inventory and climbs one escalation ladder (Policy),
+// each rung adding a recovery move to those below it:
 //
-//   - Autoscaling: a VNF whose active instances run hot (mean ρ above
-//     Config.ScaleUpUtil) gains a replica — placed by the repair
-//     controller's BFDSU residual-capacity draw and paying the boot cost
-//     (repair.SetupCostVM or repair.SetupCostClickOS) before it serves; one
-//     running cold (mean ρ below Config.ScaleDownUtil, with slack to spare)
-//     drains and retires an instance, shrinking M_f without losing
-//     in-flight packets.
+//   - Rescheduling (Section IV-B): when a VNF still has live instances, the
+//     requests of its failed instances are rebalanced across the survivors
+//     by re-running the request scheduler (RCKK by default) over the
+//     surviving instance set — the same load-balancing objective as the
+//     original schedule, restricted to what is still up. On node recovery
+//     the VNFs hosted there are rebalanced again so the returned capacity is
+//     used.
+//
+//   - Re-placement (Section IV-A): when a VNF loses every instance — the
+//     common case, since the paper's placement model hosts all M_f instances
+//     of a VNF on one node — replacement instances are placed onto surviving
+//     nodes by BFDSU (Algorithm 1) over their residual capacities, one
+//     replica at a time, each replica regarded as a new VNF as Section IV-A
+//     suggests. Each replacement pays the paper's cited setup cost
+//     (SetupCostVM ≈ 5 s for a middlebox VM, SetupCostClickOS ≈ 30 ms)
+//     before it may serve.
+//
+//   - Autoscaling: at each periodic tick (simulate.ControlHook) a VNF whose
+//     active instances run hot (mean ρ above Config.ScaleUpUtil) gains a
+//     replica by the same BFDSU residual-capacity draw; one running cold
+//     (mean ρ below Config.ScaleDownUtil, with slack to spare) drains and
+//     retires an instance, shrinking M_f without losing in-flight packets.
+//     When even the reshaped pool cannot cover the offered load at the
+//     target utilization, the uncoverable admission fraction is shed
+//     deterministically (RepairControl.SetShedFraction) instead of letting
+//     queues diverge.
 //
 //   - Migration: instances stranded on failed nodes, or crowded onto hot
 //     nodes, are moved to better hosts for an explicit migration cost
-//     (freeze + transfer delay); requests are rebalanced across the move
-//     with the same RCKK partitioning the repair paths use. When a
-//     correlated preemption announces itself ahead of time
-//     (simulate.PreemptionPlan.LeadTime), the controller evacuates the
-//     doomed nodes before the loss.
+//     (freeze + transfer delay), with requests rebalanced across the move.
+//     When a correlated preemption announces itself ahead of time
+//     (simulate.PreemptionPlan.LeadTime), the doomed nodes are evacuated
+//     before the loss.
 //
-//   - Graceful degradation: when even the reshaped pool cannot cover the
-//     offered load at the target utilization, the controller sheds the
-//     uncoverable admission fraction deterministically
-//     (RepairControl.SetShedFraction) instead of letting queues diverge.
-//
-// Every decision is deterministic at a fixed seed: observation order follows
-// the instance table and the problem's VNF order, placement draws come from
-// the repair controller's seeded decision counter, and shedding uses an
-// RNG-free error accumulator. Attaching no controller (simulate.Config.
-// Control == nil) leaves runs bit-identical to historical ones.
+// The first two rungs act on node transitions alone (simulate.FaultHook);
+// below PolicyAutoscale the tick and preemption-notice hooks are inert.
+// Every decision is deterministic given Config.Seed: affected VNFs are
+// processed in sorted order, observation order follows the instance table
+// and the problem's VNF order, placement draws derive from a per-decision
+// seed, and shedding uses an RNG-free error accumulator, so equal seeds
+// replay equal runs. Attaching no controller leaves runs bit-identical to
+// historical ones.
 package control
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"nfvchain/internal/model"
-	"nfvchain/internal/repair"
+	"nfvchain/internal/placement"
 	"nfvchain/internal/scheduling"
 	"nfvchain/internal/simulate"
+)
+
+// Setup costs cited by the paper (seconds): the delay before a newly booted
+// instance may serve.
+const (
+	SetupCostVM      = 5.0   // booting a Linux VM per middlebox
+	SetupCostClickOS = 0.030 // ClickOS-style lightweight instantiation
 )
 
 // Policy selects how much of the control plane is active. Policies are
@@ -49,12 +72,18 @@ type Policy int
 
 // Supported policies.
 const (
-	// PolicyNone disables the control plane entirely — the unmitigated
-	// baseline. Hooks attached anyway are inert.
+	// PolicyNone observes node transitions without acting — the
+	// unmitigated baseline.
 	PolicyNone Policy = iota
-	// PolicyRepair reacts to node transitions exactly like a
-	// repair.Controller in reschedule+replace mode, but never acts between
-	// them: no autoscaling, no migration, no shedding.
+	// PolicyReschedule rebalances requests across a VNF's surviving
+	// instances but never adds capacity. With the paper's one-node-per-VNF
+	// placement a node failure leaves no survivors, so this policy only
+	// helps once earlier replacements have spread a VNF across nodes.
+	PolicyReschedule
+	// PolicyRepair additionally re-places lost capacity: a VNF with no
+	// surviving instance gets replacements booted on surviving nodes via
+	// BFDSU, each paying Config.SetupCost before serving. It acts only on
+	// node transitions: no autoscaling, no migration, no shedding.
 	PolicyRepair
 	// PolicyAutoscale adds the periodic tick loop: utilization-driven
 	// scale-up/scale-down and deterministic admission shedding under
@@ -71,6 +100,8 @@ func (p Policy) String() string {
 	switch p {
 	case PolicyNone:
 		return "none"
+	case PolicyReschedule:
+		return "reschedule"
 	case PolicyRepair:
 		return "repair"
 	case PolicyAutoscale:
@@ -82,11 +113,14 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy parses a -control flag value.
+// ParsePolicy parses a policy name as String spells it, or "migrate" for
+// PolicyAutoscaleMigrate.
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "none":
 		return PolicyNone, nil
+	case "reschedule":
+		return PolicyReschedule, nil
 	case "repair":
 		return PolicyRepair, nil
 	case "autoscale":
@@ -94,7 +128,7 @@ func ParsePolicy(s string) (Policy, error) {
 	case "autoscale+migrate", "migrate":
 		return PolicyAutoscaleMigrate, nil
 	default:
-		return 0, fmt.Errorf("control: unknown policy %q (want none|repair|autoscale|autoscale+migrate)", s)
+		return 0, fmt.Errorf("control: unknown policy %q (want none|reschedule|repair|autoscale|autoscale+migrate)", s)
 	}
 }
 
@@ -120,9 +154,9 @@ type Config struct {
 	// capacity (default 0.95).
 	TargetUtil float64
 
-	// SetupCost is the boot delay (seconds) a new replica pays before
-	// serving; zero defaults to repair.SetupCostVM (pass
-	// repair.SetupCostClickOS for the paper's lightweight alternative).
+	// SetupCost is the boot delay (seconds) a replacement or scale-up
+	// replica pays before serving; zero defaults to SetupCostVM (pass
+	// SetupCostClickOS for the paper's lightweight alternative).
 	SetupCost float64
 
 	// MigrationCost is the freeze+transfer delay (seconds) a migrating
@@ -140,13 +174,24 @@ type Config struct {
 
 // Stats counts the controller's activity over one run.
 type Stats struct {
+	// NodeFailures and NodeRecoveries count the transitions observed.
+	NodeFailures   int
+	NodeRecoveries int
+	// Reschedules counts VNF rebalances (after failures, recoveries and
+	// every pool reshaping).
+	Reschedules int
+	// Replacements counts instances booted on surviving nodes after a VNF
+	// lost every instance; ReplacementsFailed counts replicas that fit on no
+	// surviving node.
+	Replacements       int
+	ReplacementsFailed int
 	// Ticks counts controller ticks observed.
 	Ticks int
-	// ScaleUps and ScaleDowns count autoscaling actions; SetupSecs is the
-	// total boot time paid by scale-ups.
+	// ScaleUps and ScaleDowns count autoscaling actions.
 	ScaleUps   int
 	ScaleDowns int
-	SetupSecs  float64
+	// SetupSecs is the total boot time paid by replacements and scale-ups.
+	SetupSecs float64
 	// Migrations counts tick-driven moves (off failed or hot nodes);
 	// Evacuations counts preemption-notice moves ahead of a loss.
 	// MigrationSecs is the total freeze+transfer time paid.
@@ -156,45 +201,63 @@ type Stats struct {
 	// NodeSeconds integrates the number of nodes hosting at least one live
 	// instance over the run — the cost axis of the cost-vs-SLO frontier.
 	NodeSeconds float64
-	// Repair is the embedded repair controller's own activity (node
-	// transitions, reschedules, replacements).
-	Repair repair.Stats
 }
 
-// Controller is the pool manager: one value implements simulate.FaultHook
-// (node transitions), simulate.ControlHook (periodic ticks) and
-// simulate.PreemptionNoticeHook (ahead-of-loss evacuation), all sharing the
-// embedded repair controller as the single placement/inventory authority.
-// Create one per deployment and Reset it between runs; it is not safe for
-// concurrent use, matching the simulator's single-goroutine loop.
+// Controller implements simulate.FaultHook (node transitions),
+// simulate.ControlHook (periodic ticks) and simulate.PreemptionNoticeHook
+// (ahead-of-loss evacuation) over one instance inventory, the single
+// placement authority for every rung. Create one per deployment and Reset it
+// between runs; it is not safe for concurrent use, matching the simulator's
+// single-goroutine loop.
 type Controller struct {
-	cfg Config
-	rep *repair.Controller
+	cfg  Config
+	part scheduling.Partitioner
+
+	// instances[f][k] = node hosting instance k of f, covering the base
+	// instances (all on the placed node) plus every instance booted or moved
+	// since.
+	instances map[model.VNFID]map[int]model.NodeID
+	// usage / usageExtras track committed demand per node so replica
+	// placement sees true residual capacities.
+	usage       map[model.NodeID]float64
+	usageExtras map[model.NodeID][]float64
+	// reqsOf[f] lists the scheduled requests using f, in problem order, for
+	// deterministic rebalancing.
+	reqsOf map[model.VNFID][]model.Request
 
 	stats    Stats
+	seq      uint64 // per-decision counter feeding placement seeds
 	lastCost float64
 
 	// noticed marks nodes under an active preemption notice (cleared when
 	// the node actually goes down), so placements avoid doomed hosts.
 	noticed map[model.NodeID]bool
 
-	// Tick scratch, reused across ticks.
-	obs     []simulate.InstanceObs
-	obsIdx  map[simulate.InstanceKey]int
-	hosts   []repair.InstanceHost
-	surv    []int
-	nodeSet map[model.NodeID]struct{}
-	nodeSum map[model.NodeID]float64
-	nodeN   map[model.NodeID]int
+	// Scratch reused across transitions and ticks. reuse is non-nil when
+	// the partitioner supports scratch-backed calls (RCKK does).
+	reuse      scheduling.ReusePartitioner
+	partScr    scheduling.PartitionScratch
+	items      []scheduling.Item
+	affected   []model.VNFID
+	insts      []int
+	subProblem model.Problem
+	subVNFs    [1]model.VNF
+	extrasBuf  []float64
+	obs        []simulate.InstanceObs
+	obsIdx     map[simulate.InstanceKey]int
+	nodeSet    map[model.NodeID]struct{}
+	nodeSum    map[model.NodeID]float64
+	nodeN      map[model.NodeID]int
 }
 
 // New validates cfg and builds a controller primed with the initial
-// placement.
+// placement's instance map and node usage.
 func New(cfg Config) (*Controller, error) {
-	switch cfg.Policy {
-	case PolicyNone, PolicyRepair, PolicyAutoscale, PolicyAutoscaleMigrate:
-	default:
+	if cfg.Policy < PolicyNone || cfg.Policy > PolicyAutoscaleMigrate {
 		return nil, fmt.Errorf("control: unknown policy %d", cfg.Policy)
+	}
+	if cfg.Problem == nil || cfg.Placement == nil || cfg.Schedule == nil {
+		return nil, errors.New("control: Problem, Placement and Schedule are required")
 	}
 	if cfg.ScaleUpUtil == 0 {
 		cfg.ScaleUpUtil = 0.85
@@ -212,64 +275,130 @@ func New(cfg Config) (*Controller, error) {
 	if !(cfg.TargetUtil > 0 && cfg.TargetUtil <= 1) {
 		return nil, fmt.Errorf("control: TargetUtil %v outside (0,1]", cfg.TargetUtil)
 	}
-	if cfg.MigrationCost < 0 || math.IsNaN(cfg.MigrationCost) || math.IsInf(cfg.MigrationCost, 0) {
+	if !validCost(cfg.SetupCost) {
+		return nil, fmt.Errorf("control: invalid setup cost %v", cfg.SetupCost)
+	}
+	if !validCost(cfg.MigrationCost) {
 		return nil, fmt.Errorf("control: invalid migration cost %v", cfg.MigrationCost)
 	}
-	rep, err := repair.New(repair.Config{
-		Problem:     cfg.Problem,
-		Placement:   cfg.Placement,
-		Schedule:    cfg.Schedule,
-		Mode:        repair.ModeRescheduleReplace,
-		Partitioner: cfg.Partitioner,
-		SetupCost:   cfg.SetupCost,
-		Seed:        cfg.Seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("control: %w", err)
-	}
 	if cfg.SetupCost == 0 {
-		cfg.SetupCost = rep.SetupCost()
+		cfg.SetupCost = SetupCostVM
 	}
 	if cfg.MigrationCost == 0 {
 		cfg.MigrationCost = cfg.SetupCost
 	}
-	return &Controller{
-		cfg:     cfg,
-		rep:     rep,
-		noticed: make(map[model.NodeID]bool),
-		obsIdx:  make(map[simulate.InstanceKey]int),
-		nodeSet: make(map[model.NodeID]struct{}),
-		nodeSum: make(map[model.NodeID]float64),
-		nodeN:   make(map[model.NodeID]int),
-	}, nil
+	if err := cfg.Placement.Validate(cfg.Problem); err != nil {
+		return nil, fmt.Errorf("control: %w", err)
+	}
+	cfg.Schedule = cfg.Schedule.For(cfg.Problem)
+	if err := cfg.Schedule.ValidatePartial(cfg.Problem); err != nil {
+		return nil, fmt.Errorf("control: %w", err)
+	}
+	c := &Controller{
+		cfg:         cfg,
+		part:        cfg.Partitioner,
+		instances:   make(map[model.VNFID]map[int]model.NodeID),
+		usage:       make(map[model.NodeID]float64),
+		usageExtras: make(map[model.NodeID][]float64),
+		reqsOf:      make(map[model.VNFID][]model.Request),
+		noticed:     make(map[model.NodeID]bool),
+		obsIdx:      make(map[simulate.InstanceKey]int),
+		nodeSet:     make(map[model.NodeID]struct{}),
+		nodeSum:     make(map[model.NodeID]float64),
+		nodeN:       make(map[model.NodeID]int),
+	}
+	if c.part == nil {
+		c.part = scheduling.RCKK{}
+	}
+	c.reuse, _ = c.part.(scheduling.ReusePartitioner)
+	c.prime()
+	return c, nil
+}
+
+// validCost reports whether d is a usable delay: finite and not negative.
+func validCost(d float64) bool {
+	return d >= 0 && !math.IsInf(d, 0)
+}
+
+// anyNode accepts every node: instancesOn(f, anyNode) is f's whole
+// inventory.
+func anyNode(model.NodeID) bool { return true }
+
+// prime loads the initial placement into the instance map, node usage and
+// per-VNF request lists. Called on construction and again from Reset.
+func (c *Controller) prime() {
+	for _, f := range c.cfg.Problem.VNFs {
+		node, ok := c.cfg.Placement.Node(f.ID)
+		if !ok {
+			continue
+		}
+		hosts := c.instances[f.ID]
+		if hosts == nil {
+			hosts = make(map[int]model.NodeID, f.Instances)
+		}
+		for k := 0; k < f.Instances; k++ {
+			hosts[k] = node
+		}
+		c.instances[f.ID] = hosts
+		c.usage[node] += f.TotalDemand()
+		for d, e := range f.TotalExtras() {
+			c.extrasOf(node)[d] += e
+		}
+	}
+	sched := c.cfg.Schedule
+	for ri, r := range c.cfg.Problem.Requests {
+		if !sched.Assigned(ri) {
+			continue // rejected by admission control: generates no traffic
+		}
+		for _, f := range r.Chain {
+			c.reqsOf[f] = append(c.reqsOf[f], r)
+		}
+	}
 }
 
 // Reset re-primes the controller to its initial-placement state with a new
 // seed, retaining every map and scratch buffer — equivalent to New with the
-// same Config and the given seed, so sweeps reuse one controller across
-// runs.
+// same Config and the given seed, so sweeps and benchmarks reuse one
+// controller across runs.
 func (c *Controller) Reset(seed uint64) {
 	c.cfg.Seed = seed
-	c.rep.Reset(seed)
 	c.stats = Stats{}
+	c.seq = 0
 	c.lastCost = 0
 	clear(c.noticed)
+	for _, hosts := range c.instances {
+		clear(hosts)
+	}
+	clear(c.usage)
+	for _, e := range c.usageExtras {
+		clear(e)
+	}
+	for f := range c.reqsOf {
+		c.reqsOf[f] = c.reqsOf[f][:0]
+	}
+	c.prime()
+}
+
+// extrasOf returns node's extras-usage vector, allocating it on first use.
+func (c *Controller) extrasOf(n model.NodeID) []float64 {
+	e, ok := c.usageExtras[n]
+	if !ok && c.cfg.Problem.ExtraResources() > 0 {
+		e = make([]float64, c.cfg.Problem.ExtraResources())
+		c.usageExtras[n] = e
+	}
+	return e
 }
 
 // Stats returns the controller's accumulated activity. NodeSeconds is
 // integrated up to the last observed event; use StatsAt to fold it to the
 // horizon after a run.
-func (c *Controller) Stats() Stats {
-	st := c.stats
-	st.Repair = c.rep.Stats()
-	return st
-}
+func (c *Controller) Stats() Stats { return c.stats }
 
 // StatsAt folds the nodes-in-service cost integral up to now (typically the
 // horizon, after the run ends) and returns the stats.
 func (c *Controller) StatsAt(now float64) Stats {
 	c.foldCost(now)
-	return c.Stats()
+	return c.stats
 }
 
 // foldCost integrates nodes-in-service over [lastCost, now). Called before
@@ -285,34 +414,280 @@ func (c *Controller) foldCost(now float64) {
 // nodesInService counts distinct nodes hosting at least one live instance.
 func (c *Controller) nodesInService() int {
 	clear(c.nodeSet)
-	hosts := c.hosts[:0]
-	for _, f := range c.cfg.Problem.VNFs {
-		hosts = c.rep.InstancesOf(f.ID, hosts[:0])
-		for _, h := range hosts {
-			c.nodeSet[h.Node] = struct{}{}
+	for _, hosts := range c.instances {
+		for _, n := range hosts {
+			c.nodeSet[n] = struct{}{}
 		}
 	}
-	c.hosts = hosts
 	return len(c.nodeSet)
 }
 
-// NodeDown implements simulate.FaultHook: under PolicyRepair and above the
-// embedded repair controller reschedules and replaces exactly as
-// internal/repair would.
+// NodeDown implements simulate.FaultHook: from PolicyReschedule up,
+// rebalance each affected VNF over its surviving instances, first (from
+// PolicyRepair up) booting replacements when none survive.
 func (c *Controller) NodeDown(now float64, node model.NodeID, ctrl *simulate.RepairControl) {
 	c.foldCost(now)
 	delete(c.noticed, node) // the announced loss has landed
-	if c.cfg.Policy >= PolicyRepair {
-		c.rep.NodeDown(now, node, ctrl)
+	c.stats.NodeFailures++
+	if c.cfg.Policy < PolicyReschedule {
+		return
+	}
+	for _, f := range c.affectedVNFs(node) {
+		survivors := c.instancesOn(f, ctrl.NodeIsUp)
+		if len(survivors) == 0 && c.cfg.Policy >= PolicyRepair {
+			c.replace(f, len(c.instances[f]), now, ctrl)
+			survivors = c.instancesOn(f, ctrl.NodeIsUp)
+		}
+		c.rebalance(f, survivors, ctrl)
 	}
 }
 
-// NodeUp implements simulate.FaultHook.
+// NodeUp implements simulate.FaultHook: from PolicyReschedule up, rebalance
+// each VNF hosted on the recovered node so its returned capacity is used
+// again.
 func (c *Controller) NodeUp(now float64, node model.NodeID, ctrl *simulate.RepairControl) {
 	c.foldCost(now)
-	if c.cfg.Policy >= PolicyRepair {
-		c.rep.NodeUp(now, node, ctrl)
+	c.stats.NodeRecoveries++
+	if c.cfg.Policy < PolicyReschedule {
+		return
 	}
+	for _, f := range c.affectedVNFs(node) {
+		c.rebalance(f, c.instancesOn(f, ctrl.NodeIsUp), ctrl)
+	}
+}
+
+// affectedVNFs returns the VNFs with at least one instance on node, sorted
+// for deterministic processing order. The returned slice is scratch, valid
+// until the next call.
+func (c *Controller) affectedVNFs(node model.NodeID) []model.VNFID {
+	out := c.affected[:0]
+	for f, hosts := range c.instances {
+		for _, n := range hosts {
+			if n == node {
+				out = append(out, f)
+				break
+			}
+		}
+	}
+	slices.Sort(out)
+	c.affected = out
+	return out
+}
+
+// instancesOn returns the instance indices of f hosted on nodes the
+// predicate accepts, ascending. The returned slice is scratch, valid until
+// the next call.
+func (c *Controller) instancesOn(f model.VNFID, keep func(model.NodeID) bool) []int {
+	out := c.insts[:0]
+	for k, n := range c.instances[f] {
+		if keep(n) {
+			out = append(out, k)
+		}
+	}
+	slices.Sort(out)
+	c.insts = out
+	return out
+}
+
+// offeredLoad returns the aggregate effective arrival rate of the scheduled
+// requests that traverse f — the demand the VNF's instance pool must cover.
+func (c *Controller) offeredLoad(f model.VNFID) float64 {
+	var load float64
+	for _, r := range c.reqsOf[f] {
+		load += r.EffectiveRate()
+	}
+	return load
+}
+
+// record books instance k of vnf on node: the inventory entry plus the
+// demand it commits against the node.
+func (c *Controller) record(vnf *model.VNF, k int, node model.NodeID) {
+	hosts := c.instances[vnf.ID]
+	if hosts == nil {
+		hosts = make(map[int]model.NodeID)
+		c.instances[vnf.ID] = hosts
+	}
+	hosts[k] = node
+	c.usage[node] += vnf.Demand
+	for d, e := range vnf.Extras {
+		c.extrasOf(node)[d] += e
+	}
+}
+
+// forget removes instance k of vnf from the inventory, releasing its demand.
+func (c *Controller) forget(vnf *model.VNF, k int) {
+	hosts := c.instances[vnf.ID]
+	node, ok := hosts[k]
+	if !ok {
+		return
+	}
+	delete(hosts, k)
+	c.usage[node] -= vnf.Demand
+	for d, e := range vnf.Extras {
+		c.extrasOf(node)[d] -= e
+	}
+}
+
+// replace boots count replacement instances of f on surviving nodes, one
+// BFDSU placement per replica over the nodes' residual capacities (the
+// paper's replicas-as-new-VNFs scale-out). Replicas that fit nowhere are
+// counted and skipped — partial recovery beats none.
+func (c *Controller) replace(f model.VNFID, count int, now float64, ctrl *simulate.RepairControl) {
+	vnf, ok := c.cfg.Problem.VNF(f)
+	if !ok {
+		return
+	}
+	for i := 0; i < count; i++ {
+		if !c.boot(&vnf, now, ctrl, ctrl.NodeIsUp) {
+			c.stats.ReplacementsFailed++
+			continue
+		}
+		c.stats.Replacements++
+	}
+}
+
+// boot adds one replica of vnf on a node the predicate accepts — the BFDSU
+// draw of pickNode — ready after the setup cost, and books it. It reports
+// whether a replica was booted.
+func (c *Controller) boot(vnf *model.VNF, now float64, rc *simulate.RepairControl, keep func(model.NodeID) bool) bool {
+	node, ok := c.pickNode(vnf, keep)
+	if !ok {
+		return false
+	}
+	k, err := rc.AddInstance(vnf.ID, node, now+c.cfg.SetupCost)
+	if err != nil {
+		return false
+	}
+	c.record(vnf, k, node)
+	c.stats.SetupSecs += c.cfg.SetupCost
+	return true
+}
+
+// pickNode selects a host for one additional replica of vnf: BFDSU over the
+// residual capacities of the nodes the predicate accepts. Each call
+// advances the decision counter, keeping picks deterministic for a given
+// seed and call sequence. ok is false when no accepted node fits the
+// replica. The candidate sub-problem is rebuilt into retained scratch
+// (subProblem, extrasBuf), so repeated picks only pay for the placement
+// itself.
+func (c *Controller) pickNode(vnf *model.VNF, keep func(model.NodeID) bool) (model.NodeID, bool) {
+	c.seq++
+	dims := c.cfg.Problem.ExtraResources()
+	sub := &c.subProblem
+	sub.Nodes = sub.Nodes[:0]
+	sub.VNFs = sub.VNFs[:0]
+	if need := len(c.cfg.Problem.Nodes) * dims; cap(c.extrasBuf) < need {
+		c.extrasBuf = make([]float64, 0, need)
+	}
+	c.extrasBuf = c.extrasBuf[:0]
+	for _, n := range c.cfg.Problem.Nodes {
+		if !keep(n.ID) {
+			continue
+		}
+		residual := n.Capacity - c.usage[n.ID]
+		if residual < vnf.Demand {
+			continue
+		}
+		start := len(c.extrasBuf)
+		used := c.usageExtras[n.ID]
+		fits := true
+		for d := 0; d < dims; d++ {
+			e := n.Extras[d]
+			if used != nil {
+				e -= used[d]
+			}
+			if d < len(vnf.Extras) && e < vnf.Extras[d] {
+				fits = false
+			}
+			c.extrasBuf = append(c.extrasBuf, e)
+		}
+		if !fits {
+			c.extrasBuf = c.extrasBuf[:start]
+			continue
+		}
+		extras := c.extrasBuf[start:len(c.extrasBuf):len(c.extrasBuf)]
+		sub.Nodes = append(sub.Nodes, model.Node{ID: n.ID, Capacity: residual, Extras: extras})
+	}
+	if len(sub.Nodes) == 0 {
+		return "", false
+	}
+	replica := *vnf
+	replica.ID = model.VNFID(fmt.Sprintf("%s#re%d", vnf.ID, c.seq))
+	replica.Instances = 1
+	c.subVNFs[0] = replica
+	sub.VNFs = c.subVNFs[:1]
+	alg := &placement.BFDSU{Seed: c.cfg.Seed ^ c.seq*0x9e3779b97f4a7c15}
+	res, err := alg.Place(sub)
+	if err != nil {
+		return "", false
+	}
+	node, ok := res.Placement.Node(replica.ID)
+	return node, ok
+}
+
+// rebalance re-partitions f's scheduled requests across the given instance
+// indices of f (all live in the simulation) with the configured scheduler
+// and reroutes them. No-op on an empty instance set.
+func (c *Controller) rebalance(f model.VNFID, instances []int, ctrl *simulate.RepairControl) {
+	reqs := c.reqsOf[f]
+	if len(instances) == 0 || len(reqs) == 0 {
+		return
+	}
+	c.items = c.items[:0]
+	for _, r := range reqs {
+		c.items = append(c.items, scheduling.Item{ID: r.ID, Weight: r.EffectiveRate()})
+	}
+	var assign []int
+	var err error
+	if c.reuse != nil {
+		assign, err = c.reuse.PartitionReuse(c.items, len(instances), &c.partScr)
+	} else {
+		assign, err = c.part.Partition(c.items, len(instances))
+	}
+	if err != nil {
+		return
+	}
+	for i, r := range reqs {
+		// Reassign only fails on stale references, which the instance map
+		// precludes; a failed reroute simply leaves the old route in place.
+		_ = ctrl.Reassign(r.ID, f, instances[assign[i]])
+	}
+	c.stats.Reschedules++
+}
+
+// migrate moves instance k of vnf onto target, paying the migration cost,
+// and rehosts it in the inventory. It reports whether the move happened.
+func (c *Controller) migrate(vnf *model.VNF, k int, target model.NodeID, now float64, rc *simulate.RepairControl) bool {
+	if err := rc.MigrateInstance(vnf.ID, k, target, now+c.cfg.MigrationCost); err != nil {
+		return false
+	}
+	c.forget(vnf, k)
+	c.record(vnf, k, target)
+	c.stats.MigrationSecs += c.cfg.MigrationCost
+	return true
+}
+
+// evacuate migrates every instance hosted on a node stranded accepts to a
+// host picked among the up, un-noticed nodes, and rebalances each VNF it
+// moved across the instances on nodes pool accepts. It returns the number
+// of instances moved.
+func (c *Controller) evacuate(now float64, rc *simulate.RepairControl, stranded, pool func(model.NodeID) bool) int {
+	safe := func(n model.NodeID) bool { return rc.NodeIsUp(n) && !c.noticed[n] }
+	total := 0
+	for i := range c.cfg.Problem.VNFs {
+		f := &c.cfg.Problem.VNFs[i]
+		moved := 0
+		for _, k := range c.instancesOn(f.ID, stranded) {
+			if target, ok := c.pickNode(f, safe); ok && c.migrate(f, k, target, now, rc) {
+				moved++
+			}
+		}
+		if moved > 0 {
+			c.rebalance(f.ID, c.instancesOn(f.ID, pool), rc)
+		}
+		total += moved
+	}
+	return total
 }
 
 // PreemptionNotice implements simulate.PreemptionNoticeHook: under
@@ -327,32 +702,9 @@ func (c *Controller) PreemptionNotice(now float64, nodes []model.NodeID, downAt 
 	for _, n := range nodes {
 		c.noticed[n] = true
 	}
+	doomed := func(n model.NodeID) bool { return c.noticed[n] }
 	safe := func(n model.NodeID) bool { return ctrl.NodeIsUp(n) && !c.noticed[n] }
-	resume := now + c.cfg.MigrationCost
-	for _, f := range c.cfg.Problem.VNFs {
-		c.hosts = c.rep.InstancesOf(f.ID, c.hosts[:0])
-		moved := false
-		for _, h := range c.hosts {
-			if !c.noticed[h.Node] {
-				continue
-			}
-			target, ok := c.rep.PickNode(f.ID, safe)
-			if !ok {
-				continue
-			}
-			if err := ctrl.MigrateInstance(f.ID, h.Instance, target, resume); err != nil {
-				continue
-			}
-			c.rep.MoveInstance(f.ID, h.Instance, target)
-			c.stats.Evacuations++
-			c.stats.MigrationSecs += c.cfg.MigrationCost
-			moved = true
-		}
-		if moved {
-			c.surv = append(c.surv[:0], c.rep.Survivors(f.ID, safe)...)
-			c.rep.Rebalance(f.ID, c.surv, ctrl)
-		}
-	}
+	c.stats.Evacuations += c.evacuate(now, ctrl, doomed, safe)
 }
 
 // Tick implements simulate.ControlHook: observe the window, autoscale each
@@ -374,25 +726,26 @@ func (c *Controller) Tick(now float64, cp *simulate.ControlPlane) {
 	// coverage is the worst-case fraction of offered load the active pools
 	// can absorb at TargetUtil; anything beyond it gets shed.
 	coverage := 1.0
-	for _, f := range c.cfg.Problem.VNFs {
-		c.hosts = c.rep.InstancesOf(f.ID, c.hosts[:0])
-		if len(c.hosts) == 0 {
+	for i := range c.cfg.Problem.VNFs {
+		f := &c.cfg.Problem.VNFs[i]
+		insts := c.instancesOn(f.ID, anyNode)
+		if len(insts) == 0 {
 			continue
 		}
-		demand := c.rep.OfferedLoad(f.ID)
+		demand := c.offeredLoad(f.ID)
 		var utilSum, capacity float64
 		active := 0
 		victim, victimSeen := -1, false
-		for _, h := range c.hosts {
-			oi, ok := c.obsIdx[simulate.InstanceKey{VNF: f.ID, Instance: h.Instance}]
+		for _, k := range insts {
+			oi, ok := c.obsIdx[simulate.InstanceKey{VNF: f.ID, Instance: k}]
 			if !ok || c.obs[oi].Down {
 				continue
 			}
 			active++
 			capacity += f.ServiceRate
 			utilSum += c.obs[oi].Utilization
-			if !victimSeen || h.Instance > victim {
-				victim, victimSeen = h.Instance, true
+			if !victimSeen || k > victim {
+				victim, victimSeen = k, true
 			}
 		}
 		if demand > 0 {
@@ -403,23 +756,25 @@ func (c *Controller) Tick(now float64, cp *simulate.ControlPlane) {
 			coverage = math.Min(coverage, cov)
 		}
 		if active == 0 {
-			// Every instance is down (the repair hook replaces capacity on
-			// failures it observes, but a fully preempted pool may still be
+			// Every instance is down (replacements cover failures the
+			// controller observes, but a fully preempted pool may still be
 			// empty): try to boot a replica on any up node.
-			c.scaleUp(f.ID, now, cp, rc, cp.NodeIsUp)
+			c.scaleUp(f, now, rc)
 			continue
 		}
 		mean := utilSum / float64(active)
 		switch {
 		case mean > c.cfg.ScaleUpUtil:
-			c.scaleUp(f.ID, now, cp, rc, cp.NodeIsUp)
+			c.scaleUp(f, now, rc)
 		case mean < c.cfg.ScaleDownUtil && active > 1 &&
 			demand <= c.cfg.TargetUtil*(capacity-f.ServiceRate):
-			c.scaleDown(f.ID, victim, rc)
+			c.scaleDown(f, victim, rc)
 		}
 	}
 	if c.cfg.Policy >= PolicyAutoscaleMigrate {
-		c.migrateTick(now, cp, rc)
+		down := func(n model.NodeID) bool { return !cp.NodeIsUp(n) }
+		c.stats.Migrations += c.evacuate(now, rc, down, cp.NodeIsUp)
+		c.hotNodeTick(now, cp, rc)
 	}
 	shed := 1 - coverage
 	if shed < 0 {
@@ -428,76 +783,30 @@ func (c *Controller) Tick(now float64, cp *simulate.ControlPlane) {
 	_ = rc.SetShedFraction(shed)
 }
 
-// scaleUp boots one replica of f on a node the predicate accepts and
-// rebalances f's requests across the enlarged pool.
-func (c *Controller) scaleUp(f model.VNFID, now float64, cp *simulate.ControlPlane, rc *simulate.RepairControl, keep func(model.NodeID) bool) {
-	node, ok := c.rep.PickNode(f, keep)
-	if !ok {
+// scaleUp boots one replica of f on an up node and rebalances f's requests
+// across the enlarged pool.
+func (c *Controller) scaleUp(f *model.VNF, now float64, rc *simulate.RepairControl) {
+	if !c.boot(f, now, rc, rc.NodeIsUp) {
 		return
 	}
-	k, err := rc.AddInstance(f, node, now+c.cfg.SetupCost)
-	if err != nil {
-		return
-	}
-	c.rep.RecordInstance(f, k, node)
-	c.surv = append(c.surv[:0], c.rep.Survivors(f, cp.NodeIsUp)...)
-	c.rep.Rebalance(f, c.surv, rc)
+	c.rebalance(f.ID, c.instancesOn(f.ID, rc.NodeIsUp), rc)
 	c.stats.ScaleUps++
-	c.stats.SetupSecs += c.cfg.SetupCost
 }
 
 // scaleDown drains instance victim of f: requests are rebalanced onto the
 // rest of the pool first, then the instance retires (finishing any residual
 // work) and leaves the inventory.
-func (c *Controller) scaleDown(f model.VNFID, victim int, rc *simulate.RepairControl) {
-	c.surv = c.surv[:0]
-	for _, k := range c.rep.Survivors(f, rc.NodeIsUp) {
-		if k != victim {
-			c.surv = append(c.surv, k)
-		}
-	}
-	if len(c.surv) == 0 {
+func (c *Controller) scaleDown(f *model.VNF, victim int, rc *simulate.RepairControl) {
+	rest := slices.DeleteFunc(c.instancesOn(f.ID, rc.NodeIsUp), func(k int) bool { return k == victim })
+	if len(rest) == 0 {
 		return
 	}
-	c.rep.Rebalance(f, c.surv, rc)
-	if err := rc.RemoveInstance(f, victim); err != nil {
+	c.rebalance(f.ID, rest, rc)
+	if err := rc.RemoveInstance(f.ID, victim); err != nil {
 		return
 	}
-	c.rep.ForgetInstance(f, victim)
+	c.forget(f, victim)
 	c.stats.ScaleDowns++
-}
-
-// migrateTick moves instances stranded on down nodes back into service on
-// surviving hosts (rather than waiting out the recovery), paying the
-// migration cost, and rebalances the affected VNFs.
-func (c *Controller) migrateTick(now float64, cp *simulate.ControlPlane, rc *simulate.RepairControl) {
-	safe := func(n model.NodeID) bool { return cp.NodeIsUp(n) && !c.noticed[n] }
-	resume := now + c.cfg.MigrationCost
-	for _, f := range c.cfg.Problem.VNFs {
-		c.hosts = c.rep.InstancesOf(f.ID, c.hosts[:0])
-		moved := false
-		for _, h := range c.hosts {
-			if cp.NodeIsUp(h.Node) {
-				continue
-			}
-			target, ok := c.rep.PickNode(f.ID, safe)
-			if !ok {
-				continue
-			}
-			if err := rc.MigrateInstance(f.ID, h.Instance, target, resume); err != nil {
-				continue
-			}
-			c.rep.MoveInstance(f.ID, h.Instance, target)
-			c.stats.Migrations++
-			c.stats.MigrationSecs += c.cfg.MigrationCost
-			moved = true
-		}
-		if moved {
-			c.surv = append(c.surv[:0], c.rep.Survivors(f.ID, cp.NodeIsUp)...)
-			c.rep.Rebalance(f.ID, c.surv, rc)
-		}
-	}
-	c.hotNodeTick(now, cp, rc)
 }
 
 // hotNodeTick relieves the hottest node: when one node's instances run
@@ -545,19 +854,17 @@ func (c *Controller) hotNodeTick(now float64, cp *simulate.ControlPlane, rc *sim
 		return
 	}
 	key := c.obs[best].Key
-	safe := func(n model.NodeID) bool { return cp.NodeIsUp(n) && !c.noticed[n] && n != hot }
-	target, ok := c.rep.PickNode(key.VNF, safe)
+	vnf, ok := c.cfg.Problem.VNF(key.VNF)
 	if !ok {
 		return
 	}
-	if err := rc.MigrateInstance(key.VNF, key.Instance, target, now+c.cfg.MigrationCost); err != nil {
+	safe := func(n model.NodeID) bool { return cp.NodeIsUp(n) && !c.noticed[n] && n != hot }
+	target, ok := c.pickNode(&vnf, safe)
+	if !ok || !c.migrate(&vnf, key.Instance, target, now, rc) {
 		return
 	}
-	c.rep.MoveInstance(key.VNF, key.Instance, target)
 	c.stats.Migrations++
-	c.stats.MigrationSecs += c.cfg.MigrationCost
-	c.surv = append(c.surv[:0], c.rep.Survivors(key.VNF, cp.NodeIsUp)...)
-	c.rep.Rebalance(key.VNF, c.surv, rc)
+	c.rebalance(key.VNF, c.instancesOn(key.VNF, cp.NodeIsUp), rc)
 }
 
 // Interface conformance.

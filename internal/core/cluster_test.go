@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"nfvchain/internal/control"
 	"nfvchain/internal/model"
-	"nfvchain/internal/repair"
 	"nfvchain/internal/simulate"
 	"nfvchain/internal/workload"
 )
@@ -33,12 +33,12 @@ func clusterSolution(t *testing.T) *ClusterSolution {
 func TestClusterPerDatacenterFaultPlans(t *testing.T) {
 	cs := clusterSolution(t)
 	node := cs.Regions[0].Problem.Nodes[0].ID
-	run := func(workers int) (*simulate.Results, *simulate.Results, repair.Stats) {
-		ctrl, err := repair.New(repair.Config{
+	run := func(workers int) (*simulate.Results, *simulate.Results, control.Stats) {
+		ctrl, err := control.New(control.Config{
 			Problem:   cs.Regions[0].Problem,
 			Placement: cs.Regions[0].Placement,
 			Schedule:  cs.Regions[0].Schedule,
-			Mode:      repair.ModeRescheduleReplace,
+			Policy:    control.PolicyRepair,
 			SetupCost: 0.05,
 			Seed:      1,
 		})

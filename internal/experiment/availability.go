@@ -5,26 +5,31 @@ import (
 	"math"
 	"sync"
 
+	"nfvchain/internal/control"
 	"nfvchain/internal/placement"
-	"nfvchain/internal/repair"
 	"nfvchain/internal/scheduling"
 	"nfvchain/internal/simulate"
 	"nfvchain/internal/stats"
 	"nfvchain/internal/workload"
 )
 
-// availabilityModes are the repair modes compared at every failure rate.
-var availabilityModes = []repair.Mode{
-	repair.ModeNone,
-	repair.ModeReschedule,
-	repair.ModeRescheduleReplace,
+// availabilityModes are the node-transition rungs of the control ladder
+// compared at every failure rate, with the figure's label for each: the
+// repair rung is labelled by the mechanism it adds, "replace".
+var availabilityModes = []struct {
+	policy control.Policy
+	label  string
+}{
+	{control.PolicyNone, "none"},
+	{control.PolicyReschedule, "reschedule"},
+	{control.PolicyRepair, "replace"},
 }
 
 // Availability quantifies what the paper's steady-state model leaves out:
 // node failures. A BFDSU-placed, RCKK-scheduled deployment is simulated
 // under increasing random failure rates (MTBF from ∞ down to the horizon
-// itself, MTTR = horizon/6) crossed with the three repair modes of
-// internal/repair, using the same seed per (rate, trial) cell so every mode
+// itself, MTTR = horizon/6) crossed with the three node-transition rungs of
+// internal/control, using the same seed per (rate, trial) cell so every mode
 // faces the identical fault sample path. Reported per mode: availability
 // (delivered/offered), mean latency, and p99 latency. Because the paper's
 // placement hosts all of a VNF's instances on one node, reschedule-only
@@ -52,7 +57,7 @@ func Availability(cfg Config) (*Table, error) {
 	type modeResult struct {
 		avail, meanW, p99 float64
 		p99ok             bool
-		repaired          repair.Stats
+		repaired          control.Stats
 	}
 	// Each (point, trial) cell runs 3 fault-injected simulations; recycling
 	// simulators across cells keeps the packet arena, agenda and fault
@@ -86,12 +91,12 @@ func Availability(cfg Config) (*Table, error) {
 			defer simPool.Put(sim)
 			plan := &simulate.FaultPlan{MTBF: factors[point] * horizon, MTTR: mttr}
 			for mi, mode := range availabilityModes {
-				ctrl, err := repair.New(repair.Config{
+				ctrl, err := control.New(control.Config{
 					Problem:   prob,
 					Placement: placed.Placement,
 					Schedule:  sched,
-					Mode:      mode,
-					SetupCost: repair.SetupCostClickOS,
+					Policy:    mode.policy,
+					SetupCost: control.SetupCostClickOS,
 					Seed:      seed,
 				})
 				if err != nil {
@@ -149,22 +154,22 @@ func Availability(cfg Config) (*Table, error) {
 				replacementsFailed += tr[mi].repaired.ReplacementsFailed
 			}
 			n := float64(len(perPoint[pi]))
-			t.AddPoint("availability ("+mode.String()+")", x, avail/n)
-			t.AddPoint("mean latency ("+mode.String()+")", x, meanW/n)
+			t.AddPoint("availability ("+mode.label+")", x, avail/n)
+			t.AddPoint("mean latency ("+mode.label+")", x, meanW/n)
 			if p99n > 0 {
-				t.AddPoint("p99 latency ("+mode.String()+")", x, p99/float64(p99n))
+				t.AddPoint("p99 latency ("+mode.label+")", x, p99/float64(p99n))
 			}
 		}
 	}
 
 	noneAtWorst := t.Series[0].Y[len(factors)-1]
-	if s, ok := t.SeriesByLabel("availability (" + repair.ModeRescheduleReplace.String() + ")"); ok {
+	if s, ok := t.SeriesByLabel("availability (replace)"); ok {
 		replaceAtWorst := s.Y[len(s.Y)-1]
 		t.Note("at MTBF = horizon, reschedule+replace availability %.4f vs %.4f unrepaired (+%.1f%%)",
 			replaceAtWorst, noneAtWorst, 100*(replaceAtWorst-noneAtWorst))
 	}
 	t.Note("replacements booted across all runs: %d (%d found no feasible node); setup cost %.3gs each (ClickOS)",
-		replacementsTotal, replacementsFailed, repair.SetupCostClickOS)
+		replacementsTotal, replacementsFailed, control.SetupCostClickOS)
 	t.Note("reschedule-only tracks no-repair: the paper's placement co-locates all of a VNF's instances, so a node failure leaves no survivors to rebalance onto")
 	return t, nil
 }

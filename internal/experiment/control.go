@@ -7,7 +7,6 @@ import (
 	"nfvchain/internal/control"
 	"nfvchain/internal/model"
 	"nfvchain/internal/placement"
-	"nfvchain/internal/repair"
 	"nfvchain/internal/scheduling"
 	"nfvchain/internal/simulate"
 	"nfvchain/internal/stats"
@@ -27,8 +26,8 @@ var controlPolicies = []control.Policy{
 // Control maps the cost-vs-SLO frontier of the online control plane under
 // correlated preemptions. A BFDSU-placed, RCKK-scheduled deployment faces
 // spot-style correlated capacity loss (groups of nodes preempted at once,
-// with advance notice) at increasing intensity, crossed with the four
-// internal/control policies; every policy sees the identical preemption
+// with advance notice) at increasing intensity, crossed with four rungs of
+// the internal/control ladder; every policy sees the identical preemption
 // sample path per (intensity, trial) cell. Reported per policy: availability,
 // p99 latency, the shed fraction of offered load, and the mean number of
 // nodes in service (the cost axis — NodeSeconds/horizon). Escalating the
@@ -120,8 +119,8 @@ func Control(cfg Config) (*Table, error) {
 						Placement:     placed.Placement,
 						Schedule:      sched,
 						Policy:        policy,
-						SetupCost:     repair.SetupCostClickOS,
-						MigrationCost: repair.SetupCostClickOS,
+						SetupCost:     control.SetupCostClickOS,
+						MigrationCost: control.SetupCostClickOS,
 						Seed:          seed,
 					})
 					if err != nil {
@@ -190,7 +189,7 @@ func Control(cfg Config) (*Table, error) {
 			worst, migP99, migNodes, noneP99, noneNodes)
 	}
 	t.Note("preemptions take %d nodes down together for %.3gs with %.2gs advance notice; controller ticks every %.2gs (ClickOS boot/migration %.3gs)",
-		group, recovery, leadTime, interval, repair.SetupCostClickOS)
+		group, recovery, leadTime, interval, control.SetupCostClickOS)
 	t.Note("shedding is the graceful-degradation valve: autoscale policies shed the admission fraction active capacity cannot cover at the target utilization instead of letting queues diverge")
 	return t, nil
 }

@@ -14,8 +14,8 @@ import (
 // seq) order. The hook observes the live deployment through the ControlPlane
 // and may reshape it — add, retire or migrate instances, reroute requests,
 // shed admissions — which is how internal/control implements a pool-manager
-// loop (autoscaling, migration, graceful degradation) on top of the repair
-// primitives. A nil Control leaves every event and RNG stream bit-identical
+// loop (autoscaling, migration, graceful degradation) on top of the same
+// RepairControl primitives its fault hook uses. A nil Control leaves every event and RNG stream bit-identical
 // to historical runs.
 type ControlHook interface {
 	Tick(now float64, cp *ControlPlane)

@@ -13,7 +13,7 @@
 // service, packets caught there follow the FailurePolicy (crash loss or
 // NACK-style source retransmission), and a FaultHook can repair the run mid-
 // flight — rerouting requests to survivors and booting replacement instances
-// — which is how internal/repair implements self-healing.
+// — which is how internal/control implements self-healing.
 //
 // The event loop is allocation-free in steady state and built for raw CPU
 // speed: the agenda is a value-typed implicit 4-ary min-heap of 32-byte

@@ -104,7 +104,7 @@ const (
 // FaultHook observes node state transitions mid-run, at the simulated time
 // they occur, and may use the RepairControl to reroute requests or add
 // replacement instances — the entry point for self-healing controllers (see
-// internal/repair). NodeDown is invoked after the node's instances have
+// internal/control). NodeDown is invoked after the node's instances have
 // failed their packets; NodeUp after the node is back in service. The
 // control handle is only valid for the duration of the callback.
 type FaultHook interface {

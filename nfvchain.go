@@ -11,7 +11,6 @@ import (
 	"nfvchain/internal/model"
 	"nfvchain/internal/placement"
 	"nfvchain/internal/portfolio"
-	"nfvchain/internal/repair"
 	"nfvchain/internal/routing"
 	"nfvchain/internal/scheduling"
 	"nfvchain/internal/simulate"
@@ -149,15 +148,6 @@ type (
 	// RepairControl is the handle a FaultHook uses to reroute requests and
 	// boot replacement instances at simulated time.
 	RepairControl = simulate.RepairControl
-	// RepairConfig parameterizes a self-healing repair controller.
-	RepairConfig = repair.Config
-	// RepairController reschedules and re-places around node failures; pass
-	// it as SimulationConfig.FaultHook.
-	RepairController = repair.Controller
-	// RepairMode selects how much of the repair machinery is active.
-	RepairMode = repair.Mode
-	// RepairStats counts one run's repair activity.
-	RepairStats = repair.Stats
 )
 
 // Failure policies for SimulationConfig.FailurePolicy.
@@ -170,35 +160,14 @@ const (
 	FailRetransmit = simulate.FailRetransmit
 )
 
-// Repair modes for RepairConfig.Mode.
+// Setup costs cited by the paper (seconds) for ControlConfig.SetupCost: a
+// middlebox VM boot vs a ClickOS-style lightweight instantiation.
 const (
-	// RepairNone observes failures without acting (the baseline).
-	RepairNone = repair.ModeNone
-	// RepairReschedule rebalances requests across surviving instances.
-	RepairReschedule = repair.ModeReschedule
-	// RepairRescheduleReplace additionally boots replacement instances on
-	// surviving nodes, paying the configured setup cost.
-	RepairRescheduleReplace = repair.ModeRescheduleReplace
+	SetupCostVM      = control.SetupCostVM
+	SetupCostClickOS = control.SetupCostClickOS
 )
 
-// Setup costs cited by the paper (seconds) for RepairConfig.SetupCost and
-// ControlConfig.SetupCost: a middlebox VM boot vs a ClickOS-style
-// lightweight instantiation.
-const (
-	SetupCostVM      = repair.SetupCostVM
-	SetupCostClickOS = repair.SetupCostClickOS
-)
-
-// NewRepairController builds a self-healing controller for one simulation
-// run; wire it in via SimulationConfig.FaultHook alongside a FaultPlan.
-func NewRepairController(cfg RepairConfig) (*RepairController, error) {
-	return repair.New(cfg)
-}
-
-// ParseRepairMode parses a textual repair mode (none|reschedule|replace).
-func ParseRepairMode(s string) (RepairMode, error) { return repair.ParseMode(s) }
-
-// Online control plane, re-exported.
+// Self-healing control plane, re-exported.
 type (
 	// ControlHook receives periodic controller ticks when wired in via
 	// SimulationConfig.Control (+ ControlInterval).
@@ -214,13 +183,15 @@ type (
 	// PreemptionNoticeHook is optionally implemented by a FaultHook to
 	// receive advance notice of correlated preemptions.
 	PreemptionNoticeHook = simulate.PreemptionNoticeHook
-	// ControlConfig parameterizes the pool-manager controller.
+	// ControlConfig parameterizes the self-healing controller.
 	ControlConfig = control.Config
-	// Controller is the online pool manager: autoscaling, migration and
-	// graceful degradation on top of the repair machinery. Wire one value in
-	// as both SimulationConfig.FaultHook and SimulationConfig.Control.
+	// Controller is the self-healing control plane: rescheduling and
+	// re-placement around node failures, then autoscaling, migration and
+	// graceful degradation. Wire it in as SimulationConfig.FaultHook and,
+	// from ControlAutoscale up, also as SimulationConfig.Control.
 	Controller = control.Controller
-	// ControlPolicy selects how much of the control plane is active.
+	// ControlPolicy selects how much of the control plane is active: one
+	// rung of the escalation ladder.
 	ControlPolicy = control.Policy
 	// ControlStats counts one run's control-plane activity.
 	ControlStats = control.Stats
@@ -228,9 +199,12 @@ type (
 
 // Control policies for ControlConfig.Policy, ordered by escalation.
 const (
-	// ControlNone disables the control plane (the baseline).
+	// ControlNone observes node transitions without acting (the baseline).
 	ControlNone = control.PolicyNone
-	// ControlRepair reacts to node transitions like a repair controller.
+	// ControlReschedule rebalances requests across surviving instances.
+	ControlReschedule = control.PolicyReschedule
+	// ControlRepair additionally boots replacement instances on surviving
+	// nodes when a VNF loses every instance, paying the setup cost.
 	ControlRepair = control.PolicyRepair
 	// ControlAutoscale adds utilization-driven scaling and admission
 	// shedding at each tick.
@@ -240,12 +214,13 @@ const (
 	ControlAutoscaleMigrate = control.PolicyAutoscaleMigrate
 )
 
-// NewController builds an online pool-manager controller for one simulation
-// run; wire it in via SimulationConfig.FaultHook and SimulationConfig.Control.
+// NewController builds a self-healing controller for one deployment; wire it
+// in via SimulationConfig.FaultHook alongside a FaultPlan and, from
+// ControlAutoscale up, via SimulationConfig.Control.
 func NewController(cfg ControlConfig) (*Controller, error) { return control.New(cfg) }
 
 // ParseControlPolicy parses a textual control policy
-// (none|repair|autoscale|autoscale+migrate).
+// (none|reschedule|repair|autoscale|autoscale+migrate).
 func ParseControlPolicy(s string) (ControlPolicy, error) { return control.ParsePolicy(s) }
 
 // Algorithm interfaces re-exported for callers supplying their own
