@@ -73,14 +73,20 @@ figs-check:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# Profile the Simulator/large-horizon* scenarios of internal/benchsuite and
-# print the top CPU consumers. Leaves cpu.prof/mem.prof behind for
+# Profile two simulator workloads of internal/benchsuite and print the top
+# CPU consumers of each: the Simulator/large-horizon* scenarios (5 requests,
+# no link delay) into cpu.prof/mem.prof, and Simulator/paper-200 (the
+# 200-request paper instance with 1 ms links, where the agenda's lanes are
+# full) into paper-cpu.prof/paper-mem.prof. The files stay behind for
 # `go tool pprof -http` flame graphs; see the profiling workflow in
 # EXPERIMENTS.md.
 profile:
 	$(GO) run ./cmd/nfvbench -run Simulator/large-horizon -out /dev/null \
 		-cpuprofile cpu.prof -memprofile mem.prof
 	$(GO) tool pprof -top -nodecount 15 cpu.prof
+	$(GO) run ./cmd/nfvbench -run Simulator/paper-200 -out /dev/null \
+		-cpuprofile paper-cpu.prof -memprofile paper-mem.prof
+	$(GO) tool pprof -top -nodecount 15 paper-cpu.prof
 
 # Non-test Go lines outside the perfbench module: the size a deletion
 # change reports. Counts tracked files only, like fmt.

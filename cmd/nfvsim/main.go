@@ -83,8 +83,8 @@ func runTo(args []string, stdout io.Writer) error {
 
 		mtbf       = fs.Float64("mtbf", 0, "with -simulate: mean time between node failures in seconds (0 disables fault injection)")
 		mttr       = fs.Float64("mttr", 5, "with -simulate -mtbf: mean time to repair a failed node in seconds")
-		failPolicy = fs.String("failurepolicy", "drop", "with -simulate -mtbf: fate of packets on failed nodes: drop|retransmit")
-		repairMode = fs.String("repair", "none", "with -simulate -mtbf: self-healing mode: none|reschedule|replace")
+		failPolicy = fs.String("failurepolicy", "drop", "with -simulate and -mtbf or -preempt-interval: fate of packets on failed nodes: drop|retransmit")
+		repairMode = fs.String("repair", "none", "with -simulate and -mtbf or -preempt-interval: self-healing mode: none|reschedule|replace")
 		retrDelay  = fs.Float64("retransmit-delay", 0.005, "NACK round-trip before a dropped/failed packet is re-injected (seconds)")
 
 		controlStr   = fs.String("control", "none", "with -simulate: online control plane policy: none|reschedule|repair|autoscale|autoscale+migrate (subsumes -repair)")
@@ -763,9 +763,9 @@ func solveAndReport(p *model.Problem, seed uint64, simulate bool, solOut string,
 	}
 	// -control hands the controller both hook slots, node transitions
 	// (FaultHook) and the periodic tick loop (Control); -repair, which acts
-	// on random failures, only the first.
+	// on node failures from any fault source, only the first.
 	policy := ctrl.policy
-	if faults.mtbf > 0 && faults.repair != nfvchain.ControlNone {
+	if simCfg.FaultPlan != nil && faults.repair != nfvchain.ControlNone {
 		policy = faults.repair
 	}
 	var healer *nfvchain.Controller

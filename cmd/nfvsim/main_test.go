@@ -260,15 +260,20 @@ func TestRunRejectsZeroRetransmitDelay(t *testing.T) {
 	}
 }
 
-// controllerDemo is the fault-injected demo every controller pin runs: a
+// controllerDemo is the fault-injected demo the controller pins run: a
 // small generated deployment under random node failures (MTBF 20 s, MTTR
 // 4 s) over the default 60 s horizon.
 var controllerDemo = []string{"-demo", "-simulate", "-requests", "40", "-vnfs", "8", "-nodes", "6", "-mtbf", "20", "-mttr", "4"}
 
+// preemptDemo is the same deployment with correlated preemption (one
+// two-node group every 10 s on average) as its only fault source.
+var preemptDemo = []string{"-demo", "-simulate", "-requests", "40", "-vnfs", "8", "-nodes", "6", "-preempt-interval", "10"}
+
 // TestRunControllerPaths pins the FNV-1a hash of the report (or, with -json,
-// the Results document) of the fault-injected demo under each way nfvsim
+// the Results document) of a fault-injected demo under each way nfvsim
 // attaches a self-healing controller, so a refactor of the controllers that
-// moves any simulated packet, repair count or stat fails here. The values
+// moves any simulated packet, repair count or stat fails here. The
+// preemption-only case pins that -repair acts without -mtbf. The values
 // were recorded on linux/amd64; see TestExperimentFingerprints for why other
 // architectures skip.
 func TestRunControllerPaths(t *testing.T) {
@@ -277,19 +282,21 @@ func TestRunControllerPaths(t *testing.T) {
 	}
 	cases := []struct {
 		name string
+		demo []string
 		args []string
 		want uint64
 	}{
-		{"repair reschedule", []string{"-repair", "reschedule"}, 0xdd3edeef95c3f1db},
-		{"repair replace", []string{"-repair", "replace"}, 0x6b74ca5c157fbaf7},
-		{"control repair", []string{"-control", "repair"}, 0x80360341456381e1},
-		{"control autoscale+migrate", []string{"-control", "autoscale+migrate", "-preempt-interval", "10", "-preempt-lead", "0.5"}, 0x3a7fc01ba667c5be},
-		{"repair replace json", []string{"-repair", "replace", "-json"}, 0x6e6284bb554605d4},
+		{"repair reschedule", controllerDemo, []string{"-repair", "reschedule"}, 0xdd3edeef95c3f1db},
+		{"repair replace", controllerDemo, []string{"-repair", "replace"}, 0x6b74ca5c157fbaf7},
+		{"control repair", controllerDemo, []string{"-control", "repair"}, 0x80360341456381e1},
+		{"control autoscale+migrate", controllerDemo, []string{"-control", "autoscale+migrate", "-preempt-interval", "10", "-preempt-lead", "0.5"}, 0x3a7fc01ba667c5be},
+		{"repair replace json", controllerDemo, []string{"-repair", "replace", "-json"}, 0x6e6284bb554605d4},
+		{"repair replace preemption only", preemptDemo, []string{"-repair", "replace"}, 0x22342261d171026},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := runTo(append(slices.Clone(controllerDemo), tc.args...), &buf); err != nil {
+			if err := runTo(slices.Concat(tc.demo, tc.args), &buf); err != nil {
 				t.Fatal(err)
 			}
 			h := fnv.New64a()

@@ -54,6 +54,7 @@ func Scenarios() []Scenario {
 		{"Simulator/large-horizon", simulatorLargeHorizon},
 		{"Simulator/large-horizon-reuse", func(b *testing.B) { simulatorFleetReuse(b, 30) }},
 		{"Simulator/deep-horizon", func(b *testing.B) { simulatorFleetReuse(b, 300) }},
+		{"Simulator/paper-200", simulatorPaper200},
 		{"Simulator/stream-replay", simulatorStreamReplay},
 		{"Simulator/bursty-classes", simulatorBurstyClasses},
 		{"Simulator/drop-retransmit", simulatorDropRetransmit},
@@ -316,6 +317,24 @@ func simulatorFleetReuse(b *testing.B, horizon float64) {
 	prob, sched := fleetFixture()
 	reuseEach(b, func(seed uint64) simulate.Config {
 		return simulate.Config{Problem: prob, Schedule: sched, Horizon: horizon, Warmup: 2, Seed: seed}
+	})
+}
+
+// simulatorPaper200 is the perfbench simulate plain job in miniature: the
+// §V-A instance at 200 requests, solved with 1 ms links, simulated for 4 s
+// after a 0.5 s warm-up on one reused Simulator. It is the one row at paper
+// scale: 200 sources pending at once and a link hop on most chains, where
+// the fleet rows carry 5 requests and no link delay. Every iteration
+// replays seed 1, the warm-up run's seed: a new seed can push a queue ring
+// or the packet arena past its high-water mark, and those rare growths
+// would make allocs/op depend on b.N.
+func simulatorPaper200(b *testing.B) {
+	sol := solvedInstance(b, 200)
+	reuseEach(b, func(uint64) simulate.Config {
+		return simulate.Config{
+			Problem: sol.Problem, Schedule: sol.Schedule, Placement: sol.Placement,
+			LinkDelay: sol.LinkDelay, Horizon: 4, Warmup: 0.5, Seed: 1,
+		}
 	})
 }
 

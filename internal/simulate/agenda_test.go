@@ -57,28 +57,39 @@ func randomEventTime(st *rng.Stream, last float64) float64 {
 	}
 }
 
-// TestAgendaDifferentialRandom drives the heap-backed agenda and the sorted
-// reference with identical randomized workloads — duplicate timestamps,
-// equal-time seq ties, pushes interleaved mid-drain, occasional pushes below
-// already-popped times, pre-stamped pushes from the band below the regular
-// counter (the streamed-trace path) and unpops of the event just popped (the
-// cluster path) — and asserts the two pop bit-identical event sequences. The
-// agenda is reused across trials, so post-reset state (FIFO, heap array,
+// TestAgendaDifferentialRandom drives the laned agenda and the sorted
+// reference with identical randomized workloads and asserts the two pop
+// bit-identical event sequences. Plain pushes draw duplicate timestamps,
+// equal-time seq ties and occasional times below already-popped ones; link
+// pushes carry a constant delay (0, 0.25 or 1 per trial) on a monotone clock,
+// with a rare push below the ring's tail that the guard must send to the
+// main heap; sources keep at most one pending event per index and redraw
+// when it pops. They interleave with pushes mid-drain, pre-stamped pushes
+// from the band below the regular counter (the streamed-trace path) and
+// unpops of the event just popped (the cluster path). The agenda is reused
+// across trials, so post-reset state (both FIFOs, the heap arrays, a
 // pending root hole) is exercised too.
 func TestAgendaDifferentialRandom(t *testing.T) {
-	const stampBase = 1 << 20
+	const (
+		stampBase = 1 << 20
+		sources   = 24
+	)
+	delays := []float64{0, 0.25, 1}
 	st := rng.New(42)
 	var a agenda
 	for trial := 0; trial < 60; trial++ {
 		a.reset()
+		a.reserve(sources, 0)
 		ref := refAgenda{}
 		stamped := trial%2 == 1
 		if stamped {
 			a.startSeqAt(stampBase)
 			ref.seq = stampBase
 		}
+		delay := delays[trial%len(delays)]
+		var pending [sources]bool
 		stampSeq := uint64(0)
-		last := 0.0
+		last, clock := 0.0, 0.0
 		for i := 0; i < 3000; i++ {
 			if len(ref.events) > 0 && st.Float64() < 0.45 {
 				e, ok := a.pop()
@@ -86,23 +97,41 @@ func TestAgendaDifferentialRandom(t *testing.T) {
 				if !ok || e != want {
 					t.Fatalf("trial %d op %d: pop = %+v %v, reference %+v", trial, i, e, ok, want)
 				}
-				last = e.time
+				last, clock = e.time, max(clock, e.time)
 				if st.Float64() < 0.1 {
 					a.unpop(e)
 					ref.insert(e)
+				} else if e.kind == evSource {
+					pending[e.reqIndex] = false
 				}
 				continue
 			}
 			e := event{time: randomEventTime(st, last), kind: evArrival, pkt: int32(i), inst: int32(trial)}
-			if stamped && st.Float64() < 0.2 {
+			switch k := st.IntN(10); {
+			case stamped && k < 2:
 				stampSeq++
 				e.seq = stampSeq
 				e.kind = evStream
 				a.pushStamped(e)
 				ref.insert(e)
 				continue
+			case k < 5:
+				e.time = clock + delay
+				if st.IntN(50) == 0 {
+					e.time = clock - 0.5 // below the tail: the guard's heap fallback
+				}
+				a.pushLink(e)
+			case k < 7:
+				r := int32(st.IntN(sources))
+				if pending[r] {
+					continue
+				}
+				pending[r] = true
+				e.kind, e.reqIndex = evSource, r
+				a.pushSource(e)
+			default:
+				a.push(e)
 			}
-			a.push(e)
 			ref.push(e)
 		}
 		if a.size() != len(ref.events) {
@@ -121,57 +150,99 @@ func TestAgendaDifferentialRandom(t *testing.T) {
 	}
 }
 
-// TestAgendaDifferentialBulk skips the wrapper's due-now FIFO and compares
-// the raw heap against the sorted reference under bulk loads: a broad
-// uniform spread, a dense cluster and an equal-timestamp mass, then a drain
-// with pushes interleaved — some at the just-popped time.
+// TestAgendaDifferentialBulk compares the agenda against the sorted
+// reference under bulk loads on every lane: a broad uniform spread, a dense
+// cluster and an equal-timestamp mass on the main heap, thousands of
+// sources, and link pushes on a slowly advancing clock that outgrow the
+// ring several times — then a drain with pushes interleaved: some at the
+// just-popped time, link hops a constant delay later, and a source redraw
+// for every source popped.
 func TestAgendaDifferentialBulk(t *testing.T) {
+	const (
+		sources = 4000
+		delay   = 0.5
+	)
 	st := rng.New(7)
-	var h heapAgenda
+	var a agenda
 	for trial := 0; trial < 4; trial++ {
-		h.reset()
+		a.reset()
+		a.reserve(sources, 64)
 		ref := refAgenda{}
-		push := func(tm float64) {
-			ref.seq++
-			e := event{time: tm, seq: ref.seq, kind: evService}
-			ref.insert(e)
-			h.push(e)
+		push := func(e event, lane func(event)) {
+			lane(e)
+			ref.push(e)
 		}
+		clock := 0.0
 		for i := 0; i < 8000; i++ {
+			e := event{kind: evService, pkt: int32(i)}
 			switch st.IntN(10) {
-			case 0, 1, 2:
-				push(st.Float64() * 1000) // broad uniform spread
-			case 3, 4, 5, 6:
-				push(500 + st.Float64()*0.01) // dense cluster
+			case 0, 1:
+				e.time = st.Float64() * 1000 // broad uniform spread
+			case 2, 3:
+				e.time = 500 + st.Float64()*0.01 // dense cluster
+			case 4:
+				e.time = 7.25 // zero-spread mass: pure seq tie-breaks
+			case 5, 6, 7:
+				clock += st.Float64() * 0.01
+				e.kind, e.time = evArrival, clock+delay
+				push(e, a.pushLink)
+				continue
 			default:
-				push(7.25) // zero-spread mass: pure seq tie-breaks
+				if i >= sources {
+					continue
+				}
+				e.kind, e.reqIndex, e.time = evSource, int32(i), st.Float64()*1000
+				push(e, a.pushSource)
+				continue
 			}
+			push(e, a.push)
 		}
 		drained := 0
 		for {
-			hp := h.peek()
-			if (hp == nil) != (len(ref.events) == 0) {
-				t.Fatalf("trial %d: emptiness diverged at pop %d", trial, drained)
+			e, ok := a.pop()
+			want, wok := ref.pop()
+			if ok != wok || e != want {
+				t.Fatalf("trial %d pop %d: agenda %+v %v, reference %+v %v", trial, drained, e, ok, want, wok)
 			}
-			if hp == nil {
+			if !ok {
 				break
 			}
-			e := h.pop()
-			want, _ := ref.pop()
-			if e != want {
-				t.Fatalf("trial %d pop %d: heap %+v, reference %+v", trial, drained, e, want)
-			}
 			drained++
+			if drained > 20000 {
+				continue // bounded: interleaved pushes would drain forever
+			}
+			if e.kind == evSource {
+				push(event{kind: evSource, reqIndex: e.reqIndex, time: e.time + st.Float64()*100}, a.pushSource)
+			}
 			if drained%3 == 0 {
-				push(e.time + st.Float64()*100)
+				push(event{kind: evArrival, time: max(clock, e.time) + delay}, a.pushLink)
 			}
 			if drained%7 == 0 {
-				push(e.time) // equal to the just-popped time
-			}
-			if drained > 20000 {
-				break // bounded: interleaved pushes would drain forever
+				push(event{kind: evService, time: e.time}, a.push) // equal to the just-popped time
 			}
 		}
+	}
+}
+
+// TestAgendaLinkGuard pins the link FIFO's fallback: a link push earlier
+// than the ring's tail goes to the main heap, and the pops still come out
+// in (time, seq) order across the two lanes.
+func TestAgendaLinkGuard(t *testing.T) {
+	var a agenda
+	a.reset()
+	a.pushLink(event{time: 5})
+	a.pushLink(event{time: 5}) // a tie extends the ring
+	a.pushLink(event{time: 3}) // below the tail
+	if a.llen != 2 || len(a.heap.events) != 1 {
+		t.Fatalf("ring holds %d and main heap %d, want 2 and 1", a.llen, len(a.heap.events))
+	}
+	for i, want := range []uint64{3, 1, 2} {
+		if e, ok := a.pop(); !ok || e.seq != want {
+			t.Fatalf("pop %d = %+v ok=%v, want seq %d", i, e, ok, want)
+		}
+	}
+	if _, ok := a.pop(); ok {
+		t.Fatal("agenda not empty after three pops")
 	}
 }
 
@@ -196,8 +267,8 @@ func TestAgendaUnpopEqualTime(t *testing.T) {
 }
 
 // TestAgendaGoldenInvariance runs the seed-determinism configs back to back
-// on one reused Simulator: the agenda, reset between runs with its heap and
-// FIFO arrays retained, must still reproduce the pinned golden fingerprints.
+// on one reused Simulator: the agenda, reset between runs with its lane
+// arrays retained, must still reproduce the pinned golden fingerprints.
 func TestAgendaGoldenInvariance(t *testing.T) {
 	p, sched := steppingFixture(t)
 	cases := []struct {

@@ -16,10 +16,13 @@
 // — which is how internal/control implements self-healing.
 //
 // The event loop is allocation-free in steady state and built for raw CPU
-// speed: the agenda is a value-typed implicit 4-ary min-heap of 32-byte
-// events, fronted by a due-now FIFO that lets the dominant zero-delay stage
-// transitions bypass the heap entirely; packets live in a flat arena indexed by int32
-// and are recycled through a free list, each instance's waiting room is a
+// speed: the agenda splits its 32-byte events into lanes that are each
+// sorted by construction — a due-now FIFO for zero-delay stage transitions,
+// a link FIFO for hops at the constant link latency, a 4-ary arrivals heap
+// with one source per request — and keeps only service completions and
+// fault, control and trace events in a small value-typed 4-ary main heap;
+// pop takes the earliest lane head. Packets live in a flat arena indexed by
+// int32 and are recycled through a free list, each instance's waiting room is a
 // ring buffer of packet indices, and the latency-sample slice is pre-sized
 // from the offered load.  A Simulator can additionally be Reset and re-Run
 // so sweeps reuse every backing array across trials.
@@ -69,38 +72,69 @@ func eventBefore(a, b *event) bool {
 }
 
 // agenda is the simulator's pending-event queue: a seq-stamping wrapper over
-// the 4-ary heap, fronted by a due-now FIFO.
+// four lanes. Each lane is kept sorted by (time, seq) on its own, and pop
+// returns the minimum over the lane heads, so the pop sequence is exactly
+// the (time, seq) order of one priority queue holding every event.
 //
-// The FIFO exploits the dominant event pattern of the DES: a finished packet
-// advancing to a co-located stage is pushed with time exactly equal to the
-// current simulated time. Such an event can only be preceded by other events
-// with the same time and a smaller sequence number, so appending it to a
-// FIFO and comparing the FIFO head against the heap minimum on pop
-// preserves the exact (time, seq) pop order while skipping the heap
-// entirely — an O(1) append and an O(1) pop for roughly half of all events.
+//   - now, the due-now FIFO. A finished packet advancing to a co-located
+//     stage is pushed with time exactly equal to the current simulated
+//     time. Such an event can only be preceded by other events with the
+//     same time and a smaller seq, so it is appended in O(1) and popped in
+//     O(1). Every push whose time equals nowTime lands here, whatever its
+//     kind.
+//   - link, the link FIFO: hop arrivals at now + LinkDelay (pushLink). The
+//     paper charges one constant latency per inter-node hop (Eq. 16) and
+//     the clock never goes back, so these times are non-decreasing in push
+//     order, and push order is seq order: appending to a ring keeps the lane
+//     sorted without a single comparison. linkLast guards the argument — a
+//     push earlier than the ring's tail goes to the main heap instead.
+//   - src, the arrivals heap: the one pending evSource per live request
+//     (pushSource). Its pop-as-hole root is refilled by the next source draw
+//     of the same request with one sift-down.
+//   - heap, the main heap: service completions, fault and control events,
+//     stamped trace rows, cluster unpops and guard fallbacks — a few dozen
+//     events on the paper's 200-request instance, where one heap holding
+//     every lane would carry ~250.
 //
 // Invariants: every event in now[nhead:] has time == nowTime and the
 // segment is in ascending seq order (appends carry the globally increasing
 // seq). nowTime is the time of the last event popped while the FIFO was
 // empty; it is poisoned to NaN — matching no push — in the one ordering
-// where a heap event with a different time overtakes a non-empty FIFO,
+// where a back-lane event with a different time overtakes a non-empty FIFO,
 // which never happens in the simulator (events are never scheduled in the
 // past) but keeps the wrapper correct as a general priority queue. backMin
-// and backSeq mirror the heap head's key exactly (+Inf/0 when empty):
-// pushes can only lower backMin (a pushed event always carries the largest
-// seq, so it never wins a time tie against the resident head) and heap
-// pops refresh both — which is what lets the dominant FIFO pop decide the
-// race against the heap with two scalar compares and no heap call.
+// and backSeq are a lower bound on the earliest event of the three back
+// lanes (link, src, heap; +Inf/0 when all are empty): pushes can only lower
+// it (a pushed event carries the largest seq, so it never wins a time tie
+// against a resident event) and a back-lane pop sets it to the popped key,
+// which precedes everything still pending. That bound is what lets the
+// due-now pop decide the race against all three back lanes with two scalar
+// compares; only a tie falls through to an exact look at the lane heads.
 type agenda struct {
 	seq     uint64
-	n       int     // live event count across FIFO + heap (see size)
+	n       int     // live event count across all lanes (see size)
 	now     []event // due-now FIFO
 	nhead   int
 	nowTime float64
-	backMin float64 // heap head time, +Inf when the heap is empty
-	backSeq uint64  // heap head seq
-	heap    heapAgenda
+	backMin float64 // lower bound on the back lanes' earliest time
+	backSeq uint64  // seq of that bound
+
+	link     []event // link FIFO: ring of power-of-two length
+	lhead    int     // ring index of the link head
+	llen     int     // events in the ring
+	linkLast float64 // time of the last ring push, -Inf after reset
+
+	src  heapAgenda // arrivals heap: evSource only
+	heap heapAgenda // main heap: everything else
 }
+
+// Back lanes, as pop names them.
+const (
+	laneNone = iota
+	laneLink
+	laneSrc
+	laneHeap
+)
 
 // reset empties the agenda, retaining every backing array.
 func (a *agenda) reset() {
@@ -111,33 +145,104 @@ func (a *agenda) reset() {
 	a.nowTime = math.NaN()
 	a.backMin = math.Inf(1)
 	a.backSeq = 0
+	a.lhead = 0
+	a.llen = 0
+	a.linkLast = math.Inf(-1)
+	a.src.reset()
 	a.heap.reset()
 }
 
-// push stamps e with the next sequence number and enqueues it.
-func (a *agenda) push(e event) {
+// reserve gives the arrivals heap room for sources pending sources and the
+// main heap room for events pending events, carving both from one
+// allocation when either is short; a reused agenda that already fits
+// allocates nothing. Both heaps still grow by append past their
+// reservation.
+func (a *agenda) reserve(sources, events int) {
+	if cap(a.src.events) >= sources && cap(a.heap.events) >= events {
+		return
+	}
+	events = max(events, cap(a.heap.events))
+	buf := make([]event, sources+events)
+	a.src.events = buf[:0:sources]
+	a.heap.events = buf[sources:sources:len(buf)]
+}
+
+// stamp gives e the next sequence number and counts it. It reports true
+// when e is due now and has been appended to the due-now FIFO; otherwise
+// the caller places e in a back lane, and the cached back bound already
+// accounts for it.
+func (a *agenda) stamp(e *event) bool {
 	a.seq++
 	a.n++
 	e.seq = a.seq
 	if e.time == a.nowTime {
-		a.now = append(a.now, e)
-		return
+		a.now = append(a.now, *e)
+		return true
 	}
 	if e.time < a.backMin {
 		a.backMin, a.backSeq = e.time, e.seq
 	}
+	return false
+}
+
+// push stamps e with the next sequence number and enqueues it on the main
+// heap (or the due-now FIFO).
+func (a *agenda) push(e event) {
+	if a.stamp(&e) {
+		return
+	}
 	a.heap.push(e)
+}
+
+// pushLink stamps a link-delayed hop arrival and appends it to the link
+// FIFO. A push earlier than the ring's tail — impossible while every hop is
+// the run's constant LinkDelay and the clock only moves forward — goes to
+// the main heap, so the ring stays sorted whatever the caller does.
+func (a *agenda) pushLink(e event) {
+	if a.stamp(&e) {
+		return
+	}
+	if e.time < a.linkLast {
+		a.heap.push(e)
+		return
+	}
+	a.linkLast = e.time
+	if a.llen == len(a.link) {
+		a.growLink()
+	}
+	a.link[(a.lhead+a.llen)&(len(a.link)-1)] = e
+	a.llen++
+}
+
+// growLink doubles the link ring (16 slots at first), unrolling it so the
+// head sits at index 0.
+func (a *agenda) growLink() {
+	grown := make([]event, max(16, 2*len(a.link)))
+	for i := 0; i < a.llen; i++ {
+		grown[i] = a.link[(a.lhead+i)&(len(a.link)-1)]
+	}
+	a.link = grown
+	a.lhead = 0
+}
+
+// pushSource stamps a request's next external arrival and puts it on the
+// arrivals heap.
+func (a *agenda) pushSource(e event) {
+	if a.stamp(&e) {
+		return
+	}
+	a.src.push(e)
 }
 
 // pushStamped enqueues an event that already carries its (time, seq) stamp —
 // the trace replay path. Trace arrivals win every time tie against in-run
 // events and order among themselves by row, so replay stamps each trace row
 // with its row index from a band below the regular counter (see
-// streamSeqBase). The event bypasses the
-// due-now FIFO — its low seq would violate the FIFO's ascending-seq
-// invariant — and goes straight to the heap, whose pop tie-break against
-// the FIFO is exact. Unlike push, the cached head key update must be
-// tie-aware: a stamped event can win a time tie against the resident head.
+// streamSeqBase). The event bypasses the due-now FIFO — its low seq would
+// violate the FIFO's ascending-seq invariant — and goes straight to the
+// main heap, whose pop tie-break against the other lanes is exact. Unlike
+// push, the cached bound update must be tie-aware: a stamped event can win
+// a time tie against the resident head.
 func (a *agenda) pushStamped(e event) {
 	a.n++
 	if e.time < a.backMin || (e.time == a.backMin && e.seq < a.backSeq) {
@@ -156,21 +261,21 @@ func (a *agenda) startSeqAt(base uint64) {
 	}
 }
 
-// size returns the number of pending events (FIFO + heap). On a streamed
-// run this stays O(live packets + arrival sources) regardless of how many
-// trace rows the cursor will eventually deliver — the observable behind the
-// constant-memory replay guarantee.
+// size returns the number of pending events across all lanes. On a
+// streamed run this stays O(live packets + arrival sources) regardless of
+// how many trace rows the cursor will eventually deliver — the observable
+// behind the constant-memory replay guarantee.
 func (a *agenda) size() int {
 	return a.n
 }
 
 // unpop returns e — the most recently popped event, still the global
-// minimum — to the heap with its original (time, seq) stamp intact. The
-// cluster scheduler uses this to reinsert a peeked event when a cross-
-// datacenter injection must run first. e re-enters the heap rather than
-// the FIFO (its seq predates the FIFO's remaining entries, which the pop
-// tie-break resolves through the exact-peek path), and the cached head key
-// is simply e's own: e precedes everything else pending.
+// minimum — to the main heap with its original (time, seq) stamp intact.
+// The cluster scheduler uses this to reinsert a peeked event when a cross-
+// datacenter injection must run first. e re-enters the main heap whatever
+// lane it came from (its seq predates the FIFOs' entries, which the pop
+// tie-break resolves exactly), and the cached bound is simply e's own key:
+// e precedes everything else pending.
 func (a *agenda) unpop(e event) {
 	a.n++
 	a.heap.push(e)
@@ -179,73 +284,104 @@ func (a *agenda) unpop(e event) {
 
 // pop removes and returns the minimum event; ok is false when empty.
 //
-// The heap path is pop-as-hole: popping only marks the root as removed, and
-// the hole is filled by whatever comes next — a push replaces the root and
-// sifts down once (so the steady pop/push cycle of the DES pays a single
-// sift-down per event, with no sift-up and no append), or a later pop
+// The heap lanes pop as a hole: popping only marks the root as removed, and
+// the hole is filled by whatever comes next — a push into the same heap
+// replaces the root and sifts down once (so a service completion that
+// starts the next packet, or a source that draws its next arrival, pays a
+// single sift-down, with no sift-up and no append), or the next pop
 // finishes the deferred removal first. The heap's arrangement after a
 // replace differs from a pop-then-push arrangement, but (time, seq) is a
 // total order, so the pop sequence — the only observable — is identical.
 //
-// While the root is holed the new heap minimum is unknown, so backMin
-// demotes from exact to a lower bound (the popped key). The FIFO fast path
-// stays sound — a FIFO head strictly below a lower bound is certainly below
-// the real head — and the rare tie falls through to an exact peek, which
-// fills the hole and re-tightens the bound.
+// The due-now FIFO wins outright when its head precedes the back bound;
+// otherwise pop fills any pending hole and takes the earliest of the back
+// lanes' heads, which a non-empty FIFO's head still has to beat exactly.
 func (a *agenda) pop() (event, bool) {
-	h := &a.heap
-	if a.nhead < len(a.now) {
+	due := a.nhead < len(a.now)
+	if due {
 		f := &a.now[a.nhead]
 		if f.time < a.backMin || (f.time == a.backMin && f.seq < a.backSeq) {
-			e := *f
-			a.nhead++
-			if a.nhead == len(a.now) {
-				a.now = a.now[:0]
-				a.nhead = 0
-			}
-			a.n--
-			return e, true
+			return a.popNow(), true
 		}
-		// The bound says the heap head may precede the FIFO's: resolve
-		// exactly. peek fills any hole, making the head (and bound) exact.
-		b := h.peek()
-		if b == nil || eventBefore(f, b) {
-			if b != nil {
-				a.backMin, a.backSeq = b.time, b.seq
-			} else {
+	}
+	lane, head := laneNone, (*event)(nil)
+	if a.llen > 0 {
+		lane, head = laneLink, &a.link[a.lhead]
+	}
+	if a.src.holed {
+		a.src.fill()
+	}
+	if len(a.src.events) > 0 {
+		if h := &a.src.events[0]; head == nil || eventBefore(h, head) {
+			lane, head = laneSrc, h
+		}
+	}
+	if a.heap.holed {
+		a.heap.fill()
+	}
+	if len(a.heap.events) > 0 {
+		if h := &a.heap.events[0]; head == nil || eventBefore(h, head) {
+			lane, head = laneHeap, h
+		}
+	}
+	if due {
+		// The bound tied the FIFO head; the back head is now exact.
+		if head == nil || eventBefore(&a.now[a.nhead], head) {
+			if head == nil {
 				a.backMin, a.backSeq = math.Inf(1), 0
+			} else {
+				a.backMin, a.backSeq = head.time, head.seq
 			}
-			e := *f
-			a.nhead++
-			if a.nhead == len(a.now) {
-				a.now = a.now[:0]
-				a.nhead = 0
-			}
-			a.n--
-			return e, true
+			return a.popNow(), true
 		}
-		// Heap first: pop it. If its time differs from the FIFO's, poison
+		// Back lane first. If its time differs from the FIFO's, poison
 		// nowTime so later pushes cannot break the FIFO's time homogeneity.
-		e := h.pop()
-		a.backMin, a.backSeq = h.head()
+		e := a.popLane(lane)
 		if e.time != a.nowTime {
 			a.nowTime = math.NaN()
 		}
-		a.n--
 		return e, true
 	}
-	if h.holed {
-		h.fill()
-	}
-	if len(h.events) == 0 {
+	if head == nil {
 		return event{}, false
 	}
-	top := h.events[0]
-	h.holed = true
-	a.backMin, a.backSeq = top.time, top.seq
-	a.nowTime = top.time
+	e := a.popLane(lane)
+	a.nowTime = e.time
+	return e, true
+}
+
+// popNow removes the due-now FIFO's head; the caller checks non-empty.
+func (a *agenda) popNow() event {
+	e := a.now[a.nhead]
+	a.nhead++
+	if a.nhead == len(a.now) {
+		a.now = a.now[:0]
+		a.nhead = 0
+	}
 	a.n--
-	return top, true
+	return e
+}
+
+// popLane removes the head of a non-empty back lane — a heap's root is left
+// as a hole — and sets the back bound to its key, which precedes every
+// event still pending.
+func (a *agenda) popLane(lane int) event {
+	var e event
+	switch lane {
+	case laneLink:
+		e = a.link[a.lhead]
+		a.lhead = (a.lhead + 1) & (len(a.link) - 1)
+		a.llen--
+	case laneSrc:
+		e = a.src.events[0]
+		a.src.holed = true
+	default:
+		e = a.heap.events[0]
+		a.heap.holed = true
+	}
+	a.backMin, a.backSeq = e.time, e.seq
+	a.n--
+	return e
 }
 
 // fifoEmpty reports whether the due-now FIFO is drained. While it is, an
@@ -257,7 +393,8 @@ func (a *agenda) fifoEmpty() bool {
 	return a.nhead >= len(a.now)
 }
 
-// heapAgenda is a value-typed implicit 4-ary min-heap on (time, seq).
+// heapAgenda is a value-typed implicit 4-ary min-heap on (time, seq): the
+// agenda's arrivals heap and its main heap.
 //
 // A 4-ary layout halves the tree depth of the binary heap: sift-down does
 // one comparison chain over four children per level, which trades a few
@@ -267,9 +404,8 @@ func (a *agenda) fifoEmpty() bool {
 // holed marks a deferred removal: the root has been popped (the agenda
 // returned events[0] to the caller) but the slot still holds the stale
 // value. The next push fills the hole by sifting the new event down from
-// the root — one sift-down instead of a sift-down plus a sift-up — and
-// every other entry point (peek, head, and the agenda before pop) calls
-// fill first.
+// the root — one sift-down instead of a sift-down plus a sift-up — and the
+// agenda fills a holed heap before it reads the heap's head on pop.
 type heapAgenda struct {
 	events []event
 	holed  bool
@@ -282,11 +418,8 @@ func (h *heapAgenda) reset() {
 }
 
 // fill finishes a deferred root removal: the last element is moved into the
-// hole and sifted down.
+// hole and sifted down. The caller checks holed.
 func (h *heapAgenda) fill() {
-	if !h.holed {
-		return
-	}
 	h.holed = false
 	n := len(h.events) - 1
 	last := h.events[n]
@@ -294,25 +427,6 @@ func (h *heapAgenda) fill() {
 	if n > 0 {
 		h.siftDownRoot(last)
 	}
-}
-
-// peek returns the minimum event without removing it, nil when empty. The
-// pointer is invalidated by the next push or pop.
-func (h *heapAgenda) peek() *event {
-	h.fill()
-	if len(h.events) == 0 {
-		return nil
-	}
-	return &h.events[0]
-}
-
-// head returns the minimum event's (time, seq) key, (+Inf, 0) when empty.
-func (h *heapAgenda) head() (float64, uint64) {
-	h.fill()
-	if len(h.events) == 0 {
-		return math.Inf(1), 0
-	}
-	return h.events[0].time, h.events[0].seq
 }
 
 // push inserts the (already seq-stamped) event: into a pending root hole
@@ -370,17 +484,4 @@ func (h *heapAgenda) siftDownRoot(e event) {
 		i = m
 	}
 	ev[i] = e
-}
-
-// pop removes and returns the minimum event; the caller checks non-empty
-// and that no hole is pending (fill).
-func (h *heapAgenda) pop() event {
-	n := len(h.events)
-	top := h.events[0]
-	last := h.events[n-1]
-	h.events = h.events[:n-1]
-	if n > 1 {
-		h.siftDownRoot(last)
-	}
-	return top
 }

@@ -765,6 +765,9 @@ func (sim *Simulator) Reset(cfg Config) error {
 	if err := s.build(); err != nil {
 		return err
 	}
+	// One pending source per request; the main heap holds about one service
+	// completion per instance plus a few fault, control and trace events.
+	s.agenda.reserve(len(s.requests), len(s.instances)+16)
 	s.presizeSamples()
 	sim.ready = true
 	return nil
@@ -1321,7 +1324,7 @@ func (s *simulation) scheduleNextSource(i int32, t float64) {
 	if next >= s.cfg.Horizon {
 		return
 	}
-	s.agenda.push(event{time: next, kind: evSource, reqIndex: i})
+	s.agenda.pushSource(event{time: next, kind: evSource, reqIndex: i})
 }
 
 // scheduleNextStream pulls trace rows from the cursor until one is
@@ -1533,15 +1536,15 @@ func (s *simulation) advance(pid int32) {
 	if int(p.stage)+1 < len(r.Chain) {
 		p.stage++
 		off := s.chainOff[ri] + p.stage
-		// Zero-latency hop with a drained due-now FIFO: the arrival is the
-		// next pop, so dispatch it directly instead of via the agenda.
-		if hop := s.hopFlat[off]; hop != 0 || !s.agenda.fifoEmpty() {
-			s.agenda.push(event{
-				time: s.now + hop,
-				kind: evArrival,
-				pkt:  pid,
-				inst: s.routeFlat[off],
-			})
+		// An inter-node hop costs the constant LinkDelay, so its arrival
+		// joins the agenda's link FIFO. A zero-latency hop with a drained
+		// due-now FIFO is the next pop, so dispatch it directly instead.
+		if hop := s.hopFlat[off]; hop != 0 {
+			s.agenda.pushLink(event{time: s.now + hop, kind: evArrival, pkt: pid, inst: s.routeFlat[off]})
+			return
+		}
+		if !s.agenda.fifoEmpty() {
+			s.agenda.push(event{time: s.now, kind: evArrival, pkt: pid, inst: s.routeFlat[off]})
 			return
 		}
 		s.arrive(pid, s.routeFlat[off])
