@@ -359,7 +359,8 @@ func (w workloadOptions) validate(simulateIt bool) error {
 }
 
 // applyWorkload wires the -workload selection into the simulation config.
-// classes installs per-request generator sources (reporting the class mix);
+// classes merges per-request generator sources into the arrival cursor
+// (reporting the class mix);
 // trace-stream first makes a one-pass streaming analysis over the CSV —
 // reporting workload-realism KPIs and learning the exact arrival count for
 // the ExpectedArrivals hint, which sizes the latency-sample reservation —
@@ -372,13 +373,11 @@ func applyWorkload(simCfg *nfvchain.SimulationConfig, wl workloadOptions, sol *n
 		if err != nil {
 			return noop, err
 		}
-		srcs := make(map[nfvchain.RequestID]nfvchain.ArrivalSource, len(cw.Sources))
 		counts := map[string]int{}
-		for id, s := range cw.Sources {
-			srcs[id] = s
-			counts[cw.Assignments[id].Class]++
+		for _, a := range cw.Assignments {
+			counts[a.Class]++
 		}
-		simCfg.Sources = srcs
+		simCfg.Arrivals = nfvchain.NewMergedStream(cw.Sources)
 		names := make([]string, 0, len(counts))
 		for name := range counts {
 			names = append(names, name)
@@ -424,7 +423,7 @@ func applyWorkload(simCfg *nfvchain.SimulationConfig, wl workloadOptions, sol *n
 			_ = f2.Close()
 			return noop, err
 		}
-		simCfg.TraceStream = ts
+		simCfg.Arrivals = ts
 		simCfg.ExpectedArrivals = arrivals
 		return func() { _ = f2.Close() }, nil
 	}

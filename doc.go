@@ -54,20 +54,24 @@
 //
 // # Streaming workloads
 //
-// Beyond the default flat-Poisson tier, SimulationConfig accepts pull-based
-// arrivals: Sources maps requests to ArrivalSource generators — Poisson and
-// log-normal renewals, diurnal NHPP, bursty MMPP on/off processes, built
-// individually in internal/workload or as a weighted steady/diurnal/bursty
-// client-class mix by BuildClassSources — and TraceStream replays a merged
-// arrival cursor (NewTraceStream over a CSV, or NewMergedStream superposing
-// per-request sources). The engine stages one arrival event per
-// live cursor and re-pulls after each dispatch, so multi-million-arrival
-// replays run in O(#requests) long-lived memory; ExpectedArrivals pre-sizes
-// the latency-sample slice, and AnalyzeArrivals computes per-flow rate, burstiness
-// and a Poisson KS test from any cursor in one pass. Streamed replay is
-// bit-identical to replaying the same trace from memory, and explicit Poisson
-// sources on the canonical streams are bit-identical to the built-in tier
-// (also for cluster global flows via GlobalRequest sources).
+// Every external arrival reaches the simulator by one path, a time-ordered
+// cursor of (time, request) rows. SimulationConfig.Arrivals takes any
+// TraceSource: NewMergedStream superposing ArrivalSource generators —
+// Poisson and log-normal renewals, diurnal NHPP, bursty MMPP on/off
+// processes, built individually in internal/workload or as a weighted
+// steady/diurnal/bursty client-class mix by BuildClassSources —
+// NewTraceStream over a CSV, or Trace.Cursor over an in-memory trace; nil
+// means the flat-Poisson default, merged the same way. The engine keeps one
+// arrival row pending and re-pulls after each dispatch, so
+// multi-million-arrival replays run in O(#requests) long-lived memory.
+// Rows win time ties against in-run events, in row order, and every row
+// can be shed by the control plane. ExpectedArrivals pre-sizes the
+// latency-sample slice, and AnalyzeArrivals computes per-flow rate,
+// burstiness and a Poisson KS test from any cursor in one pass. Streamed
+// replay is bit-identical to replaying the same trace from memory, and
+// explicit Poisson sources on the canonical streams are bit-identical to
+// the built-in tier (also for cluster global flows via GlobalRequest
+// sources).
 //
 // # Solver portfolio and anytime racing
 //

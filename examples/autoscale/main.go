@@ -83,14 +83,10 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		sources := make(map[nfvchain.RequestID]nfvchain.ArrivalSource, len(cw.Sources))
-		for id, s := range cw.Sources {
-			sources[id] = s
-		}
 		res, err := nfvchain.Simulate(sol, nfvchain.SimulationConfig{
 			Horizon:         horizon,
 			Seed:            seed,
-			Sources:         sources,
+			Arrivals:        nfvchain.NewMergedStream(cw.Sources),
 			Control:         ctrl,
 			ControlInterval: tick,
 		})

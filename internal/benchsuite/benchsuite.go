@@ -339,12 +339,12 @@ func simulatorPaper200(b *testing.B) {
 }
 
 // simulatorStreamReplay is the large-horizon fleet workload arriving through
-// the streaming trace cursor: per-request Poisson sources superposed by a
-// MergedStream feed Config.TraceStream one row at a time, with the
+// a caller's cursor: per-request Poisson sources superposed by a
+// MergedStream feed Config.Arrivals one row at a time, with the
 // ExpectedArrivals hint standing in for the exact trace length a CSV replay
-// would have learned from its analysis pass. Measures the pull-based arrival
-// path (one staged event per cursor) against the push-everything baseline of
-// Simulator/large-horizon-reuse.
+// would have learned from its analysis pass. Against
+// Simulator/large-horizon-reuse, which merges its Poisson default inside the
+// simulation, it adds the per-row request-ID lookup of a caller's cursor.
 func simulatorStreamReplay(b *testing.B) {
 	prob, sched := fleetFixture()
 	reuseEach(b, func(seed uint64) simulate.Config {
@@ -354,15 +354,16 @@ func simulatorStreamReplay(b *testing.B) {
 		}
 		return simulate.Config{
 			Problem: prob, Schedule: sched, Horizon: 30, Warmup: 2, Seed: seed,
-			TraceStream:      workload.NewMergedStream(srcs),
+			Arrivals:         workload.NewMergedStream(srcs),
 			ExpectedArrivals: 45_000, // ~1500 pps × 30 s
 		}
 	})
 }
 
 // simulatorBurstyClasses drives the fleet with the heavy-traffic client-class
-// mix (steady/diurnal/bursty) through Config.Sources — the generator tier's
-// hot path: NHPP thinning and MMPP epoch-walking inside the event loop.
+// mix (steady/diurnal/bursty) merged into Config.Arrivals — the generator
+// tier's hot path: NHPP thinning and MMPP epoch-walking inside the event
+// loop.
 func simulatorBurstyClasses(b *testing.B) {
 	prob, sched := fleetFixture()
 	reuseEach(b, func(seed uint64) simulate.Config {
@@ -370,13 +371,9 @@ func simulatorBurstyClasses(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		srcs := make(map[model.RequestID]simulate.ArrivalSource, len(cw.Sources))
-		for id, s := range cw.Sources {
-			srcs[id] = s
-		}
 		return simulate.Config{
 			Problem: prob, Schedule: sched, Horizon: 30, Warmup: 2, Seed: seed,
-			Sources: srcs,
+			Arrivals: workload.NewMergedStream(cw.Sources),
 		}
 	})
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"nfvchain/internal/model"
-	"nfvchain/internal/simulate"
+	"nfvchain/internal/workload"
 )
 
 // DCState is the live per-datacenter view a routing policy observes when
@@ -153,7 +153,7 @@ type GlobalRequest struct {
 	// workload.BuildSources), letting cluster flows carry diurnal or bursty
 	// heavy-traffic processes. The source is consumed by the cluster driver
 	// and must not be shared with another flow or simulator.
-	Source simulate.ArrivalSource
+	Source workload.Source
 	// Home is the index of the request's home datacenter: arrivals served
 	// there enter immediately, arrivals routed elsewhere pay the WAN entry
 	// hop.

@@ -464,13 +464,9 @@ func TestDiurnalCycleGrowsAndShrinks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srcs := make(map[model.RequestID]simulate.ArrivalSource, len(cw.Sources))
-		for id, s := range cw.Sources {
-			srcs[id] = s
-		}
 		res, err := simulate.Run(simulate.Config{
 			Problem: prob, Schedule: sched, Placement: pl, Horizon: horizon, Seed: 1,
-			Sources: srcs, Control: ctrl, ControlInterval: 1,
+			Arrivals: workload.NewMergedStream(cw.Sources), Control: ctrl, ControlInterval: 1,
 		})
 		if err != nil {
 			t.Fatal(err)

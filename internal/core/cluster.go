@@ -118,9 +118,8 @@ type ClusterSimConfig struct {
 	// region, Sim.Control must be nil and Sim.FaultHook may only be set
 	// alongside FaultHooks: a controller is bound to one region's problem,
 	// placement and schedule, so it cannot be shared. For the same reason
-	// Sim.TraceStream must be nil and Sim.Sources empty: a cursor or a
-	// stateful source would be drained by whichever region runs first.
-	// Sim.Trace is safe, since every region replays its own cursor over it.
+	// Sim.Arrivals must be nil: a cursor would be drained by whichever
+	// region runs first.
 	Sim SimulationConfig
 	// WANLatency is the inter-datacenter entry-hop latency (seconds).
 	WANLatency float64
@@ -170,11 +169,8 @@ func SimulateClusterContext(ctx context.Context, cs *ClusterSolution, cfg Cluste
 	if len(cs.Regions) > 1 && cfg.Sim.FaultHook != nil && len(cfg.FaultHooks) == 0 {
 		return nil, fmt.Errorf("core: Sim.FaultHook would be shared by %d regions; set one hook per region in FaultHooks", len(cs.Regions))
 	}
-	if len(cs.Regions) > 1 && cfg.Sim.TraceStream != nil {
-		return nil, fmt.Errorf("core: Sim.TraceStream would be shared by %d regions, and the first to run would drain it; use Sim.Trace", len(cs.Regions))
-	}
-	if len(cs.Regions) > 1 && len(cfg.Sim.Sources) > 0 {
-		return nil, fmt.Errorf("core: Sim.Sources would be shared by %d regions, and a stateful source would be drained by the first to run", len(cs.Regions))
+	if len(cs.Regions) > 1 && cfg.Sim.Arrivals != nil {
+		return nil, fmt.Errorf("core: Sim.Arrivals would be shared by %d regions, and the first to run would drain it", len(cs.Regions))
 	}
 	ccfg := cluster.Config{
 		WANLatency: cfg.WANLatency,

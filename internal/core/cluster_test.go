@@ -136,7 +136,8 @@ func TestClusterRejectsSharedHooks(t *testing.T) {
 	}
 }
 
-// rowCursor is a TraceSource over n rows for one request, one every 10 ms.
+// rowCursor is an arrival cursor over n rows for one request, one every
+// 10 ms.
 type rowCursor struct {
 	id   model.RequestID
 	i, n int
@@ -152,36 +153,35 @@ func (c *rowCursor) NextArrival() (float64, model.RequestID, bool) {
 
 func (c *rowCursor) Err() error { return nil }
 
-// fixedSource is an ArrivalSource with one arrival every 10 ms.
+// fixedSource is an arrival source with one arrival every 10 ms.
 type fixedSource struct{}
 
 func (fixedSource) Next(after float64) (float64, bool) { return after + 0.01, true }
 
-// TestClusterRejectsSharedArrivalSources pins that a trace cursor or an
-// arrival source, which every region would pull from, is refused with more
-// than one region (the first region to run would drain it), while one
-// region replays all of the stream and an in-memory Trace stays allowed.
+// TestClusterRejectsSharedArrivalSources pins that an arrival cursor —
+// a trace stream, merged sources or an in-memory trace's cursor — which
+// every region would pull from, is refused with more than one region (the
+// first region to run would drain it), while one region replays all of
+// the stream.
 func TestClusterRejectsSharedArrivalSources(t *testing.T) {
 	cs := clusterSolution(t)
 	id := cs.Regions[0].Problem.Requests[0].ID
+	trace := &workload.Trace{Horizon: 2, Arrivals: []workload.Arrival{{Time: 0.5, Request: id}}}
 	for name, sim := range map[string]SimulationConfig{
-		"trace stream": {Horizon: 2, Seed: 1, TraceStream: &rowCursor{id: id, n: 100}},
-		"sources":      {Horizon: 2, Seed: 1, Sources: map[model.RequestID]simulate.ArrivalSource{id: fixedSource{}}},
+		"trace stream": {Horizon: 2, Seed: 1, Arrivals: &rowCursor{id: id, n: 100}},
+		"sources":      {Horizon: 2, Seed: 1, Arrivals: workload.NewMergedStream(map[model.RequestID]workload.Source{id: fixedSource{}})},
+		"trace":        {Horizon: 2, Seed: 1, Arrivals: trace.Cursor()},
 	} {
 		if _, err := SimulateCluster(cs, ClusterSimConfig{Sim: sim}); err == nil || !strings.Contains(err.Error(), "shared") {
 			t.Errorf("%s shared by %d regions was accepted: %v", name, len(cs.Regions), err)
 		}
 	}
 	solo := &ClusterSolution{Regions: cs.Regions[:1], Names: cs.Names[:1]}
-	res, err := SimulateCluster(solo, ClusterSimConfig{Sim: SimulationConfig{Horizon: 2, Seed: 1, TraceStream: &rowCursor{id: id, n: 100}}})
+	res, err := SimulateCluster(solo, ClusterSimConfig{Sim: SimulationConfig{Horizon: 2, Seed: 1, Arrivals: &rowCursor{id: id, n: 100}}})
 	if err != nil {
 		t.Fatalf("single region with a trace stream rejected: %v", err)
 	}
 	if res.Generated != 100 {
 		t.Errorf("single region replayed %d of the stream's 100 rows", res.Generated)
-	}
-	trace := &workload.Trace{Horizon: 2, Arrivals: []workload.Arrival{{Time: 0.5, Request: id}}}
-	if _, err := SimulateCluster(cs, ClusterSimConfig{Sim: SimulationConfig{Horizon: 2, Seed: 1, Trace: trace}}); err != nil {
-		t.Errorf("Sim.Trace across %d regions rejected: %v", len(cs.Regions), err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"nfvchain/internal/cluster"
 	"nfvchain/internal/model"
+	"nfvchain/internal/simulate"
 	"nfvchain/internal/workload"
 )
 
@@ -140,6 +141,67 @@ func TestRateScalingCluster(t *testing.T) {
 					t.Errorf("%s: mean latency %v, want exactly %v/2", where, res2.Latency.Mean(), res.Latency.Mean())
 				}
 			}
+		}
+	}
+}
+
+// TestRateScalingReplay checks trace replay, the one arrival path of the
+// DES: a trace drawn through a MergedStream is replayed on the solved
+// problem, and again with every row time halved on the doubled-rate problem
+// with link delay, horizon and warm-up halved. Every latency sample must be
+// exactly halved, in the same order.
+func TestRateScalingReplay(t *testing.T) {
+	const (
+		seed      = 5
+		linkDelay = 0.001
+		horizon   = 2.0
+		warmup    = 0.25
+	)
+	cfg := workload.DefaultConfig()
+	cfg.Seed = seed
+	cfg.NumRequests = 60
+	base, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs, err := workload.TraceSources(base, workload.InterArrivalExponential, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, tr2 := &workload.Trace{Horizon: horizon}, &workload.Trace{Horizon: horizon / 2}
+	for ms := workload.NewMergedStream(srcs); ; {
+		at, id, _ := ms.NextArrival()
+		if at >= horizon {
+			break
+		}
+		tr.Arrivals = append(tr.Arrivals, workload.Arrival{Time: at, Request: id})
+		tr2.Arrivals = append(tr2.Arrivals, workload.Arrival{Time: at / 2, Request: id})
+	}
+	replay := func(p *model.Problem, tr *workload.Trace, scale float64) *simulate.Results {
+		t.Helper()
+		sol, err := Optimize(p, Options{Seed: seed, LinkDelay: linkDelay * scale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Simulate(sol, SimulationConfig{
+			Horizon: horizon * scale, Warmup: warmup * scale, Seed: seed, Arrivals: tr.Cursor(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res, res2 := replay(base, tr, 1), replay(doubleRates(base), tr2, 0.5)
+	if res.Delivered == 0 || len(res.LatencySamples) == 0 {
+		t.Fatal("the replay measured nothing")
+	}
+	if res2.Generated != res.Generated || res2.Delivered != res.Delivered || len(res2.LatencySamples) != len(res.LatencySamples) {
+		t.Fatalf("generated/delivered/samples %d/%d/%d, want %d/%d/%d",
+			res2.Generated, res2.Delivered, len(res2.LatencySamples), res.Generated, res.Delivered, len(res.LatencySamples))
+	}
+	for i, lat := range res.LatencySamples {
+		if !halved(res2.LatencySamples[i], lat) {
+			t.Fatalf("latency sample %d: %v, want exactly %v/2", i, res2.LatencySamples[i], lat)
 		}
 	}
 }

@@ -63,23 +63,18 @@ func randomEventTime(st *rng.Stream, last float64) float64 {
 // equal-time seq ties and occasional times below already-popped ones; link
 // pushes carry a constant delay (0, 0.25 or 1 per trial) on a monotone clock,
 // with a rare push below the ring's tail that the guard must send to the
-// main heap; sources keep at most one pending event per index and redraw
-// when it pops. They interleave with pushes mid-drain, pre-stamped pushes
-// from the band below the regular counter (the streamed-trace path) and
+// main heap. They interleave with pushes mid-drain, pre-stamped pushes
+// from the band below the regular counter (the external arrival path) and
 // unpops of the event just popped (the cluster path). The agenda is reused
 // across trials, so post-reset state (both FIFOs, the heap arrays, a
 // pending root hole) is exercised too.
 func TestAgendaDifferentialRandom(t *testing.T) {
-	const (
-		stampBase = 1 << 20
-		sources   = 24
-	)
+	const stampBase = 1 << 20
 	delays := []float64{0, 0.25, 1}
 	st := rng.New(42)
 	var a agenda
 	for trial := 0; trial < 60; trial++ {
 		a.reset()
-		a.reserve(sources, 0)
 		ref := refAgenda{}
 		stamped := trial%2 == 1
 		if stamped {
@@ -87,7 +82,6 @@ func TestAgendaDifferentialRandom(t *testing.T) {
 			ref.seq = stampBase
 		}
 		delay := delays[trial%len(delays)]
-		var pending [sources]bool
 		stampSeq := uint64(0)
 		last, clock := 0.0, 0.0
 		for i := 0; i < 3000; i++ {
@@ -101,8 +95,6 @@ func TestAgendaDifferentialRandom(t *testing.T) {
 				if st.Float64() < 0.1 {
 					a.unpop(e)
 					ref.insert(e)
-				} else if e.kind == evSource {
-					pending[e.reqIndex] = false
 				}
 				continue
 			}
@@ -111,7 +103,7 @@ func TestAgendaDifferentialRandom(t *testing.T) {
 			case stamped && k < 2:
 				stampSeq++
 				e.seq = stampSeq
-				e.kind = evStream
+				e.kind = evExternal
 				a.pushStamped(e)
 				ref.insert(e)
 				continue
@@ -121,14 +113,6 @@ func TestAgendaDifferentialRandom(t *testing.T) {
 					e.time = clock - 0.5 // below the tail: the guard's heap fallback
 				}
 				a.pushLink(e)
-			case k < 7:
-				r := int32(st.IntN(sources))
-				if pending[r] {
-					continue
-				}
-				pending[r] = true
-				e.kind, e.reqIndex = evSource, r
-				a.pushSource(e)
 			default:
 				a.push(e)
 			}
@@ -152,21 +136,17 @@ func TestAgendaDifferentialRandom(t *testing.T) {
 
 // TestAgendaDifferentialBulk compares the agenda against the sorted
 // reference under bulk loads on every lane: a broad uniform spread, a dense
-// cluster and an equal-timestamp mass on the main heap, thousands of
-// sources, and link pushes on a slowly advancing clock that outgrow the
-// ring several times — then a drain with pushes interleaved: some at the
-// just-popped time, link hops a constant delay later, and a source redraw
-// for every source popped.
+// cluster and an equal-timestamp mass on the main heap, and link pushes on
+// a slowly advancing clock that outgrow the ring several times — then a
+// drain with pushes interleaved: some at the just-popped time and link hops
+// a constant delay later.
 func TestAgendaDifferentialBulk(t *testing.T) {
-	const (
-		sources = 4000
-		delay   = 0.5
-	)
+	const delay = 0.5
 	st := rng.New(7)
 	var a agenda
 	for trial := 0; trial < 4; trial++ {
 		a.reset()
-		a.reserve(sources, 64)
+		a.reserve(64)
 		ref := refAgenda{}
 		push := func(e event, lane func(event)) {
 			lane(e)
@@ -182,17 +162,10 @@ func TestAgendaDifferentialBulk(t *testing.T) {
 				e.time = 500 + st.Float64()*0.01 // dense cluster
 			case 4:
 				e.time = 7.25 // zero-spread mass: pure seq tie-breaks
-			case 5, 6, 7:
+			default:
 				clock += st.Float64() * 0.01
 				e.kind, e.time = evArrival, clock+delay
 				push(e, a.pushLink)
-				continue
-			default:
-				if i >= sources {
-					continue
-				}
-				e.kind, e.reqIndex, e.time = evSource, int32(i), st.Float64()*1000
-				push(e, a.pushSource)
 				continue
 			}
 			push(e, a.push)
@@ -210,9 +183,6 @@ func TestAgendaDifferentialBulk(t *testing.T) {
 			drained++
 			if drained > 20000 {
 				continue // bounded: interleaved pushes would drain forever
-			}
-			if e.kind == evSource {
-				push(event{kind: evSource, reqIndex: e.reqIndex, time: e.time + st.Float64()*100}, a.pushSource)
 			}
 			if drained%3 == 0 {
 				push(event{kind: evArrival, time: max(clock, e.time) + delay}, a.pushLink)

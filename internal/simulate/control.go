@@ -253,9 +253,10 @@ func (s *simulation) shedNext() bool {
 }
 
 // SetShedFraction sets the deterministic admission-shedding rate: the given
-// fraction of subsequent external arrivals (Poisson sources and injections
-// alike) is counted as offered and shed instead of entering the network —
-// the control plane's graceful-degradation valve under capacity shortage.
+// fraction of subsequent external arrivals (arrival rows, trace rows
+// included, and injections alike) is counted as offered and shed instead
+// of entering the network — the control plane's graceful-degradation valve
+// under capacity shortage.
 // Shedding is frac-of-arrivals exact via an error accumulator and draws no
 // randomness, so it leaves every RNG stream untouched. Fraction 0 restores
 // full admission.

@@ -85,7 +85,7 @@ func FuzzConfigValidate(f *testing.F) {
 				return v
 			}
 			rate := clamp(srcA, 1, 25)
-			srcs := make(map[model.RequestID]ArrivalSource, len(prob.Requests))
+			srcs := make(map[model.RequestID]workload.Source, len(prob.Requests))
 			for _, r := range prob.Requests {
 				st := rng.Derive(1, "fuzz/src/"+string(r.ID))
 				switch ((sourceKind % 3) + 3) % 3 {
@@ -98,7 +98,7 @@ func FuzzConfigValidate(f *testing.F) {
 					srcs[r.ID] = workload.NewMMPP(rate, clamp(srcA, 0.1, 10), clamp(srcB, 0.1, 10), st)
 				}
 			}
-			cfg.Sources = srcs
+			cfg.Arrivals = workload.NewMergedStream(srcs)
 		}
 		if withFaults || withPreempt || withOutages {
 			cfg.FaultPlan = &FaultPlan{}

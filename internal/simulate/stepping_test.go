@@ -181,8 +181,8 @@ func TestSteppingMixedWithRun(t *testing.T) {
 	}
 }
 
-// TestInjectMatchesTrace replays the same arrival set two ways — as a Trace,
-// and via InjectOnly + Inject calls before the run — and asserts bit-
+// TestInjectMatchesTrace replays the same arrival set two ways — as a
+// trace cursor, and via InjectOnly + Inject calls before the run — and asserts bit-
 // identical results: injection is just another way of supplying external
 // arrivals.
 func TestInjectMatchesTrace(t *testing.T) {
@@ -192,13 +192,14 @@ func TestInjectMatchesTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := p.Requests[0].ID
-	cfg := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7, Trace: trace}
+	cfg := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7, Arrivals: trace.Cursor()}
 	want, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cfg.InjectOnly = []model.RequestID{target}
+	cfg.Arrivals = trace.Cursor() // the first run drained its cursor
 	var sim Simulator
 	if err := sim.Reset(cfg); err != nil {
 		t.Fatal(err)

@@ -11,14 +11,6 @@ import (
 	"nfvchain/internal/workload"
 )
 
-// newSliceCursor streams an in-memory trace through the TraceSource
-// interface, the cursor Config.Trace replays through.
-func newSliceCursor(arrivals []workload.Arrival) *sliceCursor {
-	c := new(sliceCursor)
-	c.reset(arrivals)
-	return c
-}
-
 // streamFixture solves the default generated workload and samples a trace —
 // the shared fixture of the trace replay tests.
 func streamFixture(t *testing.T) (*model.Problem, *model.Schedule, *workload.Trace) {
@@ -42,41 +34,46 @@ func streamFixture(t *testing.T) (*model.Problem, *model.Schedule, *workload.Tra
 }
 
 // Fingerprints of replaying streamFixture's trace, and unsortedTrace of it,
-// through Config.Trace, recorded when Config.Trace was still materialized
-// into the agenda at seeding time. Every replay path must keep them.
+// recorded when an in-memory trace was still materialized into the agenda
+// at seeding time. Every replay path must keep them.
 const (
 	goldenTraceReplay    = 0x28938ab6f8d34ac8
 	goldenUnsortedReplay = 0x4f9b8e217f70a634
 )
 
 // TestStreamReplayMatchesMaterialized pins the replay identity: a trace
-// replayed through Config.Trace and through a streaming cursor both match
-// the fingerprint of the materialized replay the simulator once had.
+// replayed through its in-memory Cursor and through a MergedStream over the
+// sources that drew it both match the fingerprint of the materialized
+// replay the simulator once had.
 func TestStreamReplayMatchesMaterialized(t *testing.T) {
 	p, sched, tr := streamFixture(t)
 	// The subtest is named for the agenda it runs on, the heap.
 	t.Run("heap", func(t *testing.T) {
 		base := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7}
 		mat := base
-		mat.Trace = tr
+		mat.Arrivals = tr.Cursor()
 		resM, err := Run(mat)
 		if err != nil {
 			t.Fatal(err)
 		}
+		srcs, err := workload.TraceSources(p, workload.InterArrivalExponential, 21)
+		if err != nil {
+			t.Fatal(err)
+		}
 		str := base
-		str.TraceStream = newSliceCursor(tr.Arrivals)
+		str.Arrivals = workload.NewMergedStream(srcs)
 		resS, err := Run(str)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fm := fingerprintResults(resM); fm != goldenTraceReplay {
-			t.Errorf("Config.Trace fingerprint %#x != golden %#x", fm, uint64(goldenTraceReplay))
+			t.Errorf("trace cursor fingerprint %#x != golden %#x", fm, uint64(goldenTraceReplay))
 		}
 		if fs := fingerprintResults(resS); fs != goldenTraceReplay {
-			t.Errorf("streamed replay fingerprint %#x != golden %#x", fs, uint64(goldenTraceReplay))
+			t.Errorf("merged-stream fingerprint %#x != golden %#x", fs, uint64(goldenTraceReplay))
 		}
 		if resM.Generated != resS.Generated {
-			t.Errorf("generated: streamed %d != Config.Trace %d", resS.Generated, resM.Generated)
+			t.Errorf("generated: merged stream %d != trace cursor %d", resS.Generated, resM.Generated)
 		}
 	})
 }
@@ -108,13 +105,13 @@ func unsortedTrace(tr *workload.Trace) *workload.Trace {
 }
 
 // TestUnsortedTraceReplay replays a hand-built trace that is not sorted
-// through Config.Trace: the rows pop in (time, row) order, as they did when
+// through its Cursor: the rows pop in (time, row) order, as they did when
 // the trace was materialized into the agenda, and a row at a negative time
 // fails the run instead of running the clock backwards.
 func TestUnsortedTraceReplay(t *testing.T) {
 	p, sched, tr := streamFixture(t)
 	u := unsortedTrace(tr)
-	cfg := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7, Trace: u}
+	cfg := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7, Arrivals: u.Cursor()}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +119,8 @@ func TestUnsortedTraceReplay(t *testing.T) {
 	if got := fingerprintResults(res); got != goldenUnsortedReplay {
 		t.Errorf("unsorted trace fingerprint %#x != golden %#x", got, uint64(goldenUnsortedReplay))
 	}
-	cfg.Trace = &workload.Trace{Horizon: 20, Arrivals: append([]workload.Arrival{{Time: -1, Request: p.Requests[0].ID}}, u.Arrivals...)}
+	neg := &workload.Trace{Horizon: 20, Arrivals: append([]workload.Arrival{{Time: -1, Request: p.Requests[0].ID}}, u.Arrivals...)}
+	cfg.Arrivals = neg.Cursor()
 	if _, err := Run(cfg); err == nil {
 		t.Error("trace row at a negative time accepted")
 	}
@@ -130,7 +128,7 @@ func TestUnsortedTraceReplay(t *testing.T) {
 
 // TestStreamReplayFromCSV closes the loop through the file format: a CSV
 // written by the trace is replayed via workload.TraceStream and must match
-// the Config.Trace replay bit for bit.
+// the in-memory replay bit for bit.
 func TestStreamReplayFromCSV(t *testing.T) {
 	p, sched, tr := streamFixture(t)
 	var buf bytes.Buffer
@@ -143,25 +141,25 @@ func TestStreamReplayFromCSV(t *testing.T) {
 	}
 	base := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7}
 	mat := base
-	mat.Trace = tr
+	mat.Arrivals = tr.Cursor()
 	resM, err := Run(mat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	str := base
-	str.TraceStream = ts
+	str.Arrivals = ts
 	resS, err := Run(str)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fm, fs := fingerprintResults(resM), fingerprintResults(resS); fm != fs {
-		t.Errorf("CSV-streamed fingerprint %#x != Config.Trace %#x", fs, fm)
+		t.Errorf("CSV-streamed fingerprint %#x != in-memory replay %#x", fs, fm)
 	}
 }
 
 // TestExplicitSourcesMatchGolden pins the second identity: the flat-Poisson
-// default routed through the ArrivalSource interface — here spelled out as
-// explicit workload.PoissonSource overrides on the very streams the simulator
+// default spelled out as a caller's cursor — a workload.MergedStream over
+// workload.PoissonSource generators on the very streams the simulator
 // derives itself — reproduces the historical golden fingerprint bit for bit.
 func TestExplicitSourcesMatchGolden(t *testing.T) {
 	const goldenPlain = 0x4af579b7b3270177
@@ -176,11 +174,11 @@ func TestExplicitSourcesMatchGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Problem: p, Schedule: sched, Horizon: 20, Warmup: 2, Seed: 7}
-	srcs := make(map[model.RequestID]ArrivalSource, len(p.Requests))
+	srcs := make(map[model.RequestID]workload.Source, len(p.Requests))
 	for _, r := range p.Requests {
 		srcs[r.ID] = workload.NewPoisson(r.Rate, rng.Derive(cfg.Seed, "arrivals/"+string(r.ID)))
 	}
-	cfg.Sources = srcs
+	cfg.Arrivals = workload.NewMergedStream(srcs)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +210,7 @@ func (c *syntheticCursor) Err() error { return nil }
 // TestStreamPendingEventsConstant is the acceptance-scale check: a streamed
 // replay of 1M arrivals stages exactly one arrival event at t=0 — the live
 // cursor count, not the arrival count — and still generates every packet;
-// an in-memory Config.Trace stages one too.
+// an in-memory trace's Cursor and the Poisson default stage one too.
 func TestStreamPendingEventsConstant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-arrival replay")
@@ -222,7 +220,7 @@ func TestStreamPendingEventsConstant(t *testing.T) {
 	cur := &syntheticCursor{n: n, dt: 30.0 / n, id: prob.Requests[0].ID}
 	sim := NewSimulator()
 	cfg := Config{Problem: prob, Schedule: sched, Horizon: 60, Warmup: 0, Seed: 5,
-		TraceStream: cur, ExpectedArrivals: n}
+		Arrivals: cur, ExpectedArrivals: n}
 	if err := sim.Reset(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -237,18 +235,18 @@ func TestStreamPendingEventsConstant(t *testing.T) {
 		t.Fatalf("generated %d of %d streamed arrivals", res.Generated, n)
 	}
 
-	// The same replay through Config.Trace stages one arrival too.
+	// The same replay through a Trace's Cursor stages one arrival too.
 	const small = 1000
 	tr := &workload.Trace{Horizon: 30}
 	for i := 1; i <= small; i++ {
 		tr.Arrivals = append(tr.Arrivals, workload.Arrival{Time: float64(i) * 30.0 / small, Request: prob.Requests[0].ID})
 	}
 	simM := NewSimulator()
-	if err := simM.Reset(Config{Problem: prob, Schedule: sched, Horizon: 60, Seed: 5, Trace: tr}); err != nil {
+	if err := simM.Reset(Config{Problem: prob, Schedule: sched, Horizon: 60, Seed: 5, Arrivals: tr.Cursor()}); err != nil {
 		t.Fatal(err)
 	}
 	if got := simM.PendingEvents(); got != 1 {
-		t.Fatalf("Config.Trace pending events at t=0 = %d, want 1 (one live cursor)", got)
+		t.Fatalf("trace cursor pending events at t=0 = %d, want 1 (one live cursor)", got)
 	}
 }
 
@@ -273,27 +271,16 @@ func (c *errCursor) Err() error { return nil }
 func TestStreamOutOfOrderFails(t *testing.T) {
 	prob, sched := singleQueueProblem(50, 150, 1)
 	_, err := Run(Config{Problem: prob, Schedule: sched, Horizon: 60, Seed: 5,
-		TraceStream: &errCursor{}})
+		Arrivals: &errCursor{}})
 	if err == nil {
 		t.Fatal("out-of-order stream accepted")
 	}
 }
 
-// TestStreamConfigValidation covers the new mutual-exclusion and hint rules.
+// TestStreamConfigValidation covers the arrival hint rule.
 func TestStreamConfigValidation(t *testing.T) {
 	prob, sched := singleQueueProblem(50, 150, 1)
-	tr, err := workload.GenerateTrace(prob, 5, workload.InterArrivalExponential, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := func() TraceSource { return newSliceCursor(tr.Arrivals) }
-	srcs := map[model.RequestID]ArrivalSource{
-		prob.Requests[0].ID: workload.NewPoisson(50, rng.Derive(1, "x")),
-	}
 	cases := map[string]Config{
-		"trace+stream":      {Problem: prob, Schedule: sched, Horizon: 5, Trace: tr, TraceStream: cur()},
-		"sources+trace":     {Problem: prob, Schedule: sched, Horizon: 5, Trace: tr, Sources: srcs},
-		"sources+stream":    {Problem: prob, Schedule: sched, Horizon: 5, TraceStream: cur(), Sources: srcs},
 		"negative-expected": {Problem: prob, Schedule: sched, Horizon: 5, ExpectedArrivals: -1},
 	}
 	for name, cfg := range cases {
@@ -305,8 +292,8 @@ func TestStreamConfigValidation(t *testing.T) {
 
 // TestExpectedArrivalsHint pins what the hint still does: it sizes the
 // up-front LatencySamples reservation. The capacity follows the hint, falls
-// back to Σ Rate·(Horizon−Warmup) without one, follows the trace length under
-// Trace (which overrides the hint), and stops at the 2 Mi cap.
+// back to Σ Rate·(Horizon−Warmup) without one, follows a trace replay's
+// length when the caller passes it as the hint, and stops at the 2 Mi cap.
 func TestExpectedArrivalsHint(t *testing.T) {
 	prob, sched := singleQueueProblem(50, 150, 1)
 	tr := &workload.Trace{Horizon: 5}
@@ -322,14 +309,16 @@ func TestExpectedArrivalsHint(t *testing.T) {
 	}{
 		{"hint", 1234, nil, 1234},
 		{"rate-fallback", 0, nil, 50 * (5 - 1)},
-		{"trace-length", 1234, tr, 300},
+		{"trace-length", len(tr.Arrivals), tr, 300},
 		{"capped", 3 << 20, nil, 1 << 21},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
 			cfg.ExpectedArrivals = tc.hint
-			cfg.Trace = tc.trace
+			if tc.trace != nil {
+				cfg.Arrivals = tc.trace.Cursor()
+			}
 			// A fresh simulator per case (a reused one keeps the largest
 			// reservation it has made), finalized before any event runs so
 			// no delivery can grow the slice past its reservation.

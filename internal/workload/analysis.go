@@ -68,14 +68,6 @@ func AnalyzeTrace(t *Trace) []TraceStats {
 	return out
 }
 
-// ArrivalCursor is the streaming-analysis input: any forward-only,
-// time-ordered arrival cursor (TraceStream over a CSV, MergedStream over
-// live generator sources, or any simulate.TraceSource).
-type ArrivalCursor interface {
-	NextArrival() (t float64, id model.RequestID, ok bool)
-	Err() error
-}
-
 // analysisReservoir bounds the per-request gap sample AnalyzeArrivals keeps
 // for the KS test; 2048 gaps put the 5% critical value at 0.03, fine enough
 // to separate Poisson from bursty processes.

@@ -11,15 +11,26 @@ import (
 	"nfvchain/internal/model"
 )
 
+// ArrivalCursor is a forward-only cursor over time-ordered external
+// arrivals: NextArrival returns consecutive (time, request) rows in
+// non-decreasing time order, and ok=false ends the cursor, after which Err
+// reports whether it ended cleanly or on a malformed row. It is the one
+// arrival input of simulate.Config.Arrivals and of AnalyzeArrivals;
+// TraceStream (a CSV), MergedStream (live generator sources) and
+// Trace.Cursor (an in-memory trace) implement it.
+type ArrivalCursor interface {
+	NextArrival() (t float64, id model.RequestID, ok bool)
+	Err() error
+}
+
 // TraceStream is a forward-only cursor over a trace CSV ("time,request"
 // rows, as written by Trace.WriteCSV or cmd/tracegen): it parses one row per
 // NextArrival call instead of materializing the file, so replaying a
 // 10M-arrival trace holds O(#distinct requests) long-lived memory (request
 // IDs are interned; the csv reader's row buffer is reused). Rows must be in
 // non-decreasing time order — the order WriteCSV emits — and replay order is
-// file order. TraceStream satisfies simulate.TraceSource: hand it to
-// simulate.Config.TraceStream for constant-memory replay, bit-identical to
-// replaying the written Trace through Config.Trace.
+// file order. Handed to simulate.Config.Arrivals it replays in constant
+// memory, bit-identical to replaying the written Trace through its Cursor.
 type TraceStream struct {
 	cr   *csv.Reader
 	ids  map[string]model.RequestID

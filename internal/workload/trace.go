@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"cmp"
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -17,8 +19,8 @@ type Arrival struct {
 }
 
 // Trace is a packet-level arrival trace over a finite horizon, sorted by
-// time. It drives the discrete-event simulator in trace-driven mode and can
-// be exported/imported as CSV.
+// time. Its Cursor drives the discrete-event simulator in trace-driven
+// mode, and it can be exported/imported as CSV.
 type Trace struct {
 	Horizon  float64
 	Arrivals []Arrival
@@ -79,6 +81,31 @@ func (t *Trace) sort() {
 		return t.Arrivals[i].Request < t.Arrivals[j].Request
 	})
 }
+
+// Cursor returns an ArrivalCursor over a copy of the trace's rows sorted
+// stably by time, so a hand-built trace that is not sorted replays in
+// (time, row) order. Each replay needs its own cursor.
+func (t *Trace) Cursor() ArrivalCursor {
+	c := &sliceCursor{rows: slices.Clone(t.Arrivals)}
+	slices.SortStableFunc(c.rows, func(a, b Arrival) int { return cmp.Compare(a.Time, b.Time) })
+	return c
+}
+
+// sliceCursor walks an in-memory row slice.
+type sliceCursor struct {
+	rows []Arrival
+	next int
+}
+
+func (c *sliceCursor) NextArrival() (float64, model.RequestID, bool) {
+	if c.next >= len(c.rows) {
+		return 0, "", false
+	}
+	c.next++
+	return c.rows[c.next-1].Time, c.rows[c.next-1].Request, true
+}
+
+func (c *sliceCursor) Err() error { return nil }
 
 // Len returns the number of arrivals.
 func (t *Trace) Len() int { return len(t.Arrivals) }

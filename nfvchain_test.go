@@ -169,7 +169,7 @@ func TestFacadeTraceDriven(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(sol, SimulationConfig{Horizon: 3, Trace: tr, Seed: 7})
+	res, err := Simulate(sol, SimulationConfig{Horizon: 3, Arrivals: tr.Cursor(), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
