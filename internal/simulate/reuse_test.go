@@ -54,6 +54,41 @@ func TestSimulatorReuseMatchesFreshRuns(t *testing.T) {
 	}
 }
 
+// TestSimulatorReuseAllocs pins the allocation floor of the Reset path
+// exactly: a reused Simulator rerunning one fixed-seed Poisson-default
+// config allocates nothing per run, at 5 requests and at 200. Rerunning
+// the same seed keeps every arena at its high-water mark, so the count is
+// an exact integer, not a mean that depends on the iteration count.
+func TestSimulatorReuseAllocs(t *testing.T) {
+	perRun := func(requests int) float64 {
+		wcfg := workload.DefaultConfig()
+		wcfg.Seed = 11
+		wcfg.NumRequests = requests
+		p, err := workload.Generate(wcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched, err := scheduling.ScheduleAll(p, scheduling.RCKK{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Problem: p, Schedule: sched, Horizon: 2, Warmup: 0.5, Seed: 7}
+		sim := NewSimulator()
+		return testing.AllocsPerRun(3, func() {
+			if err := sim.Reset(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sim.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, paper := perRun(5), perRun(200)
+	if small != paper || paper != 0 {
+		t.Errorf("allocs per reused run: %v at 5 requests, %v at 200, want 0 at both", small, paper)
+	}
+}
+
 // TestSimulatorRunRequiresReset pins the misuse error path.
 func TestSimulatorRunRequiresReset(t *testing.T) {
 	if _, err := NewSimulator().Run(); err == nil {
