@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"nfvchain/internal/model"
 )
 
 // TestTraceStreamRoundTrip writes a generated trace as CSV and re-reads it
@@ -112,7 +110,7 @@ func TestAnalyzeArrivalsMatchesAnalyzeTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := AnalyzeTrace(tr)
-	got, err := AnalyzeArrivals(&traceCursor{tr: tr}, tr.Horizon)
+	got, err := AnalyzeArrivals(tr.Cursor(), tr.Horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,23 +123,6 @@ func TestAnalyzeArrivalsMatchesAnalyzeTrace(t *testing.T) {
 		}
 	}
 }
-
-// traceCursor adapts a materialized Trace to the ArrivalCursor interface.
-type traceCursor struct {
-	tr *Trace
-	i  int
-}
-
-func (c *traceCursor) NextArrival() (float64, model.RequestID, bool) {
-	if c.i >= len(c.tr.Arrivals) {
-		return 0, "", false
-	}
-	a := c.tr.Arrivals[c.i]
-	c.i++
-	return a.Time, a.Request, true
-}
-
-func (c *traceCursor) Err() error { return nil }
 
 // TestAnalyzeArrivalsBoundsInfiniteCursor pins the horizon-bounded pull: a
 // MergedStream over renewal sources never ends, so a positive horizon must
