@@ -8,6 +8,7 @@
 //	nfvd                       # serve on 127.0.0.1:8372
 //	nfvd -addr 127.0.0.1:0     # serve on a random free port (printed)
 //	nfvd -workers 8 -queue 256 # bigger pool, deeper queue
+//	nfvd -retain 100000        # keep more finished jobs queryable
 //
 // The daemon prints "nfvd: listening on http://HOST:PORT" once ready and
 // shuts down gracefully on SIGINT/SIGTERM: intake stops (new submissions
@@ -48,10 +49,14 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		workers = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		queue   = fs.Int("queue", 64, "job queue depth (a full queue answers 429)")
 		cache   = fs.Int("cache", 256, "result cache entries (-1 disables caching)")
+		retain  = fs.Int("retain", 4096, "finished jobs kept for status and result queries; the oldest is forgotten first (0 = 4096)")
 		drain   = fs.Duration("drain", 30*time.Second, "graceful shutdown budget before running jobs are cancelled")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *retain < 0 {
+		return fmt.Errorf("-retain %d is negative", *retain)
 	}
 
 	// Register the signal handler before announcing readiness so a SIGINT
@@ -63,6 +68,7 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		Workers:      *workers,
 		QueueDepth:   *queue,
 		CacheEntries: *cache,
+		RetainJobs:   *retain,
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -85,4 +85,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-addr", "256.256.256.256:1"}, io.Discard, nil); err == nil {
 		t.Error("unlistenable address accepted")
 	}
+	// The unlistenable address makes a run that accepted the flag fail
+	// rather than serve; only the flag check names -retain.
+	if err := run([]string{"-addr", "256.256.256.256:1", "-retain", "-1"}, io.Discard, nil); err == nil || !strings.Contains(err.Error(), "-retain") {
+		t.Errorf("negative -retain: got %v, want a -retain error", err)
+	}
 }

@@ -237,23 +237,21 @@ func New(cfg Config) (*ClusterSimulator, error) {
 	return c, nil
 }
 
-// nextArrival draws global flow i's next arrival time strictly after t:
+// nextArrival draws global flow i's next arrival time, no earlier than after:
 // from the flow's custom Source when one is set, otherwise from the Poisson
 // process at Rate on the flow's derived stream. Arrivals at or past the
-// horizon — and exhausted sources — come back as +Inf, which retires the
-// flow from the arrival index heaps.
+// horizon come back as +Inf, which retires the flow from the arrival index
+// heaps; so do exhausted sources and, as workload.MergedStream does, a
+// source that goes back in time or returns NaN.
 func (c *ClusterSimulator) nextArrival(i int, after, horizon float64) float64 {
 	g := &c.cfg.Global[i]
 	var next float64
 	if g.Source != nil {
 		t, ok := g.Source.Next(after)
-		if !ok {
+		if !ok || !(t >= after) {
 			return math.Inf(1)
 		}
 		next = t
-		if !(next >= after) { // clamp non-monotone or NaN sources
-			next = after
-		}
 	} else {
 		next = after + c.streams[i].Exp(g.Rate)
 	}

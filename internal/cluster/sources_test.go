@@ -104,3 +104,50 @@ func TestClusterSourceValidation(t *testing.T) {
 type emptySource struct{}
 
 func (emptySource) Next(after float64) (float64, bool) { return 0, false }
+
+// TestClusterRetiresBackwardSource: a global source that returns a time
+// earlier than the one asked for is retired, as workload.MergedStream
+// retires it, rather than clamped to the pull time, where it would inject
+// one arrival per pull at a single instant.
+func TestClusterRetiresBackwardSource(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		cfg := clusterFixture(t, 1, 0, LeastLoaded{}, 0)
+		cfg.Workers = workers
+		cfg.Global[0].Source = &backwardSource{first: 0.5, left: 49}
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		routed := 0
+		for _, n := range res.RoutedByDC {
+			routed += n
+		}
+		if routed+res.Rejected != 1 {
+			t.Errorf("workers=%d: %d global arrivals injected, want 1", workers, routed+res.Rejected)
+		}
+	}
+}
+
+// backwardSource arrives at first, then answers left more pulls with a
+// time 1 ms before the one asked for, then is exhausted.
+type backwardSource struct {
+	first float64
+	left  int
+	began bool
+}
+
+func (s *backwardSource) Next(after float64) (float64, bool) {
+	if !s.began {
+		s.began = true
+		return s.first, true
+	}
+	if s.left == 0 {
+		return 0, false
+	}
+	s.left--
+	return after - 0.001, true
+}

@@ -77,7 +77,9 @@ func (p *Problem) AppendWire(w *wirejson.Writer) {
 	w.EndObject()
 }
 
-// DecodeWire reads a problem object into p; null leaves p unchanged.
+// DecodeWire reads a problem object into p; null leaves p unchanged. The
+// request chains are carved from one block, so they cost one allocation
+// (and its growth) rather than one each.
 func (p *Problem) DecodeWire(r *wirejson.Reader) {
 	var seen uint64
 	r.Object(func(key []byte) {
@@ -87,9 +89,25 @@ func (p *Problem) DecodeWire(r *wirejson.Reader) {
 		case 1:
 			p.VNFs = wirejson.Slice(r, func(f *VNF) { f.decodeWire(r) })
 		case 2:
-			p.Requests = wirejson.Slice(r, func(q *Request) { q.decodeWire(r) })
+			var block []VNFID
+			p.Requests = wirejson.Slice(r, func(q *Request) { q.decodeWire(r, &block) })
+			carveChains(p.Requests, block)
 		}
 	})
+}
+
+// carveChains points every non-empty chain at its run of block. The chains
+// were appended to block in request order and each decoded chain holds
+// its length, so a running sum gives the offsets. Each chain is capped at
+// its length: an append to one copies rather than writing into the next.
+func carveChains(reqs []Request, block []VNFID) {
+	off := 0
+	for i := range reqs {
+		if n := len(reqs[i].Chain); n > 0 {
+			reqs[i].Chain = block[off : off+n : off+n]
+			off += n
+		}
+	}
 }
 
 // appendSlice writes a slice as an array, or null when it is nil.
@@ -206,14 +224,30 @@ func (q *Request) appendWire(w *wirejson.Writer) {
 	w.EndObject()
 }
 
-func (q *Request) decodeWire(r *wirejson.Reader) {
+// decodeWire reads a request object into q, appending its chain to block.
+// q.Chain is left with the chain's length, or nil for null; carveChains
+// points it at block once every request is read.
+func (q *Request) decodeWire(r *wirejson.Reader, block *[]VNFID) {
 	var seen uint64
 	r.Object(func(key []byte) {
 		switch r.Field(requestFields, key, &seen) {
 		case 0:
 			q.ID = RequestID(r.Str())
 		case 1:
-			q.Chain = wirejson.Slice(r, func(f *VNFID) { *f = VNFID(r.Str()) })
+			if r.Null() {
+				q.Chain = nil
+				return
+			}
+			start := len(*block)
+			r.Array(func() {
+				if len(*block) == cap(*block) { // double: fewer, smaller copies than append's growth
+					*block = slices.Grow(*block, max(len(*block), 64))
+				}
+				*block = append(*block, VNFID(r.Str()))
+			})
+			if q.Chain = (*block)[start:]; len(q.Chain) == 0 {
+				q.Chain = []VNFID{}
+			}
 		case 2:
 			q.Rate = r.Float()
 		case 3:

@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -113,4 +114,41 @@ func FuzzReadProblemJSON(f *testing.F) {
 			t.Fatalf("re-encoding %q:\n got %s\nwant %s", data, buf.Bytes(), wantDoc)
 		}
 	})
+}
+
+// TestDecodedChainsDoNotAlias: the decoder carves every chain from one
+// block, so an append to one chain must copy rather than overwrite the
+// next chain's first VNF. Null and empty chains keep their nil and
+// non-nil empty forms.
+func TestDecodedChainsDoNotAlias(t *testing.T) {
+	var p Problem
+	doc := `{"requests": [
+		{"id": "a", "chain": ["fw", "nat"]},
+		{"id": "b", "chain": []},
+		{"id": "c", "chain": null},
+		{"id": "d", "chain": ["ids", "fw", "lb"]},
+		{"id": "e", "chain": ["nat"]}]}`
+	if err := json.Unmarshal([]byte(doc), &p); err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range p.Requests {
+		if cap(q.Chain) != len(q.Chain) {
+			t.Errorf("request %s: chain cap %d > len %d", q.ID, cap(q.Chain), len(q.Chain))
+		}
+		p.Requests[i].Chain = append(q.Chain, "evil")
+	}
+	want := [][]VNFID{{"fw", "nat", "evil"}, {"evil"}, {"evil"}, {"ids", "fw", "lb", "evil"}, {"nat", "evil"}}
+	for i, q := range p.Requests {
+		if !slices.Equal(q.Chain, want[i]) {
+			t.Errorf("request %s: chain %v after appends, want %v", q.ID, q.Chain, want[i])
+		}
+	}
+
+	var fresh Problem
+	if err := json.Unmarshal([]byte(doc), &fresh); err != nil {
+		t.Fatal(err)
+	}
+	if b, c := fresh.Requests[1].Chain, fresh.Requests[2].Chain; b == nil || len(b) != 0 || c != nil {
+		t.Errorf("empty chain %#v (want non-nil empty), null chain %#v (want nil)", b, c)
+	}
 }

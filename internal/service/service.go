@@ -37,6 +37,11 @@ type Config struct {
 	LatencyWindow int
 	// MaxBodyBytes bounds request bodies. 0 means 32 MiB.
 	MaxBodyBytes int64
+	// RetainJobs bounds the finished (done, failed or canceled) jobs kept
+	// for status and result queries; past it the oldest finished job is
+	// forgotten and answers 404. Queued and running jobs are never
+	// evicted. 0 means 4096.
+	RetainJobs int
 }
 
 // withDefaults resolves zero values.
@@ -59,32 +64,47 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
 	}
+	if c.RetainJobs <= 0 {
+		c.RetainJobs = 4096
+	}
 	return c
 }
 
-// job is one queued unit of work. The exec closure carries the parsed,
-// validated request; it runs on a worker goroutine with the job's context.
+// job is the record of one submission: what status and result queries
+// read. It holds no request state: the parsed request lives in the task's
+// run closure, which only the queue and the worker running it reach, so a
+// finished job keeps its result bytes (shared with the cache) and little
+// else.
 type job struct {
-	id          string
-	kind        string
-	fingerprint string
-	state       JobState
-	cacheHit    bool
-	err         string
-	result      []byte
-	// noCache marks a job whose result must not enter the cache (anytime
-	// races are wall-clock dependent).
-	noCache bool
+	id       string
+	kind     string
+	state    JobState
+	cacheHit bool
+	canceled bool // cancellation requested
+	err      string
+	result   []byte
 	// progress is the anytime-race incumbent trajectory, appended under
-	// the server's mutex by the race's publication callback.
+	// the server's mutex by the race's publication callback and thinned
+	// to at most maxProgress points.
 	progress []ProgressPoint
-
 	enqueued time.Time
-	cancel   context.CancelFunc // non-nil while running
-	canceled bool               // cancellation requested
-
-	exec func(ctx context.Context, j *job) ([]byte, error)
 }
+
+// runFunc computes a job's result document on a worker goroutine; it
+// carries the parsed, validated request.
+type runFunc func(ctx context.Context, j *job) ([]byte, error)
+
+// task is one queue entry: the job's record and the work that fills it.
+// fp is the result-cache key; "" keeps the result out of the cache
+// (anytime races are wall-clock dependent).
+type task struct {
+	j   *job
+	fp  string
+	run runFunc
+}
+
+// maxProgress bounds an anytime job's trajectory.
+const maxProgress = 1024
 
 // status snapshots the job's wire form; the server's mutex must be held.
 func (j *job) status() JobStatus {
@@ -102,13 +122,17 @@ type Server struct {
 	cfg Config
 	mux *http.ServeMux
 
-	mu       sync.Mutex
-	jobs     map[string]*job
-	nextID   uint64
-	queue    chan *job
-	closed   bool // intake stopped (shutdown begun)
-	byState  map[JobState]int
-	busy     int
+	mu      sync.Mutex
+	jobs    map[string]*job
+	nextID  uint64
+	queue   chan task
+	closed  bool // intake stopped (shutdown begun)
+	byState map[JobState]int
+	// finished lists the retained finished jobs, oldest first; past
+	// RetainJobs the oldest leaves jobs and byState.
+	finished []*job
+	// running maps each running job to its context's cancel.
+	running  map[*job]context.CancelFunc
 	latRing  []float64 // enqueue-to-finish seconds, ring buffer
 	latNext  int
 	latCount int
@@ -133,8 +157,9 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:          cfg,
 		jobs:         make(map[string]*job),
-		queue:        make(chan *job, cfg.QueueDepth),
+		queue:        make(chan task, cfg.QueueDepth),
 		byState:      make(map[JobState]int),
+		running:      make(map[*job]context.CancelFunc),
 		latRing:      make([]float64, cfg.LatencyWindow),
 		cacheEntries: make(map[string][]byte),
 		clock:        time.Now,
@@ -182,9 +207,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Lock()
 		for _, j := range s.jobs {
 			j.canceled = true
-			if j.cancel != nil {
-				j.cancel()
-			}
+		}
+		for _, cancel := range s.running {
+			cancel()
 		}
 		s.mu.Unlock()
 		<-done
@@ -195,47 +220,50 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // worker drains the job queue until Shutdown closes it.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for j := range s.queue {
-		s.runJob(j)
+	for t := range s.queue {
+		s.runTask(t)
 	}
 }
 
-// runJob executes one dequeued job.
-func (s *Server) runJob(j *job) {
+// runTask executes one dequeued task. Only the queue and this call hold
+// the task, so the request its run closure carries is not kept past the
+// run: the job records just the outcome.
+func (s *Server) runTask(t task) {
+	j := t.j
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	s.mu.Lock()
 	if j.canceled {
-		s.setStateLocked(j, StateCanceled)
+		if !j.state.terminal() { // canceled by Shutdown, not by DELETE
+			s.finishLocked(j, StateCanceled)
+		}
 		s.mu.Unlock()
 		return
 	}
 	s.setStateLocked(j, StateRunning)
-	j.cancel = cancel
-	s.busy++
+	s.running[j] = cancel
 	s.mu.Unlock()
 
-	result, err := j.exec(ctx, j)
+	result, err := t.run(ctx, j)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.busy--
-	j.cancel = nil
+	delete(s.running, j)
 	switch {
 	case err == nil:
 		j.result = result
-		s.setStateLocked(j, StateDone)
-		if !j.noCache {
-			s.cachePutLocked(j.fingerprint, result)
+		if t.fp != "" {
+			s.cachePutLocked(t.fp, result)
 		}
 		s.noteLatencyLocked(j)
+		s.finishLocked(j, StateDone)
 	case j.canceled && errors.Is(err, context.Canceled):
-		s.setStateLocked(j, StateCanceled)
+		s.finishLocked(j, StateCanceled)
 	default:
 		j.err = err.Error()
-		s.setStateLocked(j, StateFailed)
 		s.noteLatencyLocked(j)
+		s.finishLocked(j, StateFailed)
 	}
 }
 
@@ -247,6 +275,21 @@ func (s *Server) setStateLocked(j *job, to JobState) {
 	}
 	j.state = to
 	s.byState[to]++
+}
+
+// finishLocked moves a job to a terminal state and appends it to the
+// finished list, forgetting the oldest finished jobs past RetainJobs. The
+// server's mutex must be held.
+func (s *Server) finishLocked(j *job, to JobState) {
+	s.setStateLocked(j, to)
+	s.finished = append(s.finished, j)
+	for len(s.finished) > s.cfg.RetainJobs {
+		old := s.finished[0]
+		s.finished[0] = nil
+		s.finished = s.finished[1:]
+		delete(s.jobs, old.id)
+		s.byState[old.state]--
+	}
 }
 
 // noteLatencyLocked folds a finished job's enqueue-to-finish latency into
@@ -294,10 +337,10 @@ func (s *Server) cachePutLocked(fp string, result []byte) {
 }
 
 // submit registers a job for the fingerprint and either answers it from the
-// cache (a completed job, instantly) or enqueues it. It writes the HTTP
-// response in every case. noCache jobs (anytime races) skip both cache
-// lookup and insertion.
-func (s *Server) submit(w http.ResponseWriter, kind, fp string, noCache bool, exec func(ctx context.Context, j *job) ([]byte, error)) {
+// cache (a completed job, instantly) or enqueues it with run. It writes
+// the HTTP response in every case. An empty fp (anytime races) skips both
+// cache lookup and insertion.
+func (s *Server) submit(w http.ResponseWriter, kind, fp string, run runFunc) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -306,19 +349,16 @@ func (s *Server) submit(w http.ResponseWriter, kind, fp string, noCache bool, ex
 	}
 	s.nextID++
 	j := &job{
-		id:          "job-" + strconv.FormatUint(s.nextID, 10),
-		kind:        kind,
-		fingerprint: fp,
-		noCache:     noCache,
-		enqueued:    s.clock(),
-		exec:        exec,
+		id:       "job-" + strconv.FormatUint(s.nextID, 10),
+		kind:     kind,
+		enqueued: s.clock(),
 	}
 	s.jobs[j.id] = j
-	if !noCache {
+	if fp != "" {
 		if cached, ok := s.cacheGetLocked(fp); ok {
 			j.result = cached
 			j.cacheHit = true
-			s.setStateLocked(j, StateDone)
+			s.finishLocked(j, StateDone)
 			status := j.status()
 			s.mu.Unlock()
 			writeJSON(w, http.StatusOK, status)
@@ -326,7 +366,7 @@ func (s *Server) submit(w http.ResponseWriter, kind, fp string, noCache bool, ex
 		}
 	}
 	select {
-	case s.queue <- j:
+	case s.queue <- task{j: j, fp: fp, run: run}:
 		s.setStateLocked(j, StateQueued)
 		status := j.status()
 		s.mu.Unlock()
@@ -374,7 +414,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	problem := req.Problem
-	s.submit(w, "solve", fp, false, func(ctx context.Context, _ *job) ([]byte, error) {
+	s.submit(w, "solve", fp, func(ctx context.Context, _ *job) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -441,15 +481,10 @@ func (s *Server) submitAnytime(w http.ResponseWriter, req *SolveRequest) {
 			}
 		}
 	}
-	fp, err := fingerprint("solve-anytime", req)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
 	problem := req.Problem
 	options := req.Options
 	deadline := raceDeadline(req.DeadlineMS)
-	s.submit(w, "solve", fp, true, func(ctx context.Context, j *job) ([]byte, error) {
+	s.submit(w, "solve", "", func(ctx context.Context, j *job) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -463,17 +498,7 @@ func (s *Server) submitAnytime(w http.ResponseWriter, req *SolveRequest) {
 			Seed:                    options.Seed,
 			LinkDelay:               options.LinkDelay,
 			DisableAdmissionControl: options.DisableAdmissionControl,
-			OnIncumbent: func(inc portfolio.Incumbent) {
-				s.mu.Lock()
-				j.progress = append(j.progress, ProgressPoint{
-					Solver:    inc.Solver,
-					Objective: inc.Objective,
-					Iteration: inc.Iteration,
-					ElapsedMS: float64(inc.Elapsed) / float64(time.Millisecond),
-				})
-				s.races.Incumbents++
-				s.mu.Unlock()
-			},
+			OnIncumbent:             func(inc portfolio.Incumbent) { s.publish(j, inc) },
 		})
 		if err != nil {
 			return nil, err
@@ -490,6 +515,31 @@ func (s *Server) submitAnytime(w http.ResponseWriter, req *SolveRequest) {
 		}
 		return buf.Bytes(), nil
 	})
+}
+
+// publish appends a race incumbent to its job's trajectory. A full
+// trajectory is first halved, keeping every second point from the first
+// on, so it stays within maxProgress points and always holds the first
+// and the newest. Incumbents counts every publication, also those the
+// thinning later drops.
+func (s *Server) publish(j *job, inc portfolio.Incumbent) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(j.progress) == maxProgress {
+		n := 0
+		for i := 0; i < len(j.progress); i += 2 {
+			j.progress[n] = j.progress[i]
+			n++
+		}
+		j.progress = j.progress[:n]
+	}
+	j.progress = append(j.progress, ProgressPoint{
+		Solver:    inc.Solver,
+		Objective: inc.Objective,
+		Iteration: inc.Iteration,
+		ElapsedMS: float64(inc.Elapsed) / float64(time.Millisecond),
+	})
+	s.races.Incumbents++
 }
 
 // handleSimulate parses, validates and enqueues a solve+simulate (or
@@ -533,7 +583,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	problem := req.Problem
-	s.submit(w, "simulate", fp, false, func(ctx context.Context, _ *job) ([]byte, error) {
+	s.submit(w, "simulate", fp, func(ctx context.Context, _ *job) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -619,12 +669,13 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	default:
 		j.canceled = true
-		if j.cancel != nil {
-			j.cancel()
-		} else if j.state == StateQueued {
-			// The worker will observe canceled and skip; reflect the final
-			// state immediately so polling clients see it without racing.
-			s.setStateLocked(j, StateCanceled)
+		if cancel, ok := s.running[j]; ok {
+			cancel()
+		} else {
+			// Queued: the worker will observe canceled and skip; reflect
+			// the final state immediately so polling clients see it
+			// without racing.
+			s.finishLocked(j, StateCanceled)
 		}
 	}
 	status := j.status()
@@ -645,7 +696,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		QueueDepth:    len(s.queue),
 		QueueCapacity: s.cfg.QueueDepth,
 		Workers:       s.cfg.Workers,
-		BusyWorkers:   s.busy,
+		BusyWorkers:   len(s.running),
 		JobsByState:   make(map[JobState]int, len(s.byState)),
 		Cache: CacheMetrics{
 			Hits:    s.cacheHits,
@@ -665,7 +716,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// Config.withDefaults guarantees Workers >= 1, but guard anyway: a zero
 	// divisor would put NaN in the document and break strict JSON decoders.
 	if s.cfg.Workers > 0 {
-		m.WorkerUtilization = float64(s.busy) / float64(s.cfg.Workers)
+		m.WorkerUtilization = float64(len(s.running)) / float64(s.cfg.Workers)
 	}
 	lat := make([]float64, s.latCount)
 	copy(lat, s.latRing[:s.latCount])
