@@ -67,7 +67,7 @@ func Optimize(p *model.Problem, opts Options) (*Solution, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: placement (%s): %w", placer.Name(), err)
 	}
-	sched, err := scheduling.ScheduleAll(p, scheduler)
+	sched, err := scheduling.ScheduleValid(p, scheduler)
 	if err != nil {
 		return nil, fmt.Errorf("core: scheduling (%s): %w", scheduler.Name(), err)
 	}

@@ -58,6 +58,33 @@ func TestOptimizeRejectsInvalidProblem(t *testing.T) {
 	}
 }
 
+// TestOptimizeRejectsNonFinite covers the numbers that every ordered
+// guard (x <= 0) let through on a 20-request problem, so that Optimize
+// used to solve, and Simulate to run, the problem they spoiled.
+func TestOptimizeRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spoil func(p *model.Problem)
+	}{
+		{"NaN rate", func(p *model.Problem) { p.Requests[3].Rate = math.NaN() }},
+		{"+Inf rate", func(p *model.Problem) { p.Requests[3].Rate = math.Inf(1) }},
+		{"NaN delivery probability", func(p *model.Problem) { p.Requests[3].DeliveryProb = math.NaN() }},
+		{"NaN capacity", func(p *model.Problem) { p.Nodes[0].Capacity = math.NaN() }},
+		{"NaN service rate", func(p *model.Problem) { p.VNFs[0].ServiceRate = math.NaN() }},
+	} {
+		cfg := workload.DefaultConfig()
+		cfg.NumRequests = 20
+		p, err := workload.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.spoil(p)
+		if sol, err := Optimize(p, Options{Seed: 1}); err == nil || !strings.HasPrefix(err.Error(), "core: ") {
+			t.Errorf("%s: Optimize = %v, %v; want a core validation error", tc.name, sol, err)
+		}
+	}
+}
+
 func TestOptimizePropagatesPlacementFailure(t *testing.T) {
 	p := genProblem(t, 2)
 	// Shrink every node so nothing fits.

@@ -51,56 +51,69 @@ func (c CKK) Partition(items []Item, m int) ([]int, error) {
 		maxPairings = DefaultCKKMaxPairings
 	}
 
-	// Seed the incumbent with plain RCKK (the first CKK descent).
-	incumbent, err := RCKK{}.Partition(items, m)
+	// Seed the incumbent with plain RCKK (the first CKK descent), then
+	// restart from one singleton tuple per item in the same scratch.
+	var sc PartitionScratch
+	incumbent, err := RCKK{}.PartitionReuse(items, m, &sc)
 	if err != nil {
 		return nil, err
 	}
-	bestSpan := Makespan(Loads(items, incumbent, m))
-
-	// Initial partition list, one per item, descending.
-	ar := &mergeArena{nodes: make([]mergeNode, 0, n)}
-	list := newPartitionList(items, sortedIndexesByWeightDesc(items), m)
-
+	sc.tuples.lay(items, sc.order, m)
 	s := &ckkSearch{
-		items:       items,
-		m:           m,
-		arena:       ar,
-		best:        incumbent,
-		bestSpan:    bestSpan,
-		budget:      maxNodes,
-		maxPairings: maxPairings,
+		items:    items,
+		tuples:   &sc.tuples,
+		arena:    &mergeArena{nodes: sc.nodes[:0]},
+		lists:    sc.list[:n],
+		best:     incumbent,
+		bestSpan: Makespan(Loads(items, incumbent, m)),
+		budget:   maxNodes,
+		perms:    pairings(m, maxPairings),
+		cur:      make([]int, n),
+		loads:    make([]float64, m),
 	}
-	s.search(list)
+	for i := range s.lists {
+		s.lists[i] = int32(i)
+	}
+	s.search(s.lists)
 	copy(assign, s.best)
 	return assign, nil
 }
 
+// ckkSearch is the state of one CKK tree search. Tuples made on a branch
+// are appended to the block and the arena, and each level's list to lists;
+// all three are cut back when the branch returns, so the search holds
+// memory in proportion to its depth.
 type ckkSearch struct {
-	items       []Item
-	m           int
-	arena       *mergeArena
-	best        []int
-	bestSpan    float64
-	budget      int
-	maxPairings int
+	items    []Item
+	tuples   *tupleBlock
+	arena    *mergeArena
+	lists    []int32 // the lists of every level on the current path
+	best     []int
+	bestSpan float64
+	budget   int
+	perms    [][]int // the pairings tried at every branch point
+	cur      []int   // a leaf's assignment
+	loads    []float64
+	stack    []setRef
 }
 
 // search recursively combines the two leading partitions under every
 // admissible pairing. list is always sorted descending by leading value.
-func (s *ckkSearch) search(list []*partition) {
+func (s *ckkSearch) search(list []int32) {
 	if s.budget <= 0 {
 		return
 	}
 	s.budget--
+	tb := s.tuples
 	if len(list) == 1 {
-		final := list[0]
-		assign := make([]int, len(s.items))
-		final.assignments(s.arena, assign)
-		span := Makespan(Loads(s.items, assign, s.m))
-		if span < s.bestSpan {
+		s.stack = tb.assign(list[0], s.arena, s.cur, s.stack)
+		clear(s.loads)
+		for i, it := range s.items {
+			s.loads[s.cur[i]] += it.Weight
+		}
+		if span := Makespan(s.loads); span < s.bestSpan {
 			s.bestSpan = span
-			s.best = assign
+			copy(s.best, s.cur)
 		}
 		return
 	}
@@ -112,43 +125,51 @@ func (s *ckkSearch) search(list []*partition) {
 	// below (a0 − everything else's capacity to offset); cheap bound: the
 	// current leading value minus the sum of all other leading values.
 	var offset float64
-	for _, p := range list[1:] {
-		offset += p.sums[0]
+	for _, t := range list[1:] {
+		offset += tb.lead(t)
 	}
-	if a.sums[0]-offset >= s.bestSpan {
+	if tb.lead(a)-offset >= s.bestSpan {
 		return
 	}
 
-	for _, perm := range pairings(s.m, s.maxPairings) {
-		// Arena nodes created inside a branch are dead once it returns (the
-		// incumbent is materialized into a plain []int immediately), so the
-		// arena rolls back to keep peak memory proportional to search depth
-		// rather than total nodes visited.
-		mark := s.arena.mark()
-		c := combineWith(a, b, perm, s.arena)
-		next := insertSorted(append([]*partition(nil), rest...), c)
+	for _, perm := range s.perms {
+		// Whatever a branch creates is dead once it returns (the incumbent
+		// is copied out at the leaf), so the block, the arena and the lists
+		// roll back to keep peak memory proportional to search depth rather
+		// than total nodes visited.
+		mark, tuples, lists := s.arena.mark(), len(tb.sums), len(s.lists)
+		c := s.combine(a, b, perm)
+		s.lists = append(append(s.lists, rest...), 0)
+		next := s.lists[lists:]
+		tb.insert(next, c)
 		s.search(next)
 		s.arena.release(mark)
+		tb.sums, tb.sets = tb.sums[:tuples], tb.sets[:tuples]
+		s.lists = s.lists[:lists]
 		if s.budget <= 0 {
 			return
 		}
 	}
 }
 
-// combineWith merges a and b into a fresh partition, pairing position i of a
-// with position perm[i] of b, then sorts and normalizes. Unlike the in-place
-// combineReverse it must keep a and b intact: the search revisits them under
-// other pairings.
-func combineWith(a, b *partition, perm []int, ar *mergeArena) *partition {
-	m := len(a.sums)
-	c := &partition{sums: make([]float64, m), sets: make([]setRef, m)}
-	for i := 0; i < m; i++ {
-		j := perm[i]
-		c.sums[i] = a.sums[i] + b.sums[j]
-		c.sets[i] = ar.merge(a.sets[i], b.sets[j])
+// combine appends to the block the merge of tuples a and b, pairing
+// position i of a with position perm[i] of b, then sorts and normalizes it.
+// Unlike the in-place combine of RCKK it keeps a and b intact: the search
+// revisits them under other pairings.
+func (s *ckkSearch) combine(a, b int32, perm []int) int32 {
+	tb := s.tuples
+	c := int32(len(tb.sums) / tb.m)
+	tb.sums = append(tb.sums, make([]float64, tb.m)...)
+	tb.sets = append(tb.sets, make([]setRef, tb.m)...)
+	sa, seta := tb.tuple(a)
+	sb, setb := tb.tuple(b)
+	sc, setc := tb.tuple(c)
+	for i, j := range perm {
+		sc[i] = sa[i] + sb[j]
+		setc[i] = s.arena.merge(seta[i], setb[j])
 	}
-	sortPartition(c)
-	normalize(c)
+	sortTuple(sc, setc)
+	normalize(sc)
 	return c
 }
 

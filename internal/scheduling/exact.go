@@ -2,7 +2,6 @@ package scheduling
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Exact computes a makespan-optimal partition by branch-and-bound, seeded
@@ -46,9 +45,9 @@ func (e *Exact) Partition(items []Item, m int) ([]int, error) {
 	if n == 0 || m == 1 {
 		return assign, nil
 	}
-	order := sortedIndexesByWeightDesc(items)
-	best := greedyAssign(items, order, m)
-	bestSpan := Makespan(Loads(items, best, m))
+	order := weightOrder(items, nil)
+	greedyAssign(items, order, m, assign)
+	s := newBranchSearch(items, order, m, assign)
 	// Lower bound: max(total/m, heaviest item). Stop early when greedy hits it.
 	var total, heaviest float64
 	for _, it := range items {
@@ -57,58 +56,15 @@ func (e *Exact) Partition(items []Item, m int) ([]int, error) {
 			heaviest = it.Weight
 		}
 	}
-	lower := total / float64(m)
-	if heaviest > lower {
-		lower = heaviest
+	s.lower = total / float64(m)
+	if heaviest > s.lower {
+		s.lower = heaviest
 	}
-	if bestSpan > lower+1e-12 {
-		cur := append([]int(nil), best...)
-		incumbent := append([]int(nil), best...)
-		budget := maxExp
-		exactSearch(items, order, m, 0, make([]float64, m), cur, &incumbent, &bestSpan, lower, &budget)
-		best = incumbent
+	if s.bestSpan > s.lower+1e-12 {
+		s.budget = maxExp
+		s.run(0)
 	}
-	copy(assign, best)
 	return assign, nil
-}
-
-// exactSearch is cgaSearch without a node budget cutoff semantic change:
-// it prunes with the same rules plus a global lower bound for early exit.
-func exactSearch(items []Item, order []int, m, depth int, loads []float64, cur []int, best *[]int, bestSpan *float64, lower float64, budget *int) {
-	if *budget <= 0 || *bestSpan <= lower+1e-12 {
-		return
-	}
-	*budget--
-	if depth == len(order) {
-		span := Makespan(loads)
-		if span < *bestSpan {
-			*bestSpan = span
-			copy(*best, cur)
-		}
-		return
-	}
-	idx := order[depth]
-	w := items[idx].Weight
-	targets := make([]int, m)
-	for k := range targets {
-		targets[k] = k
-	}
-	sort.SliceStable(targets, func(a, b int) bool { return loads[targets[a]] < loads[targets[b]] })
-	var lastLoad float64
-	first := true
-	for _, k := range targets {
-		if !first && loads[k] == lastLoad {
-			continue
-		}
-		first, lastLoad = false, loads[k]
-		if loads[k]+w >= *bestSpan {
-			continue
-		}
-		loads[k] += w
-		cur[idx] = k
-		exactSearch(items, order, m, depth+1, loads, cur, best, bestSpan, lower, budget)
-		loads[k] -= w
-	}
 }
 
 var _ Partitioner = (*Exact)(nil)
