@@ -97,6 +97,7 @@ func Scenarios() []Scenario {
 	}
 	return append(out,
 		Scenario{"Admission/n=500", admission},
+		Scenario{"Model/compile-validate", compileValidate},
 		Scenario{"Jackson/chain-6", jacksonSolve},
 		Scenario{"Improve/placement", improvePlacement},
 		Scenario{"Improve/schedule", improveSchedule},
@@ -563,6 +564,23 @@ func admission(b *testing.B) {
 		}
 	}
 }
+
+// compileValidate validates and indexes a 1000-request, 15-VNF problem in
+// one walk, as nfvd does once per served solve. The index goes to a
+// package variable, so it is built on the heap as a caller keeps it.
+func compileValidate(b *testing.B) {
+	p := placementInstance(b, 15, 1000, 10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix, err := model.CompileValid(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		compiled = ix
+	}
+}
+
+var compiled *model.Index
 
 // jacksonSolve solves the open Jackson network of a 6-stage chain.
 func jacksonSolve(b *testing.B) {

@@ -73,8 +73,11 @@ func ReadSolutionJSON(r io.Reader) (*Solution, error) {
 	if sol.Problem == nil || sol.Placement == nil || sol.Schedule == nil {
 		return nil, fmt.Errorf("core: solution file missing problem, placement or schedule")
 	}
-	if err := sol.Problem.Validate(); err != nil {
-		return nil, fmt.Errorf("core: solution problem: %w", err)
+	// decodeWire indexed a valid problem read before the schedule.
+	if sol.Schedule.Index() == nil {
+		if err := sol.Problem.Validate(); err != nil {
+			return nil, fmt.Errorf("core: solution problem: %w", err)
+		}
 	}
 	if err := sol.Placement.Validate(sol.Problem); err != nil {
 		return nil, fmt.Errorf("core: solution placement: %w", err)
@@ -104,13 +107,13 @@ func (s *Solution) decodeWire(r *wirejson.Reader) {
 		case 2:
 			s.PlacementIterations = r.Int()
 		case 3:
-			// Rows go straight into the problem's slots when the problem
-			// came first, as WriteJSON writes it; ReadSolutionJSON lays
-			// out a schedule read before its problem.
+			// Rows go straight into the slots of the problem's index when
+			// the problem came first, as WriteJSON writes it, and is
+			// valid; ReadSolutionJSON handles the other cases.
 			if !r.Null() {
 				var ix *model.Index
 				if s.Problem != nil {
-					ix = model.Compile(s.Problem)
+					ix, _ = model.CompileValid(s.Problem)
 				}
 				s.Schedule = model.NewSchedule(ix)
 				s.Schedule.DecodeWire(r)

@@ -20,6 +20,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // VNFID identifies a virtual network function.
@@ -211,137 +212,19 @@ type Problem struct {
 // number of extra resources. It reports the first fault in problem order.
 // It does not bound M_f by |R_f|, the number of requests that use f: a VNF
 // with more instances than users is accepted, and the spare instances idle.
+// It is the checking walk of CompileValid, in recycled storage and without
+// the layout the walk's index goes on to; a caller that uses the index
+// should call CompileValid instead.
 func (p *Problem) Validate() error {
-	if p.wellFormed() {
-		return nil
-	}
-	return p.firstFault()
+	ix := validating.Get().(*Index)
+	err := ix.resolve(p)
+	ix.p = nil
+	validating.Put(ix)
+	return err
 }
 
-// wellFormed reports whether firstFault finds nothing. It checks the same
-// rules with one set, of VNF IDs for the chains to be looked up in. Node
-// and request IDs go into one block of strings instead, sorted unless
-// already strictly increasing, where a repeat sits next to its twin. A
-// rule missing here is a fault Validate accepts: keep it in step with
-// firstFault.
-func (p *Problem) wellFormed() bool {
-	if len(p.Nodes) == 0 || len(p.VNFs) == 0 {
-		return false
-	}
-	dims := len(p.Nodes[0].Extras)
-	var small [32]string // a small problem's IDs stay off the heap
-	ids := small[:0]
-	if n := len(p.Nodes) + len(p.Requests); n > len(small) {
-		ids = make([]string, 0, n)
-	}
-	for i := range p.Nodes {
-		if p.Nodes[i].Validate() != nil || len(p.Nodes[i].Extras) != dims {
-			return false
-		}
-		ids = append(ids, string(p.Nodes[i].ID))
-	}
-	vnfIDs := make(map[VNFID]struct{}, len(p.VNFs))
-	for i := range p.VNFs {
-		if p.VNFs[i].Validate() != nil || len(p.VNFs[i].Extras) != dims {
-			return false
-		}
-		vnfIDs[p.VNFs[i].ID] = struct{}{}
-	}
-	if len(vnfIDs) < len(p.VNFs) {
-		return false
-	}
-	for i := range p.Requests {
-		r := &p.Requests[i]
-		if r.Validate() != nil {
-			return false
-		}
-		for _, f := range r.Chain {
-			if _, ok := vnfIDs[f]; !ok {
-				return false
-			}
-		}
-		ids = append(ids, string(r.ID))
-	}
-	return distinct(ids[:len(p.Nodes)]) && distinct(ids[len(p.Nodes):])
-}
-
-// distinct reports whether ids holds no value twice, sorting it unless it
-// is already strictly increasing.
-func distinct(ids []string) bool {
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			slices.Sort(ids)
-			for j := 1; j < len(ids); j++ {
-				if ids[j-1] == ids[j] {
-					return false
-				}
-			}
-			return true
-		}
-	}
-	return true
-}
-
-// firstFault is the ordered walk behind Validate: it returns the first
-// fault in problem order, so each error text and its precedence are fixed.
-// It only runs once wellFormed has found a fault, so every rule added here
-// must also go into wellFormed.
-func (p *Problem) firstFault() error {
-	if len(p.Nodes) == 0 {
-		return errors.New("problem: no nodes")
-	}
-	if len(p.VNFs) == 0 {
-		return errors.New("problem: no vnfs")
-	}
-	nodeIDs := make(map[NodeID]struct{}, len(p.Nodes))
-	for _, n := range p.Nodes {
-		if err := n.Validate(); err != nil {
-			return err
-		}
-		if _, dup := nodeIDs[n.ID]; dup {
-			return fmt.Errorf("problem: duplicate node id %s", n.ID)
-		}
-		nodeIDs[n.ID] = struct{}{}
-	}
-	vnfIDs := make(map[VNFID]struct{}, len(p.VNFs))
-	for _, f := range p.VNFs {
-		if err := f.Validate(); err != nil {
-			return err
-		}
-		if _, dup := vnfIDs[f.ID]; dup {
-			return fmt.Errorf("problem: duplicate vnf id %s", f.ID)
-		}
-		vnfIDs[f.ID] = struct{}{}
-	}
-	// Extra-resource dimensionality must be uniform across nodes and VNFs.
-	dims := len(p.Nodes[0].Extras)
-	for _, n := range p.Nodes {
-		if len(n.Extras) != dims {
-			return fmt.Errorf("problem: node %s has %d extra resources, want %d", n.ID, len(n.Extras), dims)
-		}
-	}
-	for _, f := range p.VNFs {
-		if len(f.Extras) != dims {
-			return fmt.Errorf("problem: vnf %s has %d extra resources, want %d", f.ID, len(f.Extras), dims)
-		}
-	}
-	reqIDs := make(map[RequestID]struct{}, len(p.Requests))
-	for _, r := range p.Requests {
-		if err := r.Validate(); err != nil {
-			return err
-		}
-		if _, dup := reqIDs[r.ID]; dup {
-			return fmt.Errorf("problem: duplicate request id %s", r.ID)
-		}
-		reqIDs[r.ID] = struct{}{}
-		for _, f := range r.Chain {
-			if _, ok := vnfIDs[f]; !ok {
-				return fmt.Errorf("problem: request %s references undefined vnf %s", r.ID, f)
-			}
-		}
-	}
-	return nil
-}
+// validating recycles the indexes Validate builds and drops.
+var validating = sync.Pool{New: func() any { return new(Index) }}
 
 // VNF returns the VNF with the given id, or false when undefined.
 func (p *Problem) VNF(id VNFID) (VNF, bool) {

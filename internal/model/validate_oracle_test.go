@@ -265,29 +265,75 @@ func injectFault(st *rng.Stream, p *Problem) {
 	}
 }
 
+// renameAdversarially gives p adversarial IDs (see adversarialID), kept in
+// step between the VNFs and the chains. Half of the time every ID gets a
+// distinct suffix; otherwise IDs repeat by chance, and one chain stage may
+// name an ID no VNF has, often a prefix or an extension of one that does.
+func renameAdversarially(st *rng.Stream, p *Problem) {
+	unique := st.IntN(2) == 0
+	n := 0
+	id := func() string {
+		if n++; unique {
+			return fmt.Sprintf("%s#%d", adversarialID(st), n)
+		}
+		return adversarialID(st)
+	}
+	for i := range p.Nodes {
+		p.Nodes[i].ID = NodeID(id())
+	}
+	vnfs := map[VNFID]VNFID{}
+	for i := range p.VNFs {
+		vnfs[p.VNFs[i].ID] = VNFID(id())
+		p.VNFs[i].ID = vnfs[p.VNFs[i].ID]
+	}
+	for i := range p.Requests {
+		r := &p.Requests[i]
+		r.ID = RequestID(id())
+		for j, f := range r.Chain {
+			r.Chain[j] = vnfs[f]
+		}
+	}
+	if !unique && len(p.Requests) > 0 && st.IntN(2) == 0 {
+		r := &p.Requests[st.IntN(len(p.Requests))]
+		r.Chain[st.IntN(len(r.Chain))] = VNFID(adversarialID(st))
+	}
+}
+
 // TestValidateMatchesOrderedWalk runs Validate and the ordered-walk oracle
-// on random problems with zero to three injected faults of every class:
-// both accept, or both reject with the same text.
+// on random problems with zero to three injected faults of every class,
+// then on more with adversarial IDs, repeated ones and chains naming
+// undefined VNFs among them: both accept, or both reject with the same
+// text.
 func TestValidateMatchesOrderedWalk(t *testing.T) {
 	st := rng.New(30)
-	var accepted, rejected int
-	for iter := 0; iter < 4000; iter++ {
+	var accepted, rejected, advAccepted, advRejected int
+	for iter := 0; iter < 6000; iter++ {
 		p := randomValidProblem(st)
+		adversarial := iter >= 4000
+		if adversarial {
+			renameAdversarially(st, p)
+		}
 		for k := st.IntN(4); k > 0 && len(p.Nodes) > 0 && len(p.VNFs) > 0; k-- {
 			injectFault(st, p)
 		}
 		want, got := walkValidate(p), p.Validate()
-		if want == nil {
+		switch {
+		case want == nil && adversarial:
+			advAccepted++
+		case adversarial:
+			advRejected++
+		case want == nil:
 			accepted++
-		} else {
+		default:
 			rejected++
 		}
 		if (want == nil) != (got == nil) || (want != nil && want.Error() != got.Error()) {
 			t.Fatalf("case %d: Validate = %v, ordered walk = %v\n%+v", iter, got, want, p)
 		}
 	}
-	if accepted < 500 || rejected < 1500 {
-		t.Fatalf("accepted %d, rejected %d: the generator covers too little of one side", accepted, rejected)
+	if accepted < 500 || rejected < 1500 || advAccepted < 200 || advRejected < 1000 {
+		t.Fatalf("accepted %d, rejected %d, adversarial %d/%d: the generator covers too little of one side",
+			accepted, rejected, advAccepted, advRejected)
 	}
 }
 

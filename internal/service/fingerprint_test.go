@@ -1,11 +1,16 @@
 package service
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"nfvchain/internal/model"
 	"nfvchain/internal/simulate"
+	"nfvchain/internal/wirejson"
 	"nfvchain/internal/workload"
 )
 
@@ -77,5 +82,35 @@ func TestFingerprintPinned(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: fingerprint %s, want %s", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestFingerprintManyChunks keys a request whose canonical encoding spans
+// many of the chunks fingerprint streams into the hash, with escaped IDs
+// throughout, and checks the key against SHA-256 over the whole Marshal
+// output.
+func TestFingerprintManyChunks(t *testing.T) {
+	p := fingerprintProblem()
+	for i := 0; i < 600; i++ {
+		p.Requests = append(p.Requests, model.Request{
+			ID:    model.RequestID(fmt.Sprintf("<r %d&\"%s\x01", i, strings.Repeat("é", i%7))),
+			Chain: []model.VNFID{"nat\x01", "fw\\1"}, Rate: float64(i) + 0.5, DeliveryProb: 0.9,
+		})
+	}
+	req := &SolveRequest{Problem: p, Options: SolveOptions{Seed: 5}}
+	canon, err := wirejson.Marshal(req.AppendWire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(canon) < 16<<10 {
+		t.Fatalf("document of %d bytes is too short to span many chunks", len(canon))
+	}
+	want := sha256.Sum256(append([]byte("solve\x00"), canon...))
+	got, err := fingerprint("solve", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != hex.EncodeToString(want[:]) {
+		t.Errorf("fingerprint %s, want SHA-256 over Marshal %x", got, want)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"nfvchain/internal/core"
+	"nfvchain/internal/model"
 	"nfvchain/internal/portfolio"
 	"nfvchain/internal/simulate"
 	"nfvchain/internal/stats"
@@ -391,7 +392,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing problem")
 		return
 	}
-	if err := req.Problem.Validate(); err != nil {
+	ix, err := model.CompileValid(req.Problem)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -413,12 +415,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	problem := req.Problem
 	s.submit(w, "solve", fp, func(ctx context.Context, _ *job) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sol, err := core.Optimize(problem, opts)
+		sol, err := core.OptimizeValid(ix, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -560,10 +561,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	var (
 		opts     core.Options
+		ix       *model.Index
 		solution *core.Solution
 	)
 	if req.Problem != nil {
-		if err := req.Problem.Validate(); err != nil {
+		if ix, err = model.CompileValid(req.Problem); err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
@@ -582,7 +584,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	problem := req.Problem
 	s.submit(w, "simulate", fp, func(ctx context.Context, _ *job) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -590,7 +591,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		sol := solution
 		if sol == nil {
 			var err error
-			if sol, err = core.Optimize(problem, opts); err != nil {
+			if sol, err = core.OptimizeValid(ix, opts); err != nil {
 				return nil, err
 			}
 		}

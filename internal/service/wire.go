@@ -526,19 +526,18 @@ type errorBody struct {
 // *SolveRequest or *SimulateRequest): the endpoint kind plus the canonical
 // compact re-encoding of the parsed body — the bytes json.Marshal writes —
 // so formatting differences (whitespace, field order) between semantically
-// identical submissions do not split the cache.
+// identical submissions do not split the cache. The encoding streams into
+// the hash in chunks rather than being held whole.
 func fingerprint(kind string, req any) (string, error) {
 	doc, ok := req.(interface{ AppendWire(*wirejson.Writer) })
 	if !ok {
 		return "", fmt.Errorf("service: fingerprint: %T has no wire form", req)
 	}
-	canon, err := wirejson.Marshal(doc.AppendWire)
-	if err != nil {
-		return "", fmt.Errorf("service: fingerprint: %w", err)
-	}
 	h := sha256.New()
 	h.Write([]byte(kind))
 	h.Write([]byte{0})
-	h.Write(canon)
+	if err := wirejson.Stream(h, doc.AppendWire); err != nil {
+		return "", fmt.Errorf("service: fingerprint: %w", err)
+	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

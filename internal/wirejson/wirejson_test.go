@@ -372,6 +372,69 @@ func TestWriterRaw(t *testing.T) {
 	}
 }
 
+// chunkSink records the size of every Write.
+type chunkSink struct {
+	bytes.Buffer
+	sizes []int
+}
+
+func (c *chunkSink) Write(b []byte) (int, error) {
+	c.sizes = append(c.sizes, len(b))
+	return c.Buffer.Write(b)
+}
+
+// TestStreamMatchesMarshal streams documents of many chunks, made mostly of
+// six-byte escapes (each < is written \u003c), behind paddings that move the
+// chunk boundaries: Stream writes Marshal's bytes, in whole chunks but the
+// last, and some boundary splits an escape.
+func TestStreamMatchesMarshal(t *testing.T) {
+	split := 0
+	for _, pad := range []int{0, 1, 5, streamChunk - 3, 3*streamChunk + 2} {
+		doc := func(w *Writer) {
+			w.BeginObject()
+			w.Key(strings.Repeat("k", pad))
+			w.BeginArray()
+			for i := 0; i < 40; i++ {
+				w.String(strings.Repeat("<", 100+i) + "\u2028\n")
+				w.Float(float64(i) / 7)
+			}
+			w.EndArray()
+			w.EndObject()
+		}
+		want, err := Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got chunkSink
+		if err := Stream(&got, doc); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("pad %d: Stream wrote %d bytes unlike Marshal's %d", pad, got.Len(), len(want))
+		}
+		if n := len(got.sizes); n < 4 || slices.ContainsFunc(got.sizes[:n-1], func(c int) bool { return c != streamChunk }) {
+			t.Fatalf("pad %d: chunk sizes %v", pad, got.sizes)
+		}
+		for b := streamChunk; b < len(want); b += streamChunk {
+			if i := bytes.LastIndexByte(want[:b], '\\'); i >= 0 && b-i < 6 && want[i+1] == 'u' {
+				split++
+			}
+		}
+	}
+	if split == 0 {
+		t.Fatal("no chunk boundary splits an escape")
+	}
+	bad := func(w *Writer) {
+		w.BeginArray()
+		w.String(strings.Repeat("x", 2*streamChunk))
+		w.Float(math.NaN())
+		w.EndArray()
+	}
+	if err := Stream(io.Discard, bad); err == nil {
+		t.Fatal("Stream encoded NaN")
+	}
+}
+
 // TestSliceNCap checks that a size hint is capped by the input left.
 func TestSliceNCap(t *testing.T) {
 	var got []float64

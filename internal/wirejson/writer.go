@@ -44,15 +44,7 @@ func putBuf(bp *[]byte, b []byte) {
 // indented and newline-terminated like a json.Encoder with
 // SetIndent("", "  ").
 func Encode(dst io.Writer, doc func(*Writer)) error {
-	bp := getBuf()
-	w := &Writer{buf: *bp, indent: true}
-	doc(w)
-	b, err := w.finish()
-	if err == nil {
-		_, err = dst.Write(b)
-	}
-	putBuf(bp, w.buf)
-	return err
+	return write(dst, &Writer{indent: true}, doc)
 }
 
 // Marshal returns the compact document that doc appends, as json.Marshal
@@ -69,6 +61,31 @@ func Marshal(doc func(*Writer)) ([]byte, error) {
 	return b, err
 }
 
+// Stream writes the compact document that doc appends to dst, the bytes
+// Marshal returns, in chunks of streamChunk bytes and a last shorter one,
+// so the document is never held whole. On an encoding error what was
+// written is a prefix of the document, which dst should discard.
+func Stream(dst io.Writer, doc func(*Writer)) error {
+	return write(dst, &Writer{sink: dst}, doc)
+}
+
+// write has w append the document that doc appends, in a pooled buffer,
+// and writes what the buffer holds at the end to dst.
+func write(dst io.Writer, w *Writer, doc func(*Writer)) error {
+	bp := getBuf()
+	w.buf = *bp
+	doc(w)
+	b, err := w.finish()
+	if err == nil {
+		_, err = dst.Write(b)
+	}
+	putBuf(bp, w.buf)
+	return err
+}
+
+// streamChunk is the size of the chunks Stream writes.
+const streamChunk = 4096
+
 // Writer appends one JSON document to a byte slice. Containers are opened
 // and closed explicitly; the writer places separators and, in indented
 // mode, the newlines and two-space indentation. The first unencodable value
@@ -82,6 +99,9 @@ type Writer struct {
 	// afterKey marks that the next value follows a member key directly.
 	afterKey bool
 	err      error
+	// sink, when set, takes every whole chunk the buffer holds at the
+	// start of each value (Stream).
+	sink io.Writer
 }
 
 // finish returns the document, newline-terminated in indented mode as the
@@ -94,6 +114,18 @@ func (w *Writer) finish() ([]byte, error) {
 		w.buf = append(w.buf, '\n')
 	}
 	return w.buf, nil
+}
+
+// flush writes the buffer's whole chunks to the sink, one Write each, and
+// keeps the rest.
+func (w *Writer) flush() {
+	b := w.buf
+	for ; len(b) >= streamChunk; b = b[streamChunk:] {
+		if _, err := w.sink.Write(b[:streamChunk]); err != nil && w.err == nil {
+			w.err = err
+		}
+	}
+	w.buf = w.buf[:copy(w.buf, b)]
 }
 
 // lineStart is a newline and the indentation of the deepest level written
@@ -115,6 +147,9 @@ func (w *Writer) newline() {
 
 // value emits the separator that precedes a value or key.
 func (w *Writer) value() {
+	if w.sink != nil && len(w.buf) >= streamChunk {
+		w.flush()
+	}
 	if w.afterKey {
 		w.afterKey = false
 		return
