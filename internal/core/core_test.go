@@ -58,6 +58,21 @@ func TestOptimizeRejectsInvalidProblem(t *testing.T) {
 	}
 }
 
+// TestOptimizeValidRejectsFaultyIndex hands OptimizeValid the index
+// model.Compile builds of an invalid problem: it must return Validate's
+// fault before any placer or partitioner sees the problem.
+func TestOptimizeValidRejectsFaultyIndex(t *testing.T) {
+	p := genProblem(t, 3)
+	p.VNFs[0].Instances = 0
+	want := p.Validate()
+	if want == nil {
+		t.Fatal("zero-instance VNF passed Validate")
+	}
+	if _, err := OptimizeValid(model.Compile(p), Options{}); err == nil || err.Error() != "core: "+want.Error() {
+		t.Errorf("OptimizeValid = %v, want core: %v", err, want)
+	}
+}
+
 // TestOptimizeRejectsNonFinite covers the numbers that every ordered
 // guard (x <= 0) let through on a 20-request problem, so that Optimize
 // used to solve, and Simulate to run, the problem they spoiled.

@@ -302,6 +302,27 @@ func TestScheduleAllRejectsInvalidProblem(t *testing.T) {
 	}
 }
 
+// TestScheduleValidRejectsFaultyIndex hands ScheduleValid the index
+// model.Compile builds of an invalid problem, one with a zero-instance VNF
+// that the partitioners could not split across: it must return Validate's
+// fault, not partition.
+func TestScheduleValidRejectsFaultyIndex(t *testing.T) {
+	cfg := workload.DefaultConfig()
+	cfg.NumRequests = 20
+	p, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.VNFs[0].Instances = 0
+	want := p.Validate()
+	if want == nil {
+		t.Fatal("zero-instance VNF passed Validate")
+	}
+	if _, err := ScheduleValid(model.Compile(p), RCKK{}); err == nil || err.Error() != "scheduling: "+want.Error() {
+		t.Errorf("ScheduleValid = %v, want scheduling: %v", err, want)
+	}
+}
+
 func TestRCKKPropertyAllAssigned(t *testing.T) {
 	f := func(raw []uint8, m8 uint8) bool {
 		m := int(m8%9) + 1
