@@ -69,7 +69,10 @@ func fullValue(c *compiled, cand *candidate) float64 {
 			}
 		}
 		if span > 1 {
-			lat += float64(span-1) * c.obj.LinkDelay
+			// The conversion rounds the product before the add, as the
+			// evaluator's hop table does, on targets that fuse a
+			// multiply-add as well as on those that do not.
+			lat += float64(float64(span-1) * c.obj.LinkDelay)
 		}
 		total += lat
 	}
@@ -241,13 +244,13 @@ func TestEvaluatorIncrementalMatchesFull(t *testing.T) {
 				trial.copyFrom(cand)
 				switch r.IntN(3) {
 				case 0:
-					l.closeNode(c, trial, r)
+					l.closeNode(ev, trial, r)
 				case 1:
 					if !l.shake(c, trial, r, buf) {
 						continue
 					}
 				case 2:
-					l.scramble(c, trial, r)
+					l.scramble(ev, trial, r)
 				}
 				check("lns trial", trial)
 				if r.IntN(2) == 0 {
@@ -289,6 +292,70 @@ func TestEvaluatorIncrementalMatchesFull(t *testing.T) {
 				}
 				copy(cand.nodeOf, decoded)
 				verify("pso decode", cand, ev.valuePlacement(cand))
+			}
+		})
+	}
+}
+
+// TestEvaluatorAllocs pins the race's per-move work at zero allocations:
+// on a warmed evaluator, an SA move scored move-aware and undone, a PSO
+// placement-only score, the portfolio's scheduling.ImproveInPlace call on
+// every movable VNF, node evacuation as polish runs it, and the LNS
+// close-node move. Each count is exact: the same moves rerun on the same
+// scratch, never growing it.
+func TestEvaluatorAllocs(t *testing.T) {
+	for _, pr := range evaluatorFixtures(t) {
+		t.Run(pr.name, func(t *testing.T) {
+			c, err := compile(pr.p, DefaultObjective())
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed, err := c.seedCandidate(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev := newEvaluator(c)
+			cand, moved, trial := c.cloneCandidate(seed), c.cloneCandidate(seed), c.cloneCandidate(seed)
+			ev.value(cand)
+			sa, l := &annealer{}, &lns{}
+			r := rng.Derive(5, "portfolio/allocs")
+			for u := sa.propose(c, moved, r); u.kind != 0; u = sa.propose(c, moved, r) {
+				revert(moved, u)
+			}
+			c.polish(ev, trial) // makes the evacuator
+			ev.value(cand)
+
+			allocs := map[string]float64{
+				"valueAt+undo": testing.AllocsPerRun(200, func() {
+					if u := sa.propose(c, cand, r); u.kind >= 0 {
+						ev.valueAt(cand, u.f)
+						revert(cand, u)
+						ev.undo()
+					}
+				}),
+				"valuePlacement": testing.AllocsPerRun(200, func() {
+					ev.valuePlacement(moved)
+					ev.valuePlacement(cand)
+				}),
+				"ImproveInPlace": testing.AllocsPerRun(20, func() {
+					for _, f := range c.movable {
+						copy(trial.assign[f], seed.assign[f])
+						c.improveRow(ev, f, trial.assign[f])
+					}
+				}),
+				"evacuation": testing.AllocsPerRun(20, func() {
+					copy(trial.nodeOf, seed.nodeOf)
+					ev.evacuator().Improve(trial.nodeOf, 0)
+				}),
+				"closeNode": testing.AllocsPerRun(20, func() {
+					copy(trial.nodeOf, seed.nodeOf)
+					l.closeNode(ev, trial, r)
+				}),
+			}
+			for what, n := range allocs {
+				if n != 0 {
+					t.Errorf("%s: %v allocs per run, want 0", what, n)
+				}
 			}
 		})
 	}

@@ -5,13 +5,11 @@ import (
 	"math"
 
 	"nfvchain/internal/model"
-	"nfvchain/internal/placement"
 	"nfvchain/internal/rng"
-	"nfvchain/internal/scheduling"
 )
 
 // lns is the large-neighborhood-search solver: each iteration destroys
-// part of the incumbent (close a node via placement.PlanEvacuation,
+// part of the incumbent (close a node via placement node evacuation,
 // unplace a random VNF subset, or scramble one VNF's assignment) and
 // repairs it (best-fit re-placement, scheduling.ImproveInPlace), accepting
 // repairs under a threshold-acceptance rule. The destroy/repair moves
@@ -63,13 +61,13 @@ func (l *lns) solve(ctx context.Context, c *compiled, report func(Incumbent)) (*
 		trial.copyFrom(cand)
 		switch r.IntN(3) {
 		case 0:
-			l.closeNode(c, trial, r)
+			l.closeNode(ev, trial, r)
 		case 1:
 			if !l.shake(c, trial, r, buf) {
 				continue
 			}
 		case 2:
-			l.scramble(c, trial, r)
+			l.scramble(ev, trial, r)
 		}
 		obj := ev.value(trial)
 		if obj < cur+math.Abs(cur)*0.02 { // threshold acceptance: allow ≤2% uphill drift
@@ -96,21 +94,16 @@ func (l *lns) solve(ctx context.Context, c *compiled, report func(Incumbent)) (*
 	return t.solution(i)
 }
 
-// closeNode evacuates one random used node through the placement package's
-// PlanEvacuation move; a failed plan leaves trial unchanged.
-func (l *lns) closeNode(c *compiled, trial *candidate, r *rng.Stream) {
-	pl := c.toPlacement(trial)
-	used := pl.UsedNodes()
+// closeNode evacuates one random used node, drawn from the nodes in
+// service in ID order, through the placement package's Evacuate move; a
+// failed plan leaves trial unchanged.
+func (l *lns) closeNode(ev *evaluator, trial *candidate, r *rng.Stream) {
+	evac := ev.evacuator()
+	used := evac.UsedNodes(trial.nodeOf)
 	if len(used) < 2 {
 		return
 	}
-	victim := used[r.IntN(len(used))]
-	if moves, ok := placement.PlanEvacuation(c.p, pl, victim); ok {
-		for fid, nid := range moves {
-			f, _ := c.ix.VNF(fid)
-			trial.nodeOf[f], _ = c.ix.Node(nid)
-		}
-	}
+	evac.Evacuate(trial.nodeOf, used[r.IntN(len(used))])
 }
 
 // shakeBuf is shake's scratch, reused across one Solve's iterations.
@@ -188,7 +181,8 @@ func (l *lns) shake(c *compiled, trial *candidate, r *rng.Stream, buf *shakeBuf)
 
 // scramble reassigns a random quarter of one VNF's requests and rebalances
 // with the scheduling package's in-place local search.
-func (l *lns) scramble(c *compiled, trial *candidate, r *rng.Stream) {
+func (l *lns) scramble(ev *evaluator, trial *candidate, r *rng.Stream) {
+	c := ev.c
 	if len(c.movable) == 0 {
 		return
 	}
@@ -201,5 +195,5 @@ func (l *lns) scramble(c *compiled, trial *candidate, r *rng.Stream) {
 	for t := 0; t < moves; t++ {
 		trial.assign[f][r.IntN(n)] = r.IntN(c.inst[f])
 	}
-	scheduling.ImproveInPlace(c.items[f], trial.assign[f], c.inst[f], 0)
+	c.improveRow(ev, f, trial.assign[f])
 }

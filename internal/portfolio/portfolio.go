@@ -146,8 +146,9 @@ type compiled struct {
 	inst      []int       // M_f
 	mu        []float64   // µ_f
 
-	items [][]scheduling.Item // per VNF, in ScheduleAll's item order
-	rawW  [][]float64         // per VNF item: raw rate λ_r (items carry λ_r/P_r)
+	items    [][]scheduling.Item // per VNF, in ScheduleAll's item order
+	rawW     [][]float64         // per VNF item: raw rate λ_r (items carry λ_r/P_r)
+	byWeight [][]int             // per VNF: scheduling.WeightOrder of its items
 
 	// movable lists VNF indices with ≥1 item and ≥2 instances — the ones
 	// scheduling moves can act on. demandOrder sorts VNF indices by total
@@ -157,9 +158,18 @@ type compiled struct {
 	dims        int
 
 	// W(f,k) of every VNF lives in one slice of nInst entries, VNF f's row
-	// from woff[f].
-	woff  []int
-	nInst int
+	// from woff[f]; no VNF has more than maxInst instances.
+	woff    []int
+	nInst   int
+	maxInst int
+
+	// hop[s] is a chain's link term (s−1)·L of Eq. 16 for a span of s
+	// nodes, 0 for s ≤ 1; spans never exceed the longest chain.
+	hop []float64
+
+	// evac holds the problem's node evacuation tables. Solvers never use
+	// it directly, which would share its scratch: each clones its own.
+	evac *placement.Evacuator
 
 	// The deterministic starting points, computed once on first use and
 	// shared by every solver on this compiled problem.
@@ -178,50 +188,78 @@ func compile(p *model.Problem, obj Objective) (*compiled, error) {
 	if err := placement.Precheck(p); err != nil {
 		return nil, fmt.Errorf("portfolio: %w", err)
 	}
+	nN, nV, nItems, dims := len(p.Nodes), len(p.VNFs), ix.Slots(), p.ExtraResources()
+	longest := 0
+	for r := range p.Requests {
+		longest = max(longest, len(ix.Chain(r)))
+	}
+	nHop := max(longest+1, 2)
+	// Every table is sized up front and carved from a few buffers.
+	floats := make([]float64, nN*(1+dims)+nV*(2+dims)+nItems+nHop)
+	ints := make([]int, 4*nV+nItems)
+	floatRows := make([][]float64, nN+2*nV)
 	c := &compiled{
-		p:    p,
-		obj:  obj.withDefaults(),
-		ix:   ix,
-		dims: p.ExtraResources(),
+		p:           p,
+		obj:         obj.withDefaults(),
+		ix:          ix,
+		dims:        dims,
+		nodeIDs:     make([]model.NodeID, nN),
+		cap:         carve(&floats, nN),
+		nodeExtras:  carve(&floatRows, nN),
+		vnfIDs:      make([]model.VNFID, nV),
+		demand:      carve(&floats, nV),
+		vnfExtras:   carve(&floatRows, nV),
+		inst:        carve(&ints, nV),
+		mu:          carve(&floats, nV),
+		items:       make([][]scheduling.Item, nV),
+		rawW:        carve(&floatRows, nV),
+		byWeight:    make([][]int, nV),
+		movable:     carve(&ints, nV)[:0],
+		demandOrder: carve(&ints, nV),
+		woff:        carve(&ints, nV),
+		hop:         carve(&floats, nHop),
+		evac:        placement.NewEvacuator(p),
 	}
-	for _, n := range p.Nodes {
-		c.nodeIDs = append(c.nodeIDs, n.ID)
-		c.cap = append(c.cap, n.Capacity)
-		row := make([]float64, c.dims)
-		copy(row, n.Extras)
-		c.nodeExtras = append(c.nodeExtras, row)
+	for n := range p.Nodes {
+		c.nodeIDs[n] = p.Nodes[n].ID
+		c.cap[n] = p.Nodes[n].Capacity
+		c.nodeExtras[n] = carve(&floats, dims)
+		copy(c.nodeExtras[n], p.Nodes[n].Extras)
 	}
-	items := make([]scheduling.Item, c.ix.Slots())
-	raw := make([]float64, c.ix.Slots())
-	for i, f := range p.VNFs {
-		c.vnfIDs = append(c.vnfIDs, f.ID)
-		c.demand = append(c.demand, f.TotalDemand())
-		row := make([]float64, c.dims)
-		copy(row, f.TotalExtras())
-		c.vnfExtras = append(c.vnfExtras, row)
-		c.inst = append(c.inst, f.Instances)
-		c.mu = append(c.mu, f.ServiceRate)
+	items := make([]scheduling.Item, nItems)
+	for i := range p.VNFs {
+		f := &p.VNFs[i]
+		c.vnfIDs[i] = f.ID
+		c.demand[i] = f.TotalDemand()
+		c.vnfExtras[i] = carve(&floats, dims)
+		for d, x := range f.Extras {
+			c.vnfExtras[i][d] = float64(f.Instances) * x // TotalExtras
+		}
+		c.inst[i] = f.Instances
+		c.mu[i] = f.ServiceRate
 
 		// R_f in request order is scheduling.ScheduleAll's item order.
-		users := c.ix.Users(i)
-		fItems, fRaw := carve(&items, len(users)), carve(&raw, len(users))
+		users := ix.Users(i)
+		fItems, fRaw := carve(&items, len(users)), carve(&floats, len(users))
 		for j, r := range users {
 			req := &p.Requests[r]
 			fItems[j] = scheduling.Item{ID: req.ID, Weight: req.EffectiveRate()}
 			fRaw[j] = req.Rate
 		}
-		c.items = append(c.items, fItems)
-		c.rawW = append(c.rawW, fRaw)
+		c.items[i], c.rawW[i] = fItems, fRaw
+		c.byWeight[i] = scheduling.WeightOrder(fItems, carve(&ints, len(users)))
 		if len(users) > 0 && f.Instances > 1 {
 			c.movable = append(c.movable, i)
 		}
 	}
-	c.woff = make([]int, len(p.VNFs))
 	for f, m := range c.inst {
 		c.woff[f] = c.nInst
 		c.nInst += m
+		c.maxInst = max(c.maxInst, m)
 	}
-	c.demandOrder = make([]int, len(p.VNFs))
+	for s := 2; s < nHop; s++ {
+		c.hop[s] = float64(s-1) * c.obj.LinkDelay
+	}
 	for i := range c.demandOrder {
 		c.demandOrder[i] = i
 	}
@@ -330,15 +368,6 @@ func (c *compiled) fromSchedule(s *model.Schedule, assign [][]int) error {
 	return nil
 }
 
-// applyPlacement overwrites cand's placement from a model-space placement.
-func (c *compiled) applyPlacement(pl *model.Placement, cand *candidate) {
-	for f, fid := range c.vnfIDs {
-		if nid, ok := pl.Node(fid); ok {
-			cand.nodeOf[f], _ = c.ix.Node(nid)
-		}
-	}
-}
-
 // bfdPlacement returns the BFD placement of the problem as node indices,
 // or nil when BFD dead-ends. It is computed once per compiled problem.
 func (c *compiled) bfdPlacement() []int {
@@ -389,20 +418,23 @@ func (c *compiled) rckkSchedule() ([][]int, error) {
 // with deltas, so every value is bit-identical to scoring from scratch and
 // a search follows the same trajectory. undo rolls the snapshot back over
 // the last call so a rejected move is not rescored twice. An evaluator is
-// owned by one solver and is never shared across goroutines.
+// owned by one solver and is never shared across goroutines; it also
+// holds the solver's scratch for polish and the LNS moves.
 type evaluator struct {
 	c     *compiled
 	stamp []int // per node, epoch marks for distinct-node counting
 	epoch int
 	eff   []float64 // scratch Λ (effective) of the VNF being rescored
 	raw   []float64 // scratch Σλ (raw) of the VNF being rescored
+	loads []float64 // scratch of scheduling.ImproveInPlace
+	evac  *placement.Evacuator
 
 	// Snapshot of the last scored candidate and its cached terms.
 	nodeOf []int
 	assign [][]int
 	w      []float64 // W(f,k) at c.woff[f]+k
-	slot   []int     // per (request, chain position): index into w
-	node   []int     // per (request, chain position): node of that VNF
+	slot   []int32   // per (request, chain position): index into w
+	node   []int32   // per (request, chain position): node of that VNF
 	req    []reqTerms
 	used   int // distinct nodes in service
 	val    float64
@@ -428,9 +460,13 @@ type journal struct {
 	rows   []int // VNFs whose assignment row changed
 	assign [][]int
 	w      []float64
-	reqs   []savedReq // requests rescored, with their previous terms
-	used   int
-	val    float64
+	// reqs[:nreq] are the requests marked for rescoring, with their
+	// previous terms. It has room for one entry past every request, which
+	// markReq writes on every call and keeps only for a first mark.
+	reqs []savedReq
+	nreq int
+	used int
+	val  float64
 }
 
 type savedReq struct {
@@ -453,24 +489,22 @@ func carve[T any](buf *[]T, n int) []T {
 
 func newEvaluator(c *compiled) *evaluator {
 	nV, nN, nR := len(c.vnfIDs), len(c.nodeIDs), len(c.p.Requests)
-	maxInst := 0
-	for _, m := range c.inst {
-		maxInst = max(maxInst, m)
-	}
 	nItems := c.ix.Slots()
-	ints := make([]int, nN+4*nV+4*nItems)
-	floats := make([]float64, 2*maxInst+2*c.nInst)
+	ints := make([]int, nN+4*nV+2*nItems)
+	int32s := make([]int32, 2*nItems)
+	floats := make([]float64, 3*c.maxInst+2*c.nInst)
 	intRows := make([][]int, 2*nV)
 	e := &evaluator{
 		c:      c,
 		stamp:  carve(&ints, nN),
-		eff:    carve(&floats, maxInst),
-		raw:    carve(&floats, maxInst),
+		eff:    carve(&floats, c.maxInst),
+		raw:    carve(&floats, c.maxInst),
+		loads:  carve(&floats, c.maxInst),
 		nodeOf: carve(&ints, nV),
 		assign: carve(&intRows, nV),
 		w:      carve(&floats, c.nInst),
-		slot:   carve(&ints, nItems),
-		node:   carve(&ints, nItems),
+		slot:   carve(&int32s, nItems),
+		node:   carve(&int32s, nItems),
 		req:    make([]reqTerms, nR),
 		mark:   make([]uint8, nR),
 		j: journal{
@@ -479,7 +513,7 @@ func newEvaluator(c *compiled) *evaluator {
 			rows:   carve(&ints, nV)[:0],
 			assign: carve(&intRows, nV),
 			w:      carve(&floats, c.nInst),
-			reqs:   make([]savedReq, 0, nR),
+			reqs:   make([]savedReq, nR+1),
 		},
 	}
 	for f := range c.vnfIDs {
@@ -492,6 +526,15 @@ func newEvaluator(c *compiled) *evaluator {
 		}
 	}
 	return e
+}
+
+// evacuator returns the solver's node evacuation scratch, made on first
+// use: only polish and the LNS close-node move need one.
+func (e *evaluator) evacuator() *placement.Evacuator {
+	if e.evac == nil {
+		e.evac = e.c.evac.Clone()
+	}
+	return e.evac
 }
 
 // value computes the scalar objective of cand: NodeWeight·(nodes in
@@ -517,13 +560,19 @@ func (e *evaluator) valuePlacement(cand *candidate) float64 {
 	return e.score(cand, 0, len(e.nodeOf), false)
 }
 
+// fresh is 1 when stamp is older than epoch and 0 when it equals epoch,
+// computed without a branch: a stamp is only ever set to the current
+// epoch, which only grows, so stamp−epoch is negative exactly when the
+// stamp is stale, and its sign bit is the answer.
+func fresh(stamp, epoch int) int { return int(uint(stamp-epoch) >> 63) }
+
 // score is value restricted to diffing VNFs lo..hi−1 against the
 // snapshot, and to their nodes alone unless rows is set; whatever is not
 // diffed must already match it.
 func (e *evaluator) score(cand *candidate, lo, hi int, rows bool) float64 {
 	c, j := e.c, &e.j
 	j.ok, j.val, j.used = true, e.val, e.used
-	j.nodes, j.rows, j.reqs = j.nodes[:0], j.rows[:0], j.reqs[:0]
+	j.nodes, j.rows, j.nreq = j.nodes[:0], j.rows[:0], 0
 	for f := lo; f < hi; f++ {
 		if n := cand.nodeOf[f]; n != e.nodeOf[f] {
 			j.nodes = append(j.nodes, f)
@@ -541,20 +590,17 @@ func (e *evaluator) score(cand *candidate, lo, hi int, rows bool) float64 {
 	if len(j.nodes) == 0 && len(j.rows) == 0 {
 		return e.val
 	}
-	for i := range j.reqs {
-		s := &j.reqs[i]
-		s.t = e.req[s.r]
+	for _, s := range j.reqs[:j.nreq] {
 		e.rescoreRequest(s.r)
 	}
 	if len(j.nodes) > 0 {
 		e.epoch++
-		e.used = 0
+		used, ep, stamp := 0, e.epoch, e.stamp
 		for _, n := range e.nodeOf {
-			if e.stamp[n] != e.epoch {
-				e.stamp[n] = e.epoch
-				e.used++
-			}
+			used += fresh(stamp[n], ep)
+			stamp[n] = ep
 		}
+		e.used = used
 	}
 	var total float64
 	for i := range e.req {
@@ -568,11 +614,13 @@ func (e *evaluator) score(cand *candidate, lo, hi int, rows bool) float64 {
 	return e.val
 }
 
-// markReq flags request r for rescoring.
+// markReq flags request r for rescoring, journaling its terms on the
+// first flag. The journal entry is written on every call and kept, by
+// advancing nreq, only when r had no flag.
 func (e *evaluator) markReq(r int, dirty uint8) {
-	if e.mark[r] == 0 {
-		e.j.reqs = append(e.j.reqs, savedReq{r: r})
-	}
+	j := &e.j
+	j.reqs[j.nreq] = savedReq{r: r, t: e.req[r]}
+	j.nreq += int((uint(e.mark[r]) - 1) >> 63) // 1 when unmarked
 	e.mark[r] |= dirty
 }
 
@@ -580,7 +628,7 @@ func (e *evaluator) markReq(r int, dirty uint8) {
 // serves.
 func (e *evaluator) moveVNF(f, n int) {
 	for _, s := range e.c.ix.UserSlots(f) {
-		e.node[s] = n
+		e.node[s] = int32(n)
 	}
 }
 
@@ -620,7 +668,7 @@ func (e *evaluator) rescoreVNF(f int, next []int) {
 	slots, reqs := c.ix.UserSlots(f), c.ix.Users(f)
 	for i, k := range asg {
 		if k != prev[i] {
-			e.slot[slots[i]] = lo + k
+			e.slot[slots[i]] = int32(lo + k)
 		} else if math.Float64bits(w[k]) == math.Float64bits(prevW[k]) {
 			continue
 		}
@@ -629,7 +677,10 @@ func (e *evaluator) rescoreVNF(f int, next []int) {
 }
 
 // rescoreRequest recomputes the flagged terms of request r and its
-// latency, then clears its flags.
+// latency, then clears its flags. The link term comes from c.hop, the
+// product (span−1)·L computed once per span; a W sum starts at +0 and
+// adds non-negative terms, so adding hop's +0 for a span of one or less
+// leaves it as it is.
 func (e *evaluator) rescoreRequest(r int) {
 	c := e.c
 	t := &e.req[r]
@@ -645,20 +696,14 @@ func (e *evaluator) rescoreRequest(r int) {
 	}
 	if dirty&dirtySpan != 0 {
 		e.epoch++
-		span := 0
+		span, ep, stamp := 0, e.epoch, e.stamp
 		for _, n := range e.node[lo:hi] {
-			if e.stamp[n] != e.epoch {
-				e.stamp[n] = e.epoch
-				span++
-			}
+			span += fresh(stamp[n], ep)
+			stamp[n] = ep
 		}
 		t.span = span
 	}
-	lat := t.wsum
-	if t.span > 1 {
-		lat += float64(t.span-1) * c.obj.LinkDelay
-	}
-	t.lat = lat
+	t.lat = t.wsum + c.hop[t.span]
 }
 
 // undo rolls the snapshot back to before the last scoring call, which the
@@ -682,11 +727,11 @@ func (e *evaluator) undo() {
 		for i, k := range j.assign[f] {
 			if asg[i] != k {
 				asg[i] = k
-				e.slot[slots[i]] = lo + k
+				e.slot[slots[i]] = int32(lo + k)
 			}
 		}
 	}
-	for _, s := range j.reqs {
+	for _, s := range j.reqs[:j.nreq] {
 		e.req[s.r] = s.t
 	}
 	e.used, e.val = j.used, j.val
@@ -743,19 +788,22 @@ func (c *compiled) seedCandidate(seed uint64) (*candidate, error) {
 }
 
 // polish tightens cand in place with the repo's existing local searches —
-// placement.Improve node evacuation and per-VNF scheduling.ImproveInPlace —
-// and returns the resulting objective. This is the portfolio's large
-// neighborhood move; it reuses the two Improve passes rather than
-// duplicating their move logic.
+// placement node evacuation and per-VNF scheduling.ImproveInPlace, both on
+// index arrays with ev's scratch — and returns the resulting objective.
+// This is the portfolio's large neighborhood move; it reuses the two
+// Improve passes rather than duplicating their move logic.
 func (c *compiled) polish(ev *evaluator, cand *candidate) float64 {
-	pl := c.toPlacement(cand)
-	if better, err := placement.Improve(c.p, pl, 0); err == nil {
-		c.applyPlacement(better, cand)
-	}
+	ev.evacuator().Improve(cand.nodeOf, 0)
 	for _, f := range c.movable {
-		scheduling.ImproveInPlace(c.items[f], cand.assign[f], c.inst[f], 0)
+		c.improveRow(ev, f, cand.assign[f])
 	}
 	return ev.value(cand)
+}
+
+// improveRow polishes VNF f's assignment row in place with
+// scheduling.ImproveInPlace, on ev's scratch.
+func (c *compiled) improveRow(ev *evaluator, f int, row []int) {
+	scheduling.ImproveInPlace(c.items[f], c.byWeight[f], row, ev.loads[:c.inst[f]], 0)
 }
 
 // tracker keeps a solver's best-so-far candidate in index space and

@@ -6,7 +6,6 @@ import (
 
 	"nfvchain/internal/model"
 	"nfvchain/internal/rng"
-	"nfvchain/internal/scheduling"
 )
 
 // pso is the particle-swarm solver over placement vectors: each particle
@@ -62,10 +61,10 @@ func (s *pso) run(ctx context.Context, c *compiled, report func(Incumbent), memo
 	// Inner evaluator: one KK schedule shared by every particle — the
 	// seed's RCKK partition, polished per VNF.
 	cand := c.cloneCandidate(seedCand)
-	for _, f := range c.movable {
-		scheduling.ImproveInPlace(c.items[f], cand.assign[f], c.inst[f], 0)
-	}
 	sc := newSwarmScorer(c, cand, memoCap)
+	for _, f := range c.movable {
+		c.improveRow(sc.ev, f, cand.assign[f])
+	}
 
 	nV, nN := len(c.vnfIDs), len(c.nodeIDs)
 	dims := nV * nN

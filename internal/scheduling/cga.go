@@ -48,7 +48,7 @@ func (c CGA) Partition(items []Item, m int) ([]int, error) {
 			order[i] = i
 		}
 	} else {
-		order = weightOrder(items, nil)
+		order = WeightOrder(items, nil)
 	}
 
 	greedyAssign(items, order, m, assign)

@@ -45,7 +45,7 @@ func (e *Exact) Partition(items []Item, m int) ([]int, error) {
 	if n == 0 || m == 1 {
 		return assign, nil
 	}
-	order := weightOrder(items, nil)
+	order := WeightOrder(items, nil)
 	greedyAssign(items, order, m, assign)
 	s := newBranchSearch(items, order, m, assign)
 	// Lower bound: max(total/m, heaviest item). Stop early when greedy hits it.

@@ -2,6 +2,7 @@ package scheduling
 
 import (
 	"fmt"
+	"sort"
 
 	"nfvchain/internal/model"
 )
@@ -27,24 +28,32 @@ func Improve(items []Item, assign []int, m, maxRounds int) ([]int, error) {
 			return nil, fmt.Errorf("scheduling: item %d assigned to instance %d outside [0,%d)", i, k, m)
 		}
 	}
-	cur := append([]int(nil), assign...)
-	ImproveInPlace(items, cur, m, maxRounds)
+	// The copy and the weight order share one allocation.
+	buf := make([]int, 2*len(items))
+	cur := buf[:len(items):len(items)]
+	copy(cur, assign)
+	ImproveInPlace(items, WeightOrder(items, buf[len(items):]), cur, make([]float64, m), maxRounds)
 	return cur, nil
 }
 
 // ImproveInPlace is Improve without the defensive copy and validation: it
 // mutates assign directly and returns the number of improving rounds applied.
-// Inputs must already be a valid assignment (every index in [0,m)); it is the
-// allocation-lean inner-loop form the portfolio metaheuristics polish
-// candidates with. maxRounds <= 0 means DefaultImproveRounds.
-func ImproveInPlace(items []Item, assign []int, m, maxRounds int) int {
+// Inputs must already be a valid assignment (every index in [0,m), m being
+// len(loads)); byWeight is WeightOrder(items) and loads is scratch that
+// ImproveInPlace overwrites. It allocates nothing: it is the inner-loop form
+// the portfolio metaheuristics polish candidates with, each with its weight
+// orders computed once. maxRounds <= 0 means DefaultImproveRounds.
+func ImproveInPlace(items []Item, byWeight, assign []int, loads []float64, maxRounds int) int {
 	if maxRounds <= 0 {
 		maxRounds = DefaultImproveRounds
 	}
-	loads := Loads(items, assign, m)
+	clear(loads)
+	for i, it := range items {
+		loads[assign[i]] += it.Weight
+	}
 	rounds := 0
 	for ; rounds < maxRounds; rounds++ {
-		if !improveOnce(items, assign, loads) {
+		if !improveOnce(items, byWeight, assign, loads) {
 			break
 		}
 	}
@@ -57,9 +66,10 @@ const DefaultImproveRounds = 1000
 
 // improveOnce applies the first strictly-improving move or swap; false when
 // the assignment is locally optimal.
-func improveOnce(items []Item, assign []int, loads []float64) bool {
+func improveOnce(items []Item, byWeight, assign []int, loads []float64) bool {
 	src := argmax(loads)
 	span := loads[src]
+	limit := span - 1e-12
 
 	// Move: item i from src to the instance where the resulting pairwise
 	// makespan is smallest.
@@ -90,28 +100,47 @@ func improveOnce(items []Item, assign []int, loads []float64) bool {
 		return true
 	}
 
-	// Swap: exchange item i on src with lighter item j elsewhere.
+	// Swap: exchange item i on src with a lighter item j elsewhere, the
+	// first pair (i, j) in index order whose pairwise makespan
+	// max(span−δ, loads[kj]+δ), δ = wi−wj, is below limit. That needs
+	// loads[kj]+δ < limit, so — rounding being monotone and lo the least
+	// load — lo+δ < limit evaluated the same way. That bound fails for
+	// every j lighter than one it fails for, so the j that can pass are a
+	// run of byWeight starting at the heaviest item lighter than wi, found
+	// by binary search. The scan tests each j of the run as the full scan
+	// would and keeps the smallest passing index, the j the full scan
+	// meets first; an i with none is skipped.
+	lo := loads[0]
+	for _, l := range loads {
+		lo = min(lo, l)
+	}
 	for i, ki := range assign {
 		if ki != src {
 			continue
 		}
 		wi := items[i].Weight
-		for j, kj := range assign {
-			if kj == src {
+		run := sort.Search(len(byWeight), func(h int) bool { return items[byWeight[h]].Weight < wi })
+		best := -1
+		for _, j := range byWeight[run:] {
+			delta := wi - items[j].Weight
+			if !(lo+delta < limit) {
+				break
+			}
+			kj := assign[j]
+			if kj == src || (best >= 0 && j > best) {
 				continue
 			}
-			wj := items[j].Weight
-			if wj >= wi {
-				continue
+			if maxf(span-delta, loads[kj]+delta) < limit {
+				best = j
 			}
-			delta := wi - wj
-			newMax := maxf(span-delta, loads[kj]+delta)
-			if newMax < span-1e-12 {
-				loads[src] -= delta
-				loads[kj] += delta
-				assign[i], assign[j] = kj, src
-				return true
-			}
+		}
+		if best >= 0 {
+			delta := wi - items[best].Weight
+			kj := assign[best]
+			loads[src] -= delta
+			loads[kj] += delta
+			assign[i], assign[best] = kj, src
+			return true
 		}
 	}
 	return false

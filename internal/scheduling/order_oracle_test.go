@@ -16,7 +16,7 @@ import (
 // tuples, as the partitioners of this package once did. They are the
 // oracle of TestPartitionersMatchStableReference.
 
-// refStableOrder is the stable sort the shared weightOrder replaces.
+// refStableOrder is the stable sort the shared WeightOrder replaces.
 func refStableOrder(items []Item) []int {
 	order := make([]int, len(items))
 	for i := range order {
@@ -230,8 +230,8 @@ func TestPartitionersMatchStableReference(t *testing.T) {
 		items := tiedItems(st, 40)
 		m := 1 + st.IntN(6)
 		what := fmt.Sprintf("case %d (m=%d): %v", iter, m, items)
-		if got, want := weightOrder(items, nil), refStableOrder(items); !slices.Equal(got, want) {
-			t.Fatalf("%s: weightOrder = %v, stable sort = %v", what, got, want)
+		if got, want := WeightOrder(items, nil), refStableOrder(items); !slices.Equal(got, want) {
+			t.Fatalf("%s: WeightOrder = %v, stable sort = %v", what, got, want)
 		}
 		small := items[:min(len(items), 12)]
 		cgaSearch := CGA{MaxNodes: 500}

@@ -168,7 +168,7 @@ func (sc *PartitionScratch) difference(items []Item, m int, reverse bool) ([]int
 	// Tuple i holds the i-th heaviest item, so the list 0..n−1 starts
 	// sorted by leading value. It has 2n capacity: the loop takes two
 	// entries off the front for every one it re-inserts at the back.
-	sc.order = weightOrder(items, sc.order)
+	sc.order = WeightOrder(items, sc.order)
 	tb := &sc.tuples
 	tb.lay(items, sc.order, m)
 	list := sc.list[:n]

@@ -87,7 +87,7 @@ func grown[T any](s []T, n int) []T {
 }
 
 // validate rejects structurally bad partition inputs on behalf of all
-// implementations. A NaN weight is rejected so that weightOrder is total.
+// implementations. A NaN weight is rejected so that WeightOrder is total.
 func validate(items []Item, m int) error {
 	if m < 1 {
 		return fmt.Errorf("scheduling: instance count %d < 1", m)
@@ -103,11 +103,11 @@ func validate(items []Item, m int) error {
 	return nil
 }
 
-// weightOrder returns the indexes of items, heaviest first, ties broken by
+// WeightOrder returns the indexes of items, heaviest first, ties broken by
 // ID and then by index, reusing order's storage. Every partitioner here
 // scans items in this strict total order; it is the permutation a stable
-// sort by weight and ID gives.
-func weightOrder(items []Item, order []int) []int {
+// sort by weight and ID gives, and the byWeight of ImproveInPlace.
+func WeightOrder(items []Item, order []int) []int {
 	order = grown(order, len(items))
 	for i := range order {
 		order[i] = i

@@ -13,7 +13,7 @@ func (RoundRobin) Partition(items []Item, m int) ([]int, error) {
 		return nil, err
 	}
 	assign := make([]int, len(items))
-	for rank, idx := range weightOrder(items, nil) {
+	for rank, idx := range WeightOrder(items, nil) {
 		assign[idx] = rank % m
 	}
 	return assign, nil
