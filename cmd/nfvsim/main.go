@@ -169,7 +169,7 @@ func runTo(args []string, stdout io.Writer) error {
 				return fmt.Errorf("-mtbf fault injection is not wired into cluster mode; drop -datacenters or -mtbf")
 			}
 			if ctrl.enabled() {
-				return fmt.Errorf("-control/-preempt-interval are not wired into cluster mode from the CLI; drop -datacenters (the library takes one fault plan and one hook per region via ClusterSimConfig.FaultPlans/FaultHooks)")
+				return fmt.Errorf("-control/-preempt-interval are not wired into cluster mode from the CLI; drop -datacenters (the library takes one fault plan and one controller per region via ClusterSimConfig.FaultPlans/Controllers)")
 			}
 			router, err := nfvchain.NewClusterRouter(*routeStr)
 			if err != nil {
@@ -760,9 +760,9 @@ func solveAndReport(p *model.Problem, seed uint64, simulate bool, solOut string,
 		simCfg.FailurePolicy = faults.policy
 		simCfg.RetransmitDelay = faults.retransmitDelay
 	}
-	// -control hands the controller both hook slots, node transitions
-	// (FaultHook) and the periodic tick loop (Control); -repair, which acts
-	// on node failures from any fault source, only the first.
+	// -control attaches the controller ticking every -control-interval;
+	// -repair, which acts on node failures from any fault source, attaches
+	// it without ticks.
 	policy := ctrl.policy
 	if simCfg.FaultPlan != nil && faults.repair != nfvchain.ControlNone {
 		policy = faults.repair
@@ -779,9 +779,8 @@ func solveAndReport(p *model.Problem, seed uint64, simulate bool, solOut string,
 		if err != nil {
 			return err
 		}
-		simCfg.FaultHook = healer
+		simCfg.Controller = healer
 		if ctrl.policy != nfvchain.ControlNone {
-			simCfg.Control = healer
 			simCfg.ControlInterval = ctrl.interval
 		}
 	}

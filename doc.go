@@ -98,19 +98,18 @@
 //
 // The simulator's deployment need not stay static: NewController builds one
 // self-healing controller (internal/control) whose ControlPolicy picks a rung
-// of an escalation ladder. As SimulationConfig.FaultHook alone it reacts to
-// node failures: ControlReschedule rebalances requests over the surviving
+// of an escalation ladder. As SimulationConfig.Controller with no
+// ControlInterval it reacts to node failures: ControlReschedule rebalances requests over the surviving
 // instances (RCKK), ControlRepair also boots replacements for VNFs that lost
-// every instance (BFDSU, paying SetupCostVM or SetupCostClickOS). Attached
-// also as SimulationConfig.Control (ticking every ControlInterval simulated
-// seconds), ControlAutoscale scales each VNF's instance pool against
+// every instance (BFDSU, paying SetupCostVM or SetupCostClickOS). Ticking
+// every ControlInterval simulated seconds, ControlAutoscale scales each VNF's instance pool against
 // observed utilization and sheds uncoverable admissions deterministically
 // (Results.Shed), and ControlAutoscaleMigrate migrates instances off
 // failed/hot/doomed nodes for an explicit cost. FaultPlan.Preemption adds correlated
 // node-group losses with optional advance notice the controller evacuates
-// ahead of. Control == nil and Preemption == nil keep every run
+// ahead of. Controller == nil and Preemption == nil keep every run
 // bit-identical to historical ones; per-region controllers compose into
-// cluster mode via ClusterSimConfig.FaultPlans and FaultHooks (one hook per
+// cluster mode via ClusterSimConfig.FaultPlans and Controllers (one per
 // region: a controller set on Sim itself is rejected with several regions).
 //
 // The cmd/nfvsim binary regenerates every figure of the paper's evaluation;

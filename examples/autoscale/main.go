@@ -87,7 +87,7 @@ func run() error {
 			Horizon:         horizon,
 			Seed:            seed,
 			Arrivals:        nfvchain.NewMergedStream(cw.Sources),
-			Control:         ctrl,
+			Controller:      ctrl,
 			ControlInterval: tick,
 		})
 		if err != nil {

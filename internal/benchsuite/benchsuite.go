@@ -428,7 +428,7 @@ func simulatorFailureChurn(b *testing.B) {
 			FaultPlan:       plan,
 			FailurePolicy:   simulate.FailRetransmit,
 			RetransmitDelay: 0.01,
-			FaultHook:       ctrl,
+			Controller:      ctrl,
 		}
 	})
 }
@@ -465,8 +465,7 @@ func simulatorPreemptionChurn(b *testing.B) {
 			FaultPlan:       plan,
 			FailurePolicy:   simulate.FailRetransmit,
 			RetransmitDelay: 0.01,
-			FaultHook:       ctrl,
-			Control:         ctrl,
+			Controller:      ctrl,
 			ControlInterval: 0.5,
 		}
 	})

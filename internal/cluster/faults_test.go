@@ -73,8 +73,7 @@ func runFaultsDiff(t *testing.T, workers int) *Results {
 						MeanInterval: 4, GroupSize: 1, Recovery: 1, LeadTime: 0.2,
 					},
 				},
-				FaultHook:       ctrl,
-				Control:         ctrl,
+				Controller:      ctrl,
 				ControlInterval: 0.5,
 			},
 		})

@@ -20,14 +20,14 @@
 //     (SetupCostVM ≈ 5 s for a middlebox VM, SetupCostClickOS ≈ 30 ms)
 //     before it may serve.
 //
-//   - Autoscaling: at each periodic tick (simulate.ControlHook) a VNF whose
-//     active instances run hot (mean ρ above Config.ScaleUpUtil) gains a
+//   - Autoscaling: at each periodic tick (simulate.Controller.Tick) a VNF
+//     whose active instances run hot (mean ρ above Config.ScaleUpUtil) gains a
 //     replica by the same BFDSU residual-capacity draw; one running cold
 //     (mean ρ below Config.ScaleDownUtil, with slack to spare) drains and
 //     retires an instance, shrinking M_f without losing in-flight packets.
 //     When even the reshaped pool cannot cover the offered load at the
 //     target utilization, the uncoverable admission fraction is shed
-//     deterministically (RepairControl.SetShedFraction) instead of letting
+//     deterministically (ControlPlane.SetShedFraction) instead of letting
 //     queues diverge.
 //
 //   - Migration: instances stranded on failed nodes, or crowded onto hot
@@ -37,8 +37,9 @@
 //     (simulate.PreemptionPlan.LeadTime), the doomed nodes are evacuated
 //     before the loss.
 //
-// The first two rungs act on node transitions alone (simulate.FaultHook);
-// below PolicyAutoscale the tick and preemption-notice hooks are inert.
+// The first two rungs act on node transitions alone, so they need no ticks
+// (simulate.Config.ControlInterval 0); below PolicyAutoscale the tick and
+// preemption-notice callbacks are inert.
 // Every decision is deterministic given Config.Seed: affected VNFs are
 // processed in sorted order, observation order follows the instance table
 // and the problem's VNF order, placement draws derive from a per-decision
@@ -203,12 +204,11 @@ type Stats struct {
 	NodeSeconds float64
 }
 
-// Controller implements simulate.FaultHook (node transitions),
-// simulate.ControlHook (periodic ticks) and simulate.PreemptionNoticeHook
-// (ahead-of-loss evacuation) over one instance inventory, the single
-// placement authority for every rung. Create one per deployment and Reset it
-// between runs; it is not safe for concurrent use, matching the simulator's
-// single-goroutine loop.
+// Controller implements simulate.Controller — node transitions, periodic
+// ticks and ahead-of-loss evacuation — over one instance inventory, the
+// single placement authority for every rung. Create one per deployment and
+// Reset it between runs; it is not safe for concurrent use, matching the
+// simulator's single-goroutine loop.
 type Controller struct {
 	cfg  Config
 	part scheduling.Partitioner
@@ -423,10 +423,10 @@ func (c *Controller) nodesInService() int {
 	return len(c.nodeSet)
 }
 
-// NodeDown implements simulate.FaultHook: from PolicyReschedule up,
+// NodeDown implements simulate.Controller: from PolicyReschedule up,
 // rebalance each affected VNF over its surviving instances, first (from
 // PolicyRepair up) booting replacements when none survive.
-func (c *Controller) NodeDown(now float64, node model.NodeID, ctrl *simulate.RepairControl) {
+func (c *Controller) NodeDown(now float64, node model.NodeID, cp *simulate.ControlPlane) {
 	c.foldCost(now)
 	delete(c.noticed, node) // the announced loss has landed
 	c.stats.NodeFailures++
@@ -434,26 +434,26 @@ func (c *Controller) NodeDown(now float64, node model.NodeID, ctrl *simulate.Rep
 		return
 	}
 	for _, f := range c.affectedVNFs(node) {
-		survivors := c.instancesOn(f, ctrl.NodeIsUp)
+		survivors := c.instancesOn(f, cp.NodeIsUp)
 		if len(survivors) == 0 && c.cfg.Policy >= PolicyRepair {
-			c.replace(f, len(c.instances[f]), now, ctrl)
-			survivors = c.instancesOn(f, ctrl.NodeIsUp)
+			c.replace(f, len(c.instances[f]), now, cp)
+			survivors = c.instancesOn(f, cp.NodeIsUp)
 		}
-		c.rebalance(f, survivors, ctrl)
+		c.rebalance(f, survivors, cp)
 	}
 }
 
-// NodeUp implements simulate.FaultHook: from PolicyReschedule up, rebalance
+// NodeUp implements simulate.Controller: from PolicyReschedule up, rebalance
 // each VNF hosted on the recovered node so its returned capacity is used
 // again.
-func (c *Controller) NodeUp(now float64, node model.NodeID, ctrl *simulate.RepairControl) {
+func (c *Controller) NodeUp(now float64, node model.NodeID, cp *simulate.ControlPlane) {
 	c.foldCost(now)
 	c.stats.NodeRecoveries++
 	if c.cfg.Policy < PolicyReschedule {
 		return
 	}
 	for _, f := range c.affectedVNFs(node) {
-		c.rebalance(f, c.instancesOn(f, ctrl.NodeIsUp), ctrl)
+		c.rebalance(f, c.instancesOn(f, cp.NodeIsUp), cp)
 	}
 }
 
@@ -533,13 +533,13 @@ func (c *Controller) forget(vnf *model.VNF, k int) {
 // BFDSU placement per replica over the nodes' residual capacities (the
 // paper's replicas-as-new-VNFs scale-out). Replicas that fit nowhere are
 // counted and skipped — partial recovery beats none.
-func (c *Controller) replace(f model.VNFID, count int, now float64, ctrl *simulate.RepairControl) {
+func (c *Controller) replace(f model.VNFID, count int, now float64, cp *simulate.ControlPlane) {
 	vnf, ok := c.cfg.Problem.VNF(f)
 	if !ok {
 		return
 	}
 	for i := 0; i < count; i++ {
-		if !c.boot(&vnf, now, ctrl, ctrl.NodeIsUp) {
+		if !c.boot(&vnf, now, cp, cp.NodeIsUp) {
 			c.stats.ReplacementsFailed++
 			continue
 		}
@@ -550,12 +550,12 @@ func (c *Controller) replace(f model.VNFID, count int, now float64, ctrl *simula
 // boot adds one replica of vnf on a node the predicate accepts — the BFDSU
 // draw of pickNode — ready after the setup cost, and books it. It reports
 // whether a replica was booted.
-func (c *Controller) boot(vnf *model.VNF, now float64, rc *simulate.RepairControl, keep func(model.NodeID) bool) bool {
+func (c *Controller) boot(vnf *model.VNF, now float64, cp *simulate.ControlPlane, keep func(model.NodeID) bool) bool {
 	node, ok := c.pickNode(vnf, keep)
 	if !ok {
 		return false
 	}
-	k, err := rc.AddInstance(vnf.ID, node, now+c.cfg.SetupCost)
+	k, err := cp.AddInstance(vnf.ID, node, now+c.cfg.SetupCost)
 	if err != nil {
 		return false
 	}
@@ -632,7 +632,7 @@ func (c *Controller) pickNode(vnf *model.VNF, keep func(model.NodeID) bool) (mod
 // rebalance re-partitions f's scheduled requests across the given instance
 // indices of f (all live in the simulation) with the configured scheduler
 // and reroutes them. No-op on an empty instance set.
-func (c *Controller) rebalance(f model.VNFID, instances []int, ctrl *simulate.RepairControl) {
+func (c *Controller) rebalance(f model.VNFID, instances []int, cp *simulate.ControlPlane) {
 	reqs := c.reqsOf[f]
 	if len(instances) == 0 || len(reqs) == 0 {
 		return
@@ -654,15 +654,15 @@ func (c *Controller) rebalance(f model.VNFID, instances []int, ctrl *simulate.Re
 	for i, r := range reqs {
 		// Reassign only fails on stale references, which the instance map
 		// precludes; a failed reroute simply leaves the old route in place.
-		_ = ctrl.Reassign(r.ID, f, instances[assign[i]])
+		_ = cp.Reassign(r.ID, f, instances[assign[i]])
 	}
 	c.stats.Reschedules++
 }
 
 // migrate moves instance k of vnf onto target, paying the migration cost,
 // and rehosts it in the inventory. It reports whether the move happened.
-func (c *Controller) migrate(vnf *model.VNF, k int, target model.NodeID, now float64, rc *simulate.RepairControl) bool {
-	if err := rc.MigrateInstance(vnf.ID, k, target, now+c.cfg.MigrationCost); err != nil {
+func (c *Controller) migrate(vnf *model.VNF, k int, target model.NodeID, now float64, cp *simulate.ControlPlane) bool {
+	if err := cp.MigrateInstance(vnf.ID, k, target, now+c.cfg.MigrationCost); err != nil {
 		return false
 	}
 	c.forget(vnf, k)
@@ -675,30 +675,30 @@ func (c *Controller) migrate(vnf *model.VNF, k int, target model.NodeID, now flo
 // host picked among the up, un-noticed nodes, and rebalances each VNF it
 // moved across the instances on nodes pool accepts. It returns the number
 // of instances moved.
-func (c *Controller) evacuate(now float64, rc *simulate.RepairControl, stranded, pool func(model.NodeID) bool) int {
-	safe := func(n model.NodeID) bool { return rc.NodeIsUp(n) && !c.noticed[n] }
+func (c *Controller) evacuate(now float64, cp *simulate.ControlPlane, stranded, pool func(model.NodeID) bool) int {
+	safe := func(n model.NodeID) bool { return cp.NodeIsUp(n) && !c.noticed[n] }
 	total := 0
 	for i := range c.cfg.Problem.VNFs {
 		f := &c.cfg.Problem.VNFs[i]
 		moved := 0
 		for _, k := range c.instancesOn(f.ID, stranded) {
-			if target, ok := c.pickNode(f, safe); ok && c.migrate(f, k, target, now, rc) {
+			if target, ok := c.pickNode(f, safe); ok && c.migrate(f, k, target, now, cp) {
 				moved++
 			}
 		}
 		if moved > 0 {
-			c.rebalance(f.ID, c.instancesOn(f.ID, pool), rc)
+			c.rebalance(f.ID, c.instancesOn(f.ID, pool), cp)
 		}
 		total += moved
 	}
 	return total
 }
 
-// PreemptionNotice implements simulate.PreemptionNoticeHook: under
+// PreemptionNotice implements simulate.Controller: under
 // PolicyAutoscaleMigrate the controller evacuates every instance hosted on
 // a doomed node to a surviving host ahead of the loss, paying the migration
 // cost, and rebalances the affected VNFs onto their post-evacuation pools.
-func (c *Controller) PreemptionNotice(now float64, nodes []model.NodeID, downAt float64, ctrl *simulate.RepairControl) {
+func (c *Controller) PreemptionNotice(now float64, nodes []model.NodeID, downAt float64, cp *simulate.ControlPlane) {
 	if c.cfg.Policy < PolicyAutoscaleMigrate {
 		return
 	}
@@ -707,11 +707,11 @@ func (c *Controller) PreemptionNotice(now float64, nodes []model.NodeID, downAt 
 		c.noticed[n] = true
 	}
 	doomed := func(n model.NodeID) bool { return c.noticed[n] }
-	safe := func(n model.NodeID) bool { return ctrl.NodeIsUp(n) && !c.noticed[n] }
-	c.stats.Evacuations += c.evacuate(now, ctrl, doomed, safe)
+	safe := func(n model.NodeID) bool { return cp.NodeIsUp(n) && !c.noticed[n] }
+	c.stats.Evacuations += c.evacuate(now, cp, doomed, safe)
 }
 
-// Tick implements simulate.ControlHook: observe the window, autoscale each
+// Tick implements simulate.Controller: observe the window, autoscale each
 // VNF, migrate under PolicyAutoscaleMigrate, and set the admission-shedding
 // valve from the residual capacity shortfall.
 func (c *Controller) Tick(now float64, cp *simulate.ControlPlane) {
@@ -725,7 +725,6 @@ func (c *Controller) Tick(now float64, cp *simulate.ControlPlane) {
 	for i := range c.obs {
 		c.obsIdx[c.obs[i].Key] = i
 	}
-	rc := &cp.RepairControl
 
 	// coverage is the worst-case fraction of offered load the active pools
 	// can absorb at TargetUtil; anything beyond it gets shed.
@@ -763,50 +762,50 @@ func (c *Controller) Tick(now float64, cp *simulate.ControlPlane) {
 			// Every instance is down (replacements cover failures the
 			// controller observes, but a fully preempted pool may still be
 			// empty): try to boot a replica on any up node.
-			c.scaleUp(f, now, rc)
+			c.scaleUp(f, now, cp)
 			continue
 		}
 		mean := utilSum / float64(active)
 		switch {
 		case mean > c.cfg.ScaleUpUtil:
-			c.scaleUp(f, now, rc)
+			c.scaleUp(f, now, cp)
 		case mean < c.cfg.ScaleDownUtil && active > 1 &&
 			demand <= c.cfg.TargetUtil*(capacity-f.ServiceRate):
-			c.scaleDown(f, victim, rc)
+			c.scaleDown(f, victim, cp)
 		}
 	}
 	if c.cfg.Policy >= PolicyAutoscaleMigrate {
 		down := func(n model.NodeID) bool { return !cp.NodeIsUp(n) }
-		c.stats.Migrations += c.evacuate(now, rc, down, cp.NodeIsUp)
-		c.hotNodeTick(now, cp, rc)
+		c.stats.Migrations += c.evacuate(now, cp, down, cp.NodeIsUp)
+		c.hotNodeTick(now, cp)
 	}
 	shed := 1 - coverage
 	if shed < 0 {
 		shed = 0
 	}
-	_ = rc.SetShedFraction(shed)
+	_ = cp.SetShedFraction(shed)
 }
 
 // scaleUp boots one replica of f on an up node and rebalances f's requests
 // across the enlarged pool.
-func (c *Controller) scaleUp(f *model.VNF, now float64, rc *simulate.RepairControl) {
-	if !c.boot(f, now, rc, rc.NodeIsUp) {
+func (c *Controller) scaleUp(f *model.VNF, now float64, cp *simulate.ControlPlane) {
+	if !c.boot(f, now, cp, cp.NodeIsUp) {
 		return
 	}
-	c.rebalance(f.ID, c.instancesOn(f.ID, rc.NodeIsUp), rc)
+	c.rebalance(f.ID, c.instancesOn(f.ID, cp.NodeIsUp), cp)
 	c.stats.ScaleUps++
 }
 
 // scaleDown drains instance victim of f: requests are rebalanced onto the
 // rest of the pool first, then the instance retires (finishing any residual
 // work) and leaves the inventory.
-func (c *Controller) scaleDown(f *model.VNF, victim int, rc *simulate.RepairControl) {
-	rest := slices.DeleteFunc(c.instancesOn(f.ID, rc.NodeIsUp), func(k int) bool { return k == victim })
+func (c *Controller) scaleDown(f *model.VNF, victim int, cp *simulate.ControlPlane) {
+	rest := slices.DeleteFunc(c.instancesOn(f.ID, cp.NodeIsUp), func(k int) bool { return k == victim })
 	if len(rest) == 0 {
 		return
 	}
-	c.rebalance(f.ID, rest, rc)
-	if err := rc.RemoveInstance(f.ID, victim); err != nil {
+	c.rebalance(f.ID, rest, cp)
+	if err := cp.RemoveInstance(f.ID, victim); err != nil {
 		return
 	}
 	c.forget(f, victim)
@@ -819,7 +818,7 @@ func (c *Controller) scaleDown(f *model.VNF, victim int, rc *simulate.RepairCont
 // nodes' residual capacities. One move per tick bounds churn; ties resolve
 // in problem node order and instance-table order, keeping the decision
 // deterministic.
-func (c *Controller) hotNodeTick(now float64, cp *simulate.ControlPlane, rc *simulate.RepairControl) {
+func (c *Controller) hotNodeTick(now float64, cp *simulate.ControlPlane) {
 	clear(c.nodeSum)
 	clear(c.nodeN)
 	for i := range c.obs {
@@ -864,16 +863,12 @@ func (c *Controller) hotNodeTick(now float64, cp *simulate.ControlPlane, rc *sim
 	}
 	safe := func(n model.NodeID) bool { return cp.NodeIsUp(n) && !c.noticed[n] && n != hot }
 	target, ok := c.pickNode(&vnf, safe)
-	if !ok || !c.migrate(&vnf, key.Instance, target, now, rc) {
+	if !ok || !c.migrate(&vnf, key.Instance, target, now, cp) {
 		return
 	}
 	c.stats.Migrations++
-	c.rebalance(key.VNF, c.instancesOn(key.VNF, cp.NodeIsUp), rc)
+	c.rebalance(key.VNF, c.instancesOn(key.VNF, cp.NodeIsUp), cp)
 }
 
 // Interface conformance.
-var (
-	_ simulate.FaultHook            = (*Controller)(nil)
-	_ simulate.ControlHook          = (*Controller)(nil)
-	_ simulate.PreemptionNoticeHook = (*Controller)(nil)
-)
+var _ simulate.Controller = (*Controller)(nil)

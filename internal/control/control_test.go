@@ -121,9 +121,8 @@ func newController(t *testing.T, prob *model.Problem, sched *model.Schedule, pl 
 	return ctrl
 }
 
-// runControlled simulates the deployment with ctrl attached as fault hook and
-// control hook; ctrl == nil runs the unmitigated baseline over the same fault
-// sample path.
+// runControlled simulates the deployment with ctrl attached and ticking;
+// ctrl == nil runs the unmitigated baseline over the same fault sample path.
 func runControlled(t *testing.T, prob *model.Problem, sched *model.Schedule, pl *model.Placement, ctrl *Controller, pp *simulate.PreemptionPlan, seed uint64) *simulate.Results {
 	t.Helper()
 	cfg := simulate.Config{
@@ -138,8 +137,7 @@ func runControlled(t *testing.T, prob *model.Problem, sched *model.Schedule, pl 
 		cfg.FaultPlan = &simulate.FaultPlan{Preemption: pp}
 	}
 	if ctrl != nil {
-		cfg.FaultHook = ctrl
-		cfg.Control = ctrl
+		cfg.Controller = ctrl
 		cfg.ControlInterval = 0.5
 	}
 	res, err := simulate.Run(cfg)
@@ -149,20 +147,20 @@ func runControlled(t *testing.T, prob *model.Problem, sched *model.Schedule, pl 
 	return res
 }
 
-// runFaultHook simulates a deployment under the given outages with ctrl
-// attached only as the fault hook — how the node-transition rungs are wired
-// in — and returns the results.
-func runFaultHook(t *testing.T, prob *model.Problem, sched *model.Schedule, pl *model.Placement, ctrl *Controller, outages []simulate.Outage, seed uint64) *simulate.Results {
+// runNoTicks simulates a deployment under the given outages with ctrl
+// attached and not ticking — how the node-transition rungs are wired in — and
+// returns the results.
+func runNoTicks(t *testing.T, prob *model.Problem, sched *model.Schedule, pl *model.Placement, ctrl *Controller, outages []simulate.Outage, seed uint64) *simulate.Results {
 	t.Helper()
 	res, err := simulate.Run(simulate.Config{
-		Problem:   prob,
-		Schedule:  sched,
-		Placement: pl,
-		Horizon:   10,
-		LinkDelay: 0.001,
-		Seed:      seed,
-		FaultPlan: &simulate.FaultPlan{Outages: outages},
-		FaultHook: ctrl,
+		Problem:    prob,
+		Schedule:   sched,
+		Placement:  pl,
+		Horizon:    10,
+		LinkDelay:  0.001,
+		Seed:       seed,
+		FaultPlan:  &simulate.FaultPlan{Outages: outages},
+		Controller: ctrl,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,13 +169,13 @@ func runFaultHook(t *testing.T, prob *model.Problem, sched *model.Schedule, pl *
 }
 
 // runWithPolicy simulates the outage fixture under the given outages with a
-// fresh fault-hook-only controller at the given policy and returns results
+// fresh non-ticking controller at the given policy and returns results
 // plus stats.
 func runWithPolicy(t *testing.T, policy Policy, outages []simulate.Outage) (*simulate.Results, Stats) {
 	t.Helper()
 	prob, sched, pl := outageFixture(t)
 	ctrl := newController(t, prob, sched, pl, policy)
-	res := runFaultHook(t, prob, sched, pl, ctrl, outages, 7)
+	res := runNoTicks(t, prob, sched, pl, ctrl, outages, 7)
 	return res, ctrl.Stats()
 }
 
@@ -202,12 +200,11 @@ type replayCase struct {
 	run     func(t *testing.T, prob *model.Problem, sched *model.Schedule, pl *model.Placement, ctrl *Controller, seed uint64) *simulate.Results
 }
 
-// replayCases are staggered outages with the controller attached only as
-// the fault hook, and announced preemptions with it attached as fault and
-// control hook.
+// replayCases are staggered outages with the controller not ticking, and
+// announced preemptions with it ticking.
 var replayCases = []replayCase{
 	{"outages", 10, outageFixture, func(t *testing.T, prob *model.Problem, sched *model.Schedule, pl *model.Placement, ctrl *Controller, seed uint64) *simulate.Results {
-		return runFaultHook(t, prob, sched, pl, ctrl, staggeredOutages(), seed)
+		return runNoTicks(t, prob, sched, pl, ctrl, staggeredOutages(), seed)
 	}},
 	{"preemption", 12, hotFixture, func(t *testing.T, prob *model.Problem, sched *model.Schedule, pl *model.Placement, ctrl *Controller, seed uint64) *simulate.Results {
 		return runControlled(t, prob, sched, pl, ctrl, preemptionPlan(), seed)
@@ -466,7 +463,7 @@ func TestDiurnalCycleGrowsAndShrinks(t *testing.T) {
 		}
 		res, err := simulate.Run(simulate.Config{
 			Problem: prob, Schedule: sched, Placement: pl, Horizon: horizon, Seed: 1,
-			Arrivals: workload.NewMergedStream(cw.Sources), Control: ctrl, ControlInterval: 1,
+			Arrivals: workload.NewMergedStream(cw.Sources), Controller: ctrl, ControlInterval: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -548,8 +545,8 @@ func TestTotalPreemptionSurvival(t *testing.T) {
 
 // TestControlDeterminism asserts equal seeds replay equal decisions at every
 // rung: identical results and stats across two runs of fresh controllers,
-// both as a fault hook alone under staggered outages and as fault and
-// control hook under announced preemptions.
+// both without ticks under staggered outages and ticking under announced
+// preemptions.
 func TestControlDeterminism(t *testing.T) {
 	for _, rc := range replayCases {
 		prob, sched, pl := rc.fixture(t)
@@ -605,8 +602,8 @@ func TestResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestPolicyOrderingInert asserts PolicyNone hooks are inert: attaching the
-// controller must not change the simulation outcome versus no hooks at all.
+// TestPolicyOrderingInert asserts a PolicyNone controller is inert: attaching
+// it must not change the simulation outcome versus no controller at all.
 func TestPolicyOrderingInert(t *testing.T) {
 	prob, sched, pl := hotFixture(t)
 	plain := runControlled(t, prob, sched, pl, nil, preemptionPlan(), 7)
@@ -614,7 +611,7 @@ func TestPolicyOrderingInert(t *testing.T) {
 	inert := runControlled(t, prob, sched, pl, ctrl, preemptionPlan(), 7)
 	if inert.Availability != plain.Availability || inert.Delivered != plain.Delivered ||
 		inert.FailureDrops != plain.FailureDrops || inert.Shed != 0 {
-		t.Errorf("PolicyNone hooks perturbed the run: %v/%d/%d/%d vs %v/%d/%d",
+		t.Errorf("PolicyNone controller perturbed the run: %v/%d/%d/%d vs %v/%d/%d",
 			inert.Availability, inert.Delivered, inert.FailureDrops, inert.Shed,
 			plain.Availability, plain.Delivered, plain.FailureDrops)
 	}

@@ -115,11 +115,10 @@ func OptimizeCluster(base *model.Problem, opts ClusterOptions) (*ClusterSolution
 type ClusterSimConfig struct {
 	// Sim parameterizes every region's simulator; Sim.Seed is varied per
 	// region (Seed+d) so regional traffic differs. With more than one
-	// region, Sim.Control must be nil and Sim.FaultHook may only be set
-	// alongside FaultHooks: a controller is bound to one region's problem,
-	// placement and schedule, so it cannot be shared. For the same reason
-	// Sim.Arrivals must be nil: a cursor would be drained by whichever
-	// region runs first.
+	// region, Sim.Controller must be nil: a controller is bound to one
+	// region's problem, placement and schedule, so it cannot be shared (set
+	// Controllers instead). For the same reason Sim.Arrivals must be nil: a
+	// cursor would be drained by whichever region runs first.
 	Sim SimulationConfig
 	// WANLatency is the inter-datacenter entry-hop latency (seconds).
 	WANLatency float64
@@ -137,11 +136,11 @@ type ClusterSimConfig struct {
 	// own outage schedule or preemption regime. Length must be zero or match
 	// the region count.
 	FaultPlans []*simulate.FaultPlan
-	// FaultHooks optionally attaches one repair/control hook per datacenter
-	// (entry d overrides Sim.FaultHook for region d). A hook is bound to its
-	// region's problem, placement and schedule, so give every datacenter its
-	// own controller. Length must be zero or match the region count.
-	FaultHooks []simulate.FaultHook
+	// Controllers optionally attaches one controller per datacenter (entry
+	// d overrides Sim.Controller for region d; nil leaves the region
+	// uncontrolled). Each ticks every Sim.ControlInterval. Length must be
+	// zero or match the region count.
+	Controllers []simulate.Controller
 }
 
 // SimulateCluster runs the composed region-scale simulation on an optimized
@@ -159,15 +158,12 @@ func SimulateClusterContext(ctx context.Context, cs *ClusterSolution, cfg Cluste
 		return nil, fmt.Errorf("core: %d fault plans for %d regions (want 0 or %d)",
 			len(cfg.FaultPlans), len(cs.Regions), len(cs.Regions))
 	}
-	if len(cfg.FaultHooks) != 0 && len(cfg.FaultHooks) != len(cs.Regions) {
-		return nil, fmt.Errorf("core: %d fault hooks for %d regions (want 0 or %d)",
-			len(cfg.FaultHooks), len(cs.Regions), len(cs.Regions))
+	if len(cfg.Controllers) != 0 && len(cfg.Controllers) != len(cs.Regions) {
+		return nil, fmt.Errorf("core: %d controllers for %d regions (want 0 or %d)",
+			len(cfg.Controllers), len(cs.Regions), len(cs.Regions))
 	}
-	if len(cs.Regions) > 1 && cfg.Sim.Control != nil {
-		return nil, fmt.Errorf("core: Sim.Control would be shared by %d regions; a controller is bound to one region", len(cs.Regions))
-	}
-	if len(cs.Regions) > 1 && cfg.Sim.FaultHook != nil && len(cfg.FaultHooks) == 0 {
-		return nil, fmt.Errorf("core: Sim.FaultHook would be shared by %d regions; set one hook per region in FaultHooks", len(cs.Regions))
+	if len(cs.Regions) > 1 && cfg.Sim.Controller != nil {
+		return nil, fmt.Errorf("core: Sim.Controller would be shared by %d regions; a controller is bound to one region, so set one per region in Controllers", len(cs.Regions))
 	}
 	if len(cs.Regions) > 1 && cfg.Sim.Arrivals != nil {
 		return nil, fmt.Errorf("core: Sim.Arrivals would be shared by %d regions, and the first to run would drain it", len(cs.Regions))
@@ -185,8 +181,8 @@ func SimulateClusterContext(ctx context.Context, cs *ClusterSolution, cfg Cluste
 		if len(cfg.FaultPlans) > 0 {
 			regionSim.FaultPlan = cfg.FaultPlans[d]
 		}
-		if len(cfg.FaultHooks) > 0 {
-			regionSim.FaultHook = cfg.FaultHooks[d]
+		if len(cfg.Controllers) > 0 {
+			regionSim.Controller = cfg.Controllers[d]
 		}
 		name := fmt.Sprintf("region%d", d)
 		if d < len(cs.Names) && cs.Names[d] != "" {

@@ -28,8 +28,8 @@ func clusterSolution(t *testing.T) *ClusterSolution {
 
 // TestClusterPerDatacenterFaultPlans pins the per-region fault plumbing: a
 // plan attached to region 0 only must produce downtime there and nowhere
-// else, with a per-region repair hook observing exactly its own region's
-// transitions — identically across the sequential and windowed drivers.
+// else, with a per-region repair controller observing exactly its own
+// region's transitions — identically across the sequential and windowed drivers.
 func TestClusterPerDatacenterFaultPlans(t *testing.T) {
 	cs := clusterSolution(t)
 	node := cs.Regions[0].Problem.Nodes[0].ID
@@ -46,11 +46,11 @@ func TestClusterPerDatacenterFaultPlans(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := SimulateCluster(cs, ClusterSimConfig{
-			Sim:        SimulationConfig{Horizon: 6, Warmup: 0.5, Seed: 11},
-			Seed:       3,
-			Workers:    workers,
-			FaultPlans: []*simulate.FaultPlan{{Outages: []simulate.Outage{{Node: node, DownAt: 1, UpAt: 3}}}, nil},
-			FaultHooks: []simulate.FaultHook{ctrl, nil},
+			Sim:         SimulationConfig{Horizon: 6, Warmup: 0.5, Seed: 11},
+			Seed:        3,
+			Workers:     workers,
+			FaultPlans:  []*simulate.FaultPlan{{Outages: []simulate.Outage{{Node: node, DownAt: 1, UpAt: 3}}}, nil},
+			Controllers: []simulate.Controller{ctrl, nil},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -65,7 +65,7 @@ func TestClusterPerDatacenterFaultPlans(t *testing.T) {
 		t.Errorf("fault plan leaked into region 1: %v", r1.Downtime)
 	}
 	if stats.NodeFailures != 1 || stats.NodeRecoveries != 1 {
-		t.Errorf("hook saw %+v, want exactly region 0's one outage", stats)
+		t.Errorf("controller saw %+v, want exactly region 0's one outage", stats)
 	}
 	// The windowed driver must agree bit-for-bit.
 	w0, w1, wstats := run(2)
@@ -76,8 +76,8 @@ func TestClusterPerDatacenterFaultPlans(t *testing.T) {
 	}
 }
 
-// TestClusterFaultPlanValidation covers the length contract: plans and hooks
-// are all-regions-or-none.
+// TestClusterFaultPlanValidation covers the length contract: plans and
+// controllers are all-regions-or-none.
 func TestClusterFaultPlanValidation(t *testing.T) {
 	cs := clusterSolution(t)
 	if _, err := SimulateCluster(cs, ClusterSimConfig{
@@ -87,52 +87,70 @@ func TestClusterFaultPlanValidation(t *testing.T) {
 		t.Errorf("mismatched FaultPlans accepted: %v", err)
 	}
 	if _, err := SimulateCluster(cs, ClusterSimConfig{
-		Sim:        SimulationConfig{Horizon: 2},
-		FaultHooks: []simulate.FaultHook{nil},
-	}); err == nil || !strings.Contains(err.Error(), "fault hooks") {
-		t.Errorf("mismatched FaultHooks accepted: %v", err)
+		Sim:         SimulationConfig{Horizon: 2},
+		Controllers: []simulate.Controller{nil},
+	}); err == nil || !strings.Contains(err.Error(), "controllers") {
+		t.Errorf("mismatched Controllers accepted: %v", err)
 	}
 }
 
-// tickHook counts control ticks; as a FaultHook it ignores transitions.
-type tickHook struct{ ticks int }
+// nopController is the no-op base test controllers embed for the callbacks
+// they ignore.
+type nopController struct{}
 
-func (h *tickHook) NodeDown(float64, model.NodeID, *simulate.RepairControl) {}
-func (h *tickHook) NodeUp(float64, model.NodeID, *simulate.RepairControl)   {}
-func (h *tickHook) Tick(float64, *simulate.ControlPlane)                    { h.ticks++ }
+func (nopController) NodeDown(float64, model.NodeID, *simulate.ControlPlane)                    {}
+func (nopController) NodeUp(float64, model.NodeID, *simulate.ControlPlane)                      {}
+func (nopController) PreemptionNotice(float64, []model.NodeID, float64, *simulate.ControlPlane) {}
+func (nopController) Tick(float64, *simulate.ControlPlane)                                      {}
 
-// TestClusterRejectsSharedHooks pins the per-region hook rule: a controller
-// is bound to one region, so with several regions Sim.Control is rejected
-// and Sim.FaultHook is only accepted when FaultHooks overrides it per
-// region. A single region may still use both.
+// tickHook counts control ticks and ignores every other callback.
+type tickHook struct {
+	nopController
+	ticks int
+}
+
+func (h *tickHook) Tick(float64, *simulate.ControlPlane) { h.ticks++ }
+
+// TestClusterRejectsSharedHooks pins the per-region controller rule: a
+// controller is bound to one region, so with several regions Sim.Controller
+// is rejected, even beside Controllers. A single region may use it, and
+// every per-region controller ticks at Sim.ControlInterval.
 func TestClusterRejectsSharedHooks(t *testing.T) {
 	cs := clusterSolution(t)
 	plan := &simulate.FaultPlan{MTBF: 1, MTTR: 0.1}
 	shared := &tickHook{}
 	for name, cfg := range map[string]ClusterSimConfig{
-		"control":   {Sim: SimulationConfig{Horizon: 2, Seed: 1, Control: shared, ControlInterval: 0.5}},
-		"faulthook": {Sim: SimulationConfig{Horizon: 2, Seed: 1, FaultPlan: plan, FaultHook: shared}},
+		"ticking":    {Sim: SimulationConfig{Horizon: 2, Seed: 1, Controller: shared, ControlInterval: 0.5}},
+		"no ticks":   {Sim: SimulationConfig{Horizon: 2, Seed: 1, FaultPlan: plan, Controller: shared}},
+		"overridden": {Sim: SimulationConfig{Horizon: 2, Seed: 1, Controller: shared}, Controllers: []simulate.Controller{&tickHook{}, &tickHook{}}},
 	} {
 		if _, err := SimulateCluster(cs, cfg); err == nil || !strings.Contains(err.Error(), "shared") {
-			t.Errorf("%s: a hook shared by %d regions was accepted: %v", name, len(cs.Regions), err)
+			t.Errorf("%s: a controller shared by %d regions was accepted: %v", name, len(cs.Regions), err)
 		}
 	}
+
+	perRegion := []*tickHook{{}, {}}
 	if _, err := SimulateCluster(cs, ClusterSimConfig{
-		Sim:        SimulationConfig{Horizon: 2, Seed: 1, FaultPlan: plan, FaultHook: shared},
-		FaultHooks: []simulate.FaultHook{&tickHook{}, &tickHook{}},
+		Sim:         SimulationConfig{Horizon: 2, Seed: 1, FaultPlan: plan, ControlInterval: 0.5},
+		Controllers: []simulate.Controller{perRegion[0], perRegion[1]},
 	}); err != nil {
-		t.Errorf("Sim.FaultHook overridden by FaultHooks rejected: %v", err)
+		t.Fatalf("one controller per region rejected: %v", err)
+	}
+	for d, h := range perRegion {
+		if h.ticks != 3 { // at 0.5, 1 and 1.5 s of a 2 s horizon
+			t.Errorf("region %d's controller ticked %d times, want 3", d, h.ticks)
+		}
 	}
 
 	solo := &ClusterSolution{Regions: cs.Regions[:1], Names: cs.Names[:1]}
 	h := &tickHook{}
 	if _, err := SimulateCluster(solo, ClusterSimConfig{
-		Sim: SimulationConfig{Horizon: 2, Seed: 1, FaultPlan: plan, FaultHook: h, Control: h, ControlInterval: 0.5},
+		Sim: SimulationConfig{Horizon: 2, Seed: 1, FaultPlan: plan, Controller: h, ControlInterval: 0.5},
 	}); err != nil {
-		t.Fatalf("single region with Sim hooks rejected: %v", err)
+		t.Fatalf("single region with Sim.Controller rejected: %v", err)
 	}
 	if h.ticks == 0 {
-		t.Error("single region's Sim.Control never ticked")
+		t.Error("single region's Sim.Controller never ticked")
 	}
 }
 

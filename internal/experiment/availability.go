@@ -103,15 +103,15 @@ func Availability(cfg Config) (*Table, error) {
 					return out, fmt.Errorf("availability: %w", err)
 				}
 				if err := sim.Reset(simulate.Config{
-					Problem:   prob,
-					Schedule:  sched,
-					Placement: placed.Placement,
-					Horizon:   horizon,
-					Warmup:    warmup,
-					LinkDelay: 0.001,
-					Seed:      seed,
-					FaultPlan: plan,
-					FaultHook: ctrl,
+					Problem:    prob,
+					Schedule:   sched,
+					Placement:  placed.Placement,
+					Horizon:    horizon,
+					Warmup:     warmup,
+					LinkDelay:  0.001,
+					Seed:       seed,
+					FaultPlan:  plan,
+					Controller: ctrl,
 				}); err != nil {
 					return out, fmt.Errorf("availability: %w", err)
 				}

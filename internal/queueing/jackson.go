@@ -77,8 +77,8 @@ func (n *JacksonNetwork) TrafficRates() ([]float64, error) {
 		return nil, fmt.Errorf("queueing: traffic equations: %w", err)
 	}
 	for i, v := range lam {
-		if err := assertFinite(v); err != nil {
-			return nil, err
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("queueing: non-finite result %v", v)
 		}
 		if v < -1e-9 {
 			return nil, fmt.Errorf("queueing: negative traffic rate λ_%d = %v", i, v)

@@ -48,7 +48,7 @@ func TestMM1LittlesLaw(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		return close(jobs, LittlesLaw(lambda, resp), 1e-9)
+		return close(jobs, lambda*resp, 1e-9) // Little's law, L = λW
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -7,28 +7,32 @@ import (
 	"nfvchain/internal/model"
 )
 
-// ControlHook is the periodic control-plane entry point: when Config.Control
-// is set, the simulator fires Tick every Config.ControlInterval simulated
-// seconds (first tick at Interval, last strictly before the horizon), at
-// deterministic times interleaved with traffic and fault events in (time,
-// seq) order. The hook observes the live deployment through the ControlPlane
-// and may reshape it — add, retire or migrate instances, reroute requests,
-// shed admissions — which is how internal/control implements a pool-manager
-// loop (autoscaling, migration, graceful degradation) on top of the same
-// RepairControl primitives its fault hook uses. A nil Control leaves every event and RNG stream bit-identical
-// to historical runs.
-type ControlHook interface {
+// Controller is the control plane's one seam into the simulator
+// (Config.Controller). Its callbacks fire at deterministic simulated times,
+// interleaved with traffic and fault events in (time, seq) order, and each
+// receives the simulation's one ControlPlane handle, valid only for the
+// duration of the callback:
+//   - NodeDown fires when a node fails, after its instances have failed
+//     their packets; NodeUp when it is back in service. Both need a
+//     FaultPlan.
+//   - PreemptionNotice fires at downAt − PreemptionPlan.LeadTime with the
+//     drawn node group, before any of the nodes fail, so the controller can
+//     migrate instances off them ahead of the loss. The nodes slice is only
+//     valid for the duration of the callback.
+//   - Tick fires every Config.ControlInterval simulated seconds (first tick
+//     at the interval, last strictly before the horizon); an interval of 0
+//     schedules no tick.
+//
+// Through the handle the controller may reshape the running deployment —
+// add, retire or migrate instances, reroute requests, shed admissions —
+// which is how internal/control runs its escalation ladder. A nil
+// Controller leaves every event and RNG stream bit-identical to historical
+// runs.
+type Controller interface {
+	NodeDown(now float64, node model.NodeID, cp *ControlPlane)
+	NodeUp(now float64, node model.NodeID, cp *ControlPlane)
+	PreemptionNotice(now float64, nodes []model.NodeID, downAt float64, cp *ControlPlane)
 	Tick(now float64, cp *ControlPlane)
-}
-
-// PreemptionNoticeHook is optionally implemented by a Config.FaultHook to
-// receive advance notice of correlated preemptions (PreemptionPlan.LeadTime
-// > 0): it fires at downAt − LeadTime with the drawn node group, before any
-// of the nodes fail, so a controller can migrate instances off the doomed
-// nodes ahead of the loss. The nodes slice and the control handle are only
-// valid for the duration of the callback.
-type PreemptionNoticeHook interface {
-	PreemptionNotice(now float64, nodes []model.NodeID, downAt float64, ctrl *RepairControl)
 }
 
 // PreemptionPlan extends a FaultPlan with spot-style correlated capacity
@@ -50,10 +54,9 @@ type PreemptionPlan struct {
 	// Recovery is the fixed time until every node of the group returns to
 	// service. Required: positive and finite.
 	Recovery float64
-	// LeadTime is the advance-notice window: when positive, a FaultHook
-	// implementing PreemptionNoticeHook is told the drawn group LeadTime
-	// seconds before the loss (clamped so notice never precedes the draw).
-	// Zero disables notices.
+	// LeadTime is the advance-notice window: when positive, the
+	// Controller is told the drawn group LeadTime seconds before the loss
+	// (clamped so notice never precedes the draw). Zero disables notices.
 	LeadTime float64
 }
 
@@ -122,11 +125,10 @@ func (s *simulation) schedulePreempt(t float64) {
 	s.agenda.push(event{time: at, kind: evPreempt})
 }
 
-// preemptNotice delivers the advance notice for the pending preemption to a
-// FaultHook that wants it.
+// preemptNotice delivers the advance notice for the pending preemption to
+// the Controller.
 func (s *simulation) preemptNotice() {
-	hook, ok := s.cfg.FaultHook.(PreemptionNoticeHook)
-	if !ok {
+	if s.cfg.Controller == nil {
 		return
 	}
 	ids := s.noticeIDs[:0]
@@ -134,12 +136,12 @@ func (s *simulation) preemptNotice() {
 		ids = append(ids, s.nodes[nid].id)
 	}
 	s.noticeIDs = ids
-	hook.PreemptionNotice(s.now, ids, s.preemptAt, s.repairControl())
+	s.cfg.Controller.PreemptionNotice(s.now, ids, s.preemptAt, s.plane(0))
 }
 
 // preemptFire takes down the pending group (each node through the same
-// nodeDown path as outages, so overlapping intervals merge and the FaultHook
-// fires per node), schedules the group's fixed-delay recovery, and draws the
+// nodeDown path as outages, so overlapping intervals merge and the
+// Controller hears of each node), schedules the group's fixed-delay recovery, and draws the
 // next preemption.
 func (s *simulation) preemptFire() {
 	pp := s.cfg.FaultPlan.Preemption
@@ -170,17 +172,28 @@ type InstanceObs struct {
 	Utilization float64
 }
 
-// ControlPlane is the observation-and-actuation handle a ControlHook
-// receives at each tick. It embeds the full RepairControl actuation surface
-// (AddInstance, Reassign, MigrateInstance, RemoveInstance, SetShedFraction,
-// NodeIsUp) and adds deployment-wide observation. Like a RepairControl it is
+// ControlPlane is the observation-and-actuation handle every Controller
+// callback receives: it reroutes requests, adds, migrates and retires
+// instances and sets the shedding valve, and observes the deployment. It is
 // only valid for the duration of the callback.
 type ControlPlane struct {
-	RepairControl
+	s      *simulation
 	window float64
 }
 
-// Window returns the length of the observation window that just ended.
+// plane returns the simulation's one handle, set to the given observation
+// window. A handle is only valid inside the callback that received it, so
+// every callback reuses it instead of allocating a fresh one.
+func (s *simulation) plane(window float64) *ControlPlane {
+	s.handle = ControlPlane{s: s, window: window}
+	return &s.handle
+}
+
+// Now returns the simulated time of the callback.
+func (cp *ControlPlane) Now() float64 { return cp.s.now }
+
+// Window returns the length of the observation window that just ended at a
+// tick, and 0 in the other callbacks.
 func (cp *ControlPlane) Window() float64 { return cp.window }
 
 // Pending returns the number of admitted packets currently in flight.
@@ -188,7 +201,8 @@ func (cp *ControlPlane) Pending() int { return cp.s.live }
 
 // Instances appends one observation per service instance (base instances
 // first, then additions, in creation order — a deterministic order) to buf
-// and returns it. Utilization is measured over the window that just ended.
+// and returns it. Utilization is measured over the window that just ended;
+// it reads 0 outside a tick.
 func (cp *ControlPlane) Instances(buf []InstanceObs) []InstanceObs {
 	s := cp.s
 	for i := range s.instances {
@@ -224,11 +238,11 @@ func (s *simulation) ctrlBusyNow(inst *instance) float64 {
 	return b
 }
 
-// controlTick runs one controller tick: hand the hook an observation window,
-// then roll the per-instance utilization marks and schedule the next tick.
+// controlTick runs one controller tick: hand the Controller an observation
+// window, then roll the per-instance utilization marks and schedule the next
+// tick.
 func (s *simulation) controlTick() {
-	s.handle = ControlPlane{RepairControl: RepairControl{s: s}, window: s.now - s.lastTick}
-	s.cfg.Control.Tick(s.now, &s.handle)
+	s.cfg.Controller.Tick(s.now, s.plane(s.now-s.lastTick))
 	for i := range s.instances {
 		inst := &s.instances[i]
 		inst.ctrlMark = s.ctrlBusyNow(inst)
@@ -260,16 +274,16 @@ func (s *simulation) shedNext() bool {
 // Shedding is frac-of-arrivals exact via an error accumulator and draws no
 // randomness, so it leaves every RNG stream untouched. Fraction 0 restores
 // full admission.
-func (rc *RepairControl) SetShedFraction(frac float64) error {
+func (cp *ControlPlane) SetShedFraction(frac float64) error {
 	if math.IsNaN(frac) || frac < 0 || frac > 1 {
 		return fmt.Errorf("simulate: shed fraction %v outside [0,1]", frac)
 	}
-	rc.s.shedFrac = frac
+	cp.s.shedFrac = frac
 	return nil
 }
 
 // ShedFraction returns the current admission-shedding rate.
-func (rc *RepairControl) ShedFraction() float64 { return rc.s.shedFrac }
+func (cp *ControlPlane) ShedFraction() float64 { return cp.s.shedFrac }
 
 // MigrateInstance moves instance k of VNF f to the given node: the instance
 // freezes now — an in-flight service is interrupted and its packet returns
@@ -279,8 +293,8 @@ func (rc *RepairControl) ShedFraction() float64 { return rc.s.shedFrac }
 // the instance across the move; link hops are recomputed from the new
 // hosting node. Migrating onto a down node parks the instance there until
 // the node recovers.
-func (rc *RepairControl) MigrateInstance(f model.VNFID, k int, node model.NodeID, resumeAt float64) error {
-	s := rc.s
+func (cp *ControlPlane) MigrateInstance(f model.VNFID, k int, node model.NodeID, resumeAt float64) error {
+	s := cp.s
 	iid, ok := s.instIndex[InstanceKey{VNF: f, Instance: k}]
 	if !ok {
 		return fmt.Errorf("simulate: migrate: vnf %s has no live instance %d", f, k)
@@ -338,8 +352,8 @@ func (rc *RepairControl) MigrateInstance(f model.VNFID, k int, node model.NodeID
 // first); it then drains — packets still in flight toward it are served
 // normally — and simply never receives new work. Retirement is what lets a
 // scale-down shrink M_f without losing in-flight packets.
-func (rc *RepairControl) RemoveInstance(f model.VNFID, k int) error {
-	s := rc.s
+func (cp *ControlPlane) RemoveInstance(f model.VNFID, k int) error {
+	s := cp.s
 	iid, ok := s.instIndex[InstanceKey{VNF: f, Instance: k}]
 	if !ok {
 		return fmt.Errorf("simulate: remove: vnf %s has no live instance %d", f, k)

@@ -7,13 +7,28 @@ import (
 	"nfvchain/internal/model"
 )
 
-// tickHook adapts a func to ControlHook for tests.
-type tickHook func(now float64, cp *ControlPlane)
+// nopController is the no-op base test controllers embed for the callbacks
+// they ignore.
+type nopController struct{}
 
-func (h tickHook) Tick(now float64, cp *ControlPlane) { h(now, cp) }
+func (nopController) NodeDown(float64, model.NodeID, *ControlPlane)                    {}
+func (nopController) NodeUp(float64, model.NodeID, *ControlPlane)                      {}
+func (nopController) PreemptionNotice(float64, []model.NodeID, float64, *ControlPlane) {}
+func (nopController) Tick(float64, *ControlPlane)                                      {}
+
+// tickHook is a test controller that only ticks.
+type tickHook struct {
+	nopController
+	tick func(now float64, cp *ControlPlane)
+}
+
+func (h tickHook) Tick(now float64, cp *ControlPlane) { h.tick(now, cp) }
+
+// onTick adapts a func to a Controller that only ticks.
+func onTick(tick func(now float64, cp *ControlPlane)) Controller { return tickHook{tick: tick} }
 
 // controlConfig returns a valid control-enabled config over the fault fixture.
-func controlConfig(hook ControlHook, interval float64) Config {
+func controlConfig(hook Controller, interval float64) Config {
 	prob, sched, pl := faultProblem(40, 100)
 	return Config{
 		Problem:         prob,
@@ -22,15 +37,14 @@ func controlConfig(hook ControlHook, interval float64) Config {
 		Horizon:         10,
 		LinkDelay:       0.001,
 		Seed:            3,
-		Control:         hook,
+		Controller:      hook,
 		ControlInterval: interval,
 	}
 }
 
 func TestControlConfigValidation(t *testing.T) {
-	hook := tickHook(func(float64, *ControlPlane) {})
+	hook := onTick(func(float64, *ControlPlane) {})
 	for name, interval := range map[string]float64{
-		"zero interval":     0,
 		"negative interval": -1,
 		"NaN interval":      math.NaN(),
 		"infinite interval": math.Inf(1),
@@ -41,11 +55,24 @@ func TestControlConfigValidation(t *testing.T) {
 			}
 		})
 	}
+	// An interval of 0 is the controller that only hears of node
+	// transitions: it is accepted, needs no Placement, and never ticks.
+	t.Run("zero interval", func(t *testing.T) {
+		ticked := false
+		cfg := controlConfig(onTick(func(float64, *ControlPlane) { ticked = true }), 0)
+		cfg.Placement = nil
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("controller without ticks rejected: %v", err)
+		}
+		if ticked {
+			t.Error("an interval of 0 ticked")
+		}
+	})
 	t.Run("nil placement", func(t *testing.T) {
 		cfg := controlConfig(hook, 1)
 		cfg.Placement = nil
 		if _, err := Run(cfg); err == nil {
-			t.Error("control without placement accepted")
+			t.Error("ticking controller without placement accepted")
 		}
 	})
 }
@@ -54,7 +81,7 @@ func TestControlConfigValidation(t *testing.T) {
 // every Interval, strictly before the horizon, with monotone window lengths.
 func TestControlTickSchedule(t *testing.T) {
 	var times []float64
-	hook := tickHook(func(now float64, cp *ControlPlane) {
+	hook := onTick(func(now float64, cp *ControlPlane) {
 		times = append(times, now)
 		want := 1.0
 		if len(times) == 1 {
@@ -82,7 +109,7 @@ func TestControlTickSchedule(t *testing.T) {
 // saturated VNF reads hot.
 func TestControlObservation(t *testing.T) {
 	var obs []InstanceObs
-	hook := tickHook(func(now float64, cp *ControlPlane) {
+	hook := onTick(func(now float64, cp *ControlPlane) {
 		obs = cp.Instances(obs[:0])
 	})
 	cfg := controlConfig(hook, 1)
@@ -114,7 +141,7 @@ func TestShedFraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hook := tickHook(func(now float64, cp *ControlPlane) {
+	hook := onTick(func(now float64, cp *ControlPlane) {
 		if err := cp.SetShedFraction(0.5); err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +165,7 @@ func TestShedFraction(t *testing.T) {
 }
 
 func TestSetShedFractionValidation(t *testing.T) {
-	hook := tickHook(func(now float64, cp *ControlPlane) {
+	hook := onTick(func(now float64, cp *ControlPlane) {
 		for _, bad := range []float64{math.NaN(), -0.1, 1.1} {
 			if err := cp.SetShedFraction(bad); err == nil {
 				t.Errorf("shed fraction %v accepted", bad)
@@ -158,7 +185,7 @@ func TestSetShedFractionValidation(t *testing.T) {
 // error paths must reject unknown targets and past resume times.
 func TestMigrateInstance(t *testing.T) {
 	migrated := false
-	hook := tickHook(func(now float64, cp *ControlPlane) {
+	hook := onTick(func(now float64, cp *ControlPlane) {
 		if migrated {
 			return
 		}
@@ -205,7 +232,7 @@ func TestRemoveInstanceGuard(t *testing.T) {
 	prob, sched, pl := faultProblem(40, 100)
 	prob.VNFs[0].Instances = 2 // f gains a second base instance
 	acted := false
-	hook := tickHook(func(now float64, cp *ControlPlane) {
+	hook := onTick(func(now float64, cp *ControlPlane) {
 		if acted {
 			return
 		}
@@ -227,7 +254,7 @@ func TestRemoveInstanceGuard(t *testing.T) {
 	res, err := Run(Config{
 		Problem: prob, Schedule: sched, Placement: pl,
 		Horizon: 10, LinkDelay: 0.001, Seed: 3,
-		Control: hook, ControlInterval: 2,
+		Controller: hook, ControlInterval: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,6 +295,7 @@ func TestPreemptionPlanValidation(t *testing.T) {
 
 // noticeRecorder records preemption notices and node transitions.
 type noticeRecorder struct {
+	nopController
 	notices  []noticeEvent
 	downs    map[model.NodeID][]float64
 	failDown int
@@ -278,15 +306,14 @@ type noticeEvent struct {
 	nodes      []model.NodeID
 }
 
-func (h *noticeRecorder) NodeDown(now float64, n model.NodeID, ctrl *RepairControl) {
+func (h *noticeRecorder) NodeDown(now float64, n model.NodeID, cp *ControlPlane) {
 	if h.downs == nil {
 		h.downs = make(map[model.NodeID][]float64)
 	}
 	h.downs[n] = append(h.downs[n], now)
 	h.failDown++
 }
-func (h *noticeRecorder) NodeUp(float64, model.NodeID, *RepairControl) {}
-func (h *noticeRecorder) PreemptionNotice(now float64, nodes []model.NodeID, downAt float64, ctrl *RepairControl) {
+func (h *noticeRecorder) PreemptionNotice(now float64, nodes []model.NodeID, downAt float64, cp *ControlPlane) {
 	h.notices = append(h.notices, noticeEvent{at: now, downAt: downAt, nodes: append([]model.NodeID(nil), nodes...)})
 }
 
@@ -302,7 +329,7 @@ func TestPreemptionNotice(t *testing.T) {
 		FaultPlan: &FaultPlan{Preemption: &PreemptionPlan{
 			MeanInterval: 5, GroupSize: 2, Recovery: 1, LeadTime: 0.5,
 		}},
-		FaultHook:       rec,
+		Controller:      rec,
 		FailurePolicy:   FailRetransmit,
 		RetransmitDelay: 0.05,
 	})

@@ -11,8 +11,8 @@
 // A FaultPlan additionally injects node failures (random MTBF/MTTR chains
 // and/or scheduled outages): a failed node takes every instance on it out of
 // service, packets caught there follow the FailurePolicy (crash loss or
-// NACK-style source retransmission), and a FaultHook can repair the run mid-
-// flight — rerouting requests to survivors and booting replacement instances
+// NACK-style source retransmission), and a Controller can repair the run
+// mid-flight — rerouting requests to survivors and booting replacement instances
 // — which is how internal/control implements self-healing.
 //
 // Every external arrival takes one path: a cursor of time-ordered (time,
@@ -45,7 +45,7 @@ const (
 	evNodeDown                           // a node (and every instance on it) fails
 	evNodeUp                             // a node returns to service
 	evInstanceReady                      // a replacement instance finishes booting
-	evControlTick                        // periodic controller tick (Config.Control)
+	evControlTick                        // periodic controller tick (Config.ControlInterval)
 	evPreempt                            // a correlated-preemption group goes down
 	evPreemptNotice                      // advance notice ahead of a preemption
 )

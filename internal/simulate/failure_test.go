@@ -192,16 +192,17 @@ func TestFailRetransmitRecoversPackets(t *testing.T) {
 	}
 }
 
-// replaceHook is a minimal self-healing FaultHook: when node a dies it boots
+// replaceHook is a minimal self-healing Controller: when node a dies it boots
 // a replacement instance of f on node b after a fixed setup cost and reroutes
 // the request to it.
 type replaceHook struct {
+	nopController
 	t     *testing.T
 	setup float64
 	done  bool
 }
 
-func (h *replaceHook) NodeDown(now float64, node model.NodeID, ctrl *RepairControl) {
+func (h *replaceHook) NodeDown(now float64, node model.NodeID, ctrl *ControlPlane) {
 	if h.done || node != "a" {
 		return
 	}
@@ -214,7 +215,7 @@ func (h *replaceHook) NodeDown(now float64, node model.NodeID, ctrl *RepairContr
 		h.t.Fatalf("Reassign: %v", err)
 	}
 	if ctrl.Now() != now {
-		h.t.Errorf("RepairControl.Now() = %v, want %v", ctrl.Now(), now)
+		h.t.Errorf("ControlPlane.Now() = %v, want %v", ctrl.Now(), now)
 	}
 	if ctrl.NodeIsUp("a") {
 		h.t.Error("node a reported up inside its NodeDown hook")
@@ -223,8 +224,6 @@ func (h *replaceHook) NodeDown(now float64, node model.NodeID, ctrl *RepairContr
 		h.t.Error("node b reported down")
 	}
 }
-
-func (h *replaceHook) NodeUp(now float64, node model.NodeID, ctrl *RepairControl) {}
 
 // TestFaultHookReplacementImprovesAvailability runs the same long outage with
 // and without a replacement hook: booting a substitute instance on the
@@ -245,7 +244,7 @@ func TestFaultHookReplacementImprovesAvailability(t *testing.T) {
 		t.Fatal(err)
 	}
 	healed := base
-	healed.FaultHook = &replaceHook{t: t, setup: 0.1}
+	healed.Controller = &replaceHook{t: t, setup: 0.1}
 	repaired, err := Run(healed)
 	if err != nil {
 		t.Fatal(err)

@@ -11,8 +11,8 @@ import (
 // FaultPlan injects computing-node failures into a run. A node going down
 // fails every service instance placed on it: the in-service packet and all
 // queued packets are handled per Config.FailurePolicy, and arrivals routed
-// to a down instance meet the same fate until the node recovers (or a
-// FaultHook reroutes them). Random faults and the deterministic outage list
+// to a down instance meet the same fate until the node recovers (or the
+// Controller reroutes them). Random faults and the deterministic outage list
 // compose; overlapping down intervals are merged for downtime accounting.
 //
 // Fault times are drawn from a dedicated per-node RNG stream (derived from
@@ -101,17 +101,6 @@ const (
 	FailRetransmit
 )
 
-// FaultHook observes node state transitions mid-run, at the simulated time
-// they occur, and may use the RepairControl to reroute requests or add
-// replacement instances — the entry point for self-healing controllers (see
-// internal/control). NodeDown is invoked after the node's instances have
-// failed their packets; NodeUp after the node is back in service. The
-// control handle is only valid for the duration of the callback.
-type FaultHook interface {
-	NodeDown(now float64, node model.NodeID, ctrl *RepairControl)
-	NodeUp(now float64, node model.NodeID, ctrl *RepairControl)
-}
-
 // nodeState is the runtime fault state of one computing node. Nodes are
 // tracked only when a FaultPlan is configured.
 type nodeState struct {
@@ -128,8 +117,8 @@ type nodeState struct {
 }
 
 // buildFaults prepares the node table, the instance→node links, and the
-// per-VNF instance counters of RepairControl.AddInstance. Called from build
-// only when a FaultPlan or a control hook is configured.
+// per-VNF instance counters of ControlPlane.AddInstance. Called from build
+// only when a FaultPlan is configured or the Controller ticks.
 func (s *simulation) buildFaults() error {
 	p := s.cfg.Problem
 	// Rebuild into the retained node table: slots up to the previous run's
@@ -194,7 +183,7 @@ func (s *simulation) seedFaults() {
 }
 
 // nodeDown processes one down edge: on the first overlapping interval the
-// node's instances fail their packets and the hook fires; a random-chain
+// node's instances fail their packets and the Controller hears of it; a random-chain
 // edge additionally draws the repair time.
 func (s *simulation) nodeDown(nid int32, random bool) {
 	nd := &s.nodes[nid]
@@ -204,8 +193,8 @@ func (s *simulation) nodeDown(nid int32, random bool) {
 		for _, iid := range nd.instances {
 			s.failInstance(iid)
 		}
-		if s.cfg.FaultHook != nil {
-			s.cfg.FaultHook.NodeDown(s.now, nd.id, s.repairControl())
+		if s.cfg.Controller != nil {
+			s.cfg.Controller.NodeDown(s.now, nd.id, s.plane(0))
 		}
 	}
 	if random {
@@ -218,7 +207,7 @@ func (s *simulation) nodeDown(nid int32, random bool) {
 
 // nodeUp processes one up edge: when the last overlapping interval ends the
 // downtime is folded in, the node's instances accept work again, and the
-// hook fires; a random-chain edge additionally draws the next failure time.
+// Controller hears of it; a random-chain edge additionally draws the next failure time.
 func (s *simulation) nodeUp(nid int32, random bool) {
 	nd := &s.nodes[nid]
 	nd.downDepth--
@@ -227,8 +216,8 @@ func (s *simulation) nodeUp(nid int32, random bool) {
 		for _, iid := range nd.instances {
 			s.instances[iid].down = false
 		}
-		if s.cfg.FaultHook != nil {
-			s.cfg.FaultHook.NodeUp(s.now, nd.id, s.repairControl())
+		if s.cfg.Controller != nil {
+			s.cfg.Controller.NodeUp(s.now, nd.id, s.plane(0))
 		}
 	}
 	if random {
@@ -300,37 +289,18 @@ func (s *simulation) instanceReady(iid int32) {
 	}
 }
 
-// repairControl returns the simulation's one hook handle as a RepairControl.
-// A handle is only valid inside the callback that received it, so every
-// hook invocation reuses it instead of allocating a fresh one.
-func (s *simulation) repairControl() *RepairControl {
-	s.handle = ControlPlane{RepairControl: RepairControl{s: s}}
-	return &s.handle.RepairControl
-}
-
-// RepairControl lets a FaultHook repair the running simulation at the
-// simulated time of a node transition: rerouting future packet visits to
-// surviving instances and registering freshly booted replacement capacity.
-// It is only valid inside the hook invocation that received it.
-type RepairControl struct {
-	s *simulation
-}
-
-// Now returns the simulated time of the transition being handled.
-func (rc *RepairControl) Now() float64 { return rc.s.now }
-
 // NodeIsUp reports whether the named node is currently in service.
-func (rc *RepairControl) NodeIsUp(n model.NodeID) bool {
-	idx, ok := rc.s.ix.Node(n)
-	return ok && rc.s.nodes[idx].downDepth == 0
+func (cp *ControlPlane) NodeIsUp(n model.NodeID) bool {
+	idx, ok := cp.s.ix.Node(n)
+	return ok && cp.s.nodes[idx].downDepth == 0
 }
 
 // AddInstance registers a new service instance of VNF f on the given node,
 // serving at the VNF's rate from readyAt onward (the boot/setup cost is
 // readyAt − Now()). Packets routed to it before readyAt wait in its buffer.
 // It returns the new instance index, to be targeted with Reassign.
-func (rc *RepairControl) AddInstance(f model.VNFID, node model.NodeID, readyAt float64) (int, error) {
-	s := rc.s
+func (cp *ControlPlane) AddInstance(f model.VNFID, node model.NodeID, readyAt float64) (int, error) {
+	s := cp.s
 	fo, ok := s.ix.VNF(f)
 	if !ok {
 		return 0, fmt.Errorf("simulate: repair: unknown vnf %s", f)
@@ -365,8 +335,8 @@ func (rc *RepairControl) AddInstance(f model.VNFID, node model.NodeID, readyAt f
 // k must name a base instance of f or one added with AddInstance. Link-hop
 // delays along the request's chain are recomputed from the instances'
 // hosting nodes.
-func (rc *RepairControl) Reassign(r model.RequestID, f model.VNFID, k int) error {
-	s := rc.s
+func (cp *ControlPlane) Reassign(r model.RequestID, f model.VNFID, k int) error {
+	s := cp.s
 	ri, ok := s.requestIndex(r)
 	if !ok {
 		return fmt.Errorf("simulate: repair: unknown request %s", r)

@@ -14,7 +14,8 @@ import (
 // validation with an error or produces a runnable simulation; nothing
 // panics. The sweep covers the fault plan (random faults, overlapping and
 // zero-length outages, correlated preemption with arbitrary group sizes and
-// lead times), the control plane (tick interval, shedding, live migration)
+// lead times), the one Controller field (its tick interval, where 0 means no
+// ticks, shedding, live migration)
 // and the arrival tier (custom per-request sources of every process shape
 // plus the ExpectedArrivals sizing hint). Runs are only attempted for
 // configurations Reset accepted AND whose timing knobs cannot livelock the
@@ -125,11 +126,11 @@ func FuzzConfigValidate(f *testing.F) {
 			}
 		}
 		if withControl {
-			// A live hook: shed a quarter of admissions and bounce f's first
+			// A live controller: shed a quarter of admissions and bounce f's first
 			// instance between the two nodes — deterministic, and exercising
 			// the migration freeze/resume machinery under every fault mix.
 			tick := 0
-			cfg.Control = tickHook(func(now float64, cp *ControlPlane) {
+			cfg.Controller = onTick(func(now float64, cp *ControlPlane) {
 				_ = cp.SetShedFraction(0.25)
 				target := model.NodeID("a")
 				if tick%2 == 0 {
@@ -160,7 +161,7 @@ func FuzzConfigValidate(f *testing.F) {
 		if withPreempt && preemptInterval < 1e-2 {
 			return
 		}
-		if withControl && controlInterval < 1e-2 {
+		if withControl && controlInterval > 0 && controlInterval < 1e-2 {
 			return
 		}
 		res, err := sim.Run()

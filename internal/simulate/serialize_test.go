@@ -428,7 +428,7 @@ func desResults(t testing.TB) []*Results {
 		faults.FailurePolicy = FailRetransmit
 		faults.RetransmitDelay = 0.01
 		run(faults)
-		shed := controlConfig(tickHook(func(now float64, cp *ControlPlane) {
+		shed := controlConfig(onTick(func(now float64, cp *ControlPlane) {
 			if err := cp.SetShedFraction(0.25); err != nil {
 				t.Fatal(err)
 			}

@@ -66,7 +66,7 @@ type Config struct {
 	//   - Time ties: external rows win time ties against in-run events,
 	//     and tied rows pop in row order.
 	//   - Shedding: every external arrival can be shed
-	//     (RepairControl.SetShedFraction), trace rows included.
+	//     (ControlPlane.SetShedFraction), trace rows included.
 	//   - Custom generators: a source that returns a time earlier than the
 	//     one asked for is retired (workload.MergedStream's rule).
 	Arrivals workload.ArrivalCursor
@@ -100,23 +100,16 @@ type Config struct {
 	// a positive RetransmitDelay. Ignored without a FaultPlan.
 	FailurePolicy FailurePolicy
 
-	// FaultHook, if non-nil, is notified of node transitions mid-run and
-	// may repair the routing via the RepairControl it receives. Ignored
-	// without a FaultPlan. A hook additionally implementing
-	// PreemptionNoticeHook receives advance notice of correlated
-	// preemptions (see PreemptionPlan.LeadTime).
-	FaultHook FaultHook
+	// Controller, if non-nil, is the control plane: it hears of node
+	// transitions and announced preemptions (under a FaultPlan), receives a
+	// tick every ControlInterval, and may reshape the deployment through
+	// the ControlPlane each callback is handed (see internal/control). nil
+	// keeps every event and RNG stream bit-identical to historical runs.
+	Controller Controller
 
-	// Control, if non-nil, receives a controller tick every ControlInterval
-	// simulated seconds and may reshape the deployment through the
-	// ControlPlane it is handed — the online control-plane entry point (see
-	// internal/control). Requires a Placement and a positive finite
-	// ControlInterval. nil keeps every event and RNG stream bit-identical
-	// to historical runs.
-	Control ControlHook
-
-	// ControlInterval is the controller tick period (simulated seconds).
-	// Required (positive, finite) when Control is set; ignored otherwise.
+	// ControlInterval is the Controller's tick period (simulated seconds):
+	// 0 schedules no tick, and a positive interval must be finite and
+	// needs a Placement. Ignored without a Controller.
 	ControlInterval float64
 
 	// ServiceDist selects the per-packet service-time distribution; the
@@ -223,9 +216,9 @@ type Results struct {
 	InFlight int
 
 	// Shed counts external arrivals turned away by the control plane's
-	// deterministic admission shedding (RepairControl.SetShedFraction):
+	// deterministic admission shedding (ControlPlane.SetShedFraction):
 	// offered — they count toward Generated and depress Availability — but
-	// never admitted into the network. Always zero without a ControlHook.
+	// never admitted into the network. Always zero without a Controller.
 	Shed int
 
 	// FailureDrops counts packets permanently lost to node failures under
@@ -310,8 +303,8 @@ type instance struct {
 	// residual work but receives no new routes. Observational only.
 	retired bool
 
-	// Control-plane utilization window (maintained only when Config.Control
-	// is set, see simulation.ctrlOn): ctrlBusy accumulates raw busy time —
+	// Control-plane utilization window (maintained only when the Controller
+	// ticks, see simulation.ctrlOn): ctrlBusy accumulates raw busy time —
 	// unclipped by warmup/horizon, unlike busyTime — and ctrlMark snapshots
 	// it at each tick, so a tick's window utilization is their difference
 	// over the window length.
@@ -450,19 +443,19 @@ type simulation struct {
 	// Fault state, populated only when cfg.FaultPlan != nil (see fault.go).
 	nodes []nodeState
 	// nextInst tracks, per VNF ordinal, the next free instance index for
-	// RepairControl.AddInstance (base indices [0, M_f) are reserved).
+	// ControlPlane.AddInstance (base indices [0, M_f) are reserved).
 	nextInst []int
 
-	// Control-plane state, inert unless cfg.Control is set (ctrlOn) or a
-	// hook enables shedding. lastTick anchors the per-tick observation
+	// Control-plane state, inert unless the Controller ticks (ctrlOn) or
+	// enables shedding. lastTick anchors the per-tick observation
 	// window; shedFrac/shedAcc implement deterministic fractional admission
 	// shedding (see shedNext).
 	ctrlOn   bool
 	lastTick float64
 	shedFrac float64
 	shedAcc  float64
-	// handle is the one RepairControl/ControlPlane every hook callback
-	// receives (see repairControl).
+	// handle is the one ControlPlane every Controller callback receives
+	// (see plane).
 	handle ControlPlane
 
 	// Correlated-preemption state (cfg.FaultPlan.Preemption): the dedicated
@@ -663,12 +656,12 @@ func (sim *Simulator) Reset(cfg Config) error {
 			return err
 		}
 	}
-	if cfg.Control != nil {
-		if cfg.Placement == nil {
-			return errors.New("simulate: Control requires a Placement (the control plane acts per node)")
+	if cfg.Controller != nil {
+		if math.IsNaN(cfg.ControlInterval) || cfg.ControlInterval < 0 || math.IsInf(cfg.ControlInterval, 1) {
+			return fmt.Errorf("simulate: ControlInterval %v must be 0 (no ticks) or positive and finite", cfg.ControlInterval)
 		}
-		if !(cfg.ControlInterval > 0) || math.IsInf(cfg.ControlInterval, 1) {
-			return fmt.Errorf("simulate: Control requires a positive finite ControlInterval, got %v", cfg.ControlInterval)
+		if cfg.ControlInterval > 0 && cfg.Placement == nil {
+			return errors.New("simulate: a ticking Controller requires a Placement (the control plane acts per node)")
 		}
 	}
 	// Partial validation: requests absent from the schedule were rejected by
@@ -689,7 +682,7 @@ func (sim *Simulator) Reset(cfg Config) error {
 	s.live = 0
 	s.started = false
 	s.hasStaged = false
-	s.ctrlOn = cfg.Control != nil
+	s.ctrlOn = cfg.Controller != nil && cfg.ControlInterval > 0
 	s.lastTick = 0
 	s.shedFrac = 0
 	s.shedAcc = 0
@@ -1007,7 +1000,7 @@ func (s *simulation) start() {
 	s.started = true
 	s.seedArrivals()
 	s.seedFaults()
-	if s.cfg.Control != nil && s.cfg.ControlInterval < s.cfg.Horizon {
+	if s.ctrlOn && s.cfg.ControlInterval < s.cfg.Horizon {
 		s.agenda.push(event{time: s.cfg.ControlInterval, kind: evControlTick})
 	}
 }
@@ -1170,7 +1163,7 @@ func (s *simulation) build() error {
 	}
 	// The node table serves both fault injection and the control plane
 	// (migration and scaling act per node).
-	if s.cfg.FaultPlan != nil || s.cfg.Control != nil {
+	if s.cfg.FaultPlan != nil || s.ctrlOn {
 		if err := s.buildFaults(); err != nil {
 			return err
 		}

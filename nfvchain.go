@@ -142,12 +142,6 @@ type (
 	Outage = simulate.Outage
 	// FailurePolicy selects the fate of packets caught at failed instances.
 	FailurePolicy = simulate.FailurePolicy
-	// FaultHook observes node transitions mid-run and may repair the
-	// simulation through the RepairControl it receives.
-	FaultHook = simulate.FaultHook
-	// RepairControl is the handle a FaultHook uses to reroute requests and
-	// boot replacement instances at simulated time.
-	RepairControl = simulate.RepairControl
 )
 
 // Failure policies for SimulationConfig.FailurePolicy.
@@ -169,26 +163,25 @@ const (
 
 // Self-healing control plane, re-exported.
 type (
-	// ControlHook receives periodic controller ticks when wired in via
-	// SimulationConfig.Control (+ ControlInterval).
-	ControlHook = simulate.ControlHook
-	// ControlPlane is the observation-and-actuation handle a ControlHook
-	// receives at each tick.
+	// ControlHook is the simulator's one control seam
+	// (SimulationConfig.Controller): node transitions, preemption notices
+	// and, every SimulationConfig.ControlInterval, ticks. Controller below
+	// implements it.
+	ControlHook = simulate.Controller
+	// ControlPlane is the handle every ControlHook callback receives to
+	// observe the deployment and reshape it at simulated time.
 	ControlPlane = simulate.ControlPlane
 	// InstanceObs is one instance's control-plane observation at a tick.
 	InstanceObs = simulate.InstanceObs
 	// PreemptionPlan extends a FaultPlan with spot-style correlated capacity
 	// loss: drawn node groups go down together, with optional advance notice.
 	PreemptionPlan = simulate.PreemptionPlan
-	// PreemptionNoticeHook is optionally implemented by a FaultHook to
-	// receive advance notice of correlated preemptions.
-	PreemptionNoticeHook = simulate.PreemptionNoticeHook
 	// ControlConfig parameterizes the self-healing controller.
 	ControlConfig = control.Config
 	// Controller is the self-healing control plane: rescheduling and
 	// re-placement around node failures, then autoscaling, migration and
-	// graceful degradation. Wire it in as SimulationConfig.FaultHook and,
-	// from ControlAutoscale up, also as SimulationConfig.Control.
+	// graceful degradation. Wire it in as SimulationConfig.Controller, with
+	// a ControlInterval from ControlAutoscale up.
 	Controller = control.Controller
 	// ControlPolicy selects how much of the control plane is active: one
 	// rung of the escalation ladder.
@@ -215,8 +208,8 @@ const (
 )
 
 // NewController builds a self-healing controller for one deployment; wire it
-// in via SimulationConfig.FaultHook alongside a FaultPlan and, from
-// ControlAutoscale up, via SimulationConfig.Control.
+// in as SimulationConfig.Controller, alongside a FaultPlan for the repair
+// rungs and with a ControlInterval from ControlAutoscale up.
 func NewController(cfg ControlConfig) (*Controller, error) { return control.New(cfg) }
 
 // ParseControlPolicy parses a textual control policy
