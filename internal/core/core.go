@@ -112,9 +112,10 @@ func Simulate(sol *Solution, cfg SimulationConfig) (*simulate.Results, error) {
 	return SimulateContext(context.Background(), sol, cfg)
 }
 
-// SimulateContext is Simulate with cancellation: the event loop polls ctx
-// every simulate.CtxCheckInterval events and aborts with ctx.Err() when it
-// fires. With a background context it is bit-identical to Simulate.
+// SimulateContext is Simulate with cancellation: the event loop runs in
+// chunks of simulate.CtxCheckInterval events, polls ctx between them and
+// aborts with ctx.Err() when it fires. With a background context it is
+// bit-identical to Simulate.
 func SimulateContext(ctx context.Context, sol *Solution, cfg SimulationConfig) (*simulate.Results, error) {
 	return simulate.RunContext(ctx, simConfig(sol, cfg))
 }

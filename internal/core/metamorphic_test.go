@@ -206,6 +206,86 @@ func TestRateScalingReplay(t *testing.T) {
 	}
 }
 
+// TestRateScalingFaults checks the DES with finite buffers, faults and
+// retransmission but no controller: BufferSize with DropRetransmit,
+// FailRetransmit, an MTBF/MTTR chain on every node and one scheduled outage
+// of a busy node. On the doubled-rate problem, with link delay, horizon,
+// warm-up, RetransmitDelay, MTBF, MTTR and the outage times all halved,
+// every ledger count must be identical and every latency sample and node
+// downtime exactly halved.
+func TestRateScalingFaults(t *testing.T) {
+	const (
+		seed      = 3
+		linkDelay = 0.001
+		horizon   = 3.0
+		warmup    = 0.25
+	)
+	cfg := workload.DefaultConfig()
+	cfg.Seed = seed
+	cfg.NumRequests = 40
+	base, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(p *model.Problem, s float64) *simulate.Results {
+		t.Helper()
+		sol, err := Optimize(p, Options{Seed: seed, LinkDelay: linkDelay * s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The outage takes down the node of the first chain's first VNF.
+		busy := sol.Placement.NodeOf[sol.Problem.Requests[0].Chain[0]]
+		res, err := Simulate(sol, SimulationConfig{
+			Horizon: horizon * s, Warmup: warmup * s, Seed: seed,
+			BufferSize: 5, DropPolicy: simulate.DropRetransmit,
+			FailurePolicy: simulate.FailRetransmit, RetransmitDelay: 0.05 * s,
+			FaultPlan: &simulate.FaultPlan{
+				MTBF: 6 * s, MTTR: 0.2 * s,
+				Outages: []simulate.Outage{{Node: busy, DownAt: 1 * s, UpAt: 1.5 * s}},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res, res2 := run(base, 1), run(doubleRates(base), 0.5)
+	if res.Dropped == 0 || res.DropRetransmits == 0 || res.FailRetransmits == 0 || res.Retransmissions == 0 ||
+		len(res.Downtime) < 2 || len(res.LatencySamples) == 0 {
+		t.Fatalf("vacuous path: %d drops, %d drop and %d failure retransmits, %d NACKs, %d nodes down, %d samples",
+			res.Dropped, res.DropRetransmits, res.FailRetransmits, res.Retransmissions, len(res.Downtime), len(res.LatencySamples))
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"generated", res2.Generated, res.Generated},
+		{"delivered", res2.Delivered, res.Delivered},
+		{"in flight", res2.InFlight, res.InFlight},
+		{"dropped", res2.Dropped, res.Dropped},
+		{"drop retransmits", res2.DropRetransmits, res.DropRetransmits},
+		{"failure drops", res2.FailureDrops, res.FailureDrops},
+		{"fail retransmits", res2.FailRetransmits, res.FailRetransmits},
+		{"retransmissions", res2.Retransmissions, res.Retransmissions},
+		{"latency samples", len(res2.LatencySamples), len(res.LatencySamples)},
+		{"nodes with downtime", len(res2.Downtime), len(res.Downtime)},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	for i, lat := range res.LatencySamples {
+		if i < len(res2.LatencySamples) && !halved(res2.LatencySamples[i], lat) {
+			t.Fatalf("latency sample %d: %v, want exactly %v/2", i, res2.LatencySamples[i], lat)
+		}
+	}
+	for n, d := range res.Downtime {
+		if !halved(res2.Downtime[n], d) {
+			t.Errorf("node %s downtime %v, want exactly %v/2", n, res2.Downtime[n], d)
+		}
+	}
+}
+
 // Relabeling. Prefixing every node, VNF and request ID with one common
 // prefix keeps their order, and the solve path depends on IDs only through
 // that order (index layout, tie-breaks, JSON key order). So the relabeled

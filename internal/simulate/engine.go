@@ -20,6 +20,13 @@
 // admitted requests' Poisson processes — of which exactly one row is
 // pending in the agenda at a time, re-pulled after each dispatch.
 //
+// There is one event loop, drain: Run, RunContext and the cluster's
+// DrainUntil all pop the agenda through it, each event copied out once and
+// dispatched, up to a time bound and an event budget (RunContext drains in
+// CtxCheckInterval chunks to poll its context). The single-event stepping
+// primitives stage the next event instead, and drain consumes a staged
+// event first, so the two styles mix freely within one run.
+//
 // The event loop is allocation-free in steady state and built for raw CPU
 // speed: the agenda splits its 32-byte events into lanes that are each
 // sorted by construction — a due-now FIFO for zero-delay stage transitions,

@@ -589,11 +589,11 @@ func Run(cfg Config) (*Results, error) {
 	return sim.Run()
 }
 
-// RunContext is Run with cancellation: the event loop polls ctx every
-// CtxCheckInterval events and aborts with ctx.Err() when it fires. A
-// context.Background() run is bit-identical to Run — the check never
-// perturbs RNG streams or event order, it only decides whether to keep
-// going.
+// RunContext is Run with cancellation: the event loop drains in chunks of
+// CtxCheckInterval events, polls ctx between chunks and aborts with
+// ctx.Err() when it fires. A context.Background() run is bit-identical to
+// Run — the check never perturbs RNG streams or event order, it only
+// decides whether to keep going.
 func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	var sim Simulator
 	if err := sim.Reset(cfg); err != nil {
@@ -724,11 +724,12 @@ func (sim *Simulator) Run() (*Results, error) {
 	return sim.RunContext(context.Background())
 }
 
-// CtxCheckInterval is the number of events the loop processes between two
-// context polls in RunContext: a cancelled run stops within at most this
-// many events of the cancellation. The poll is amortized so heavily that it
-// is invisible in the event-loop benchmarks; contexts that can never be
-// cancelled (Done() == nil, e.g. context.Background()) skip it entirely.
+// CtxCheckInterval is the chunk size in which RunContext drains the agenda
+// under a cancellable context: it polls ctx between chunks, so a cancelled
+// run stops within at most this many events of the cancellation. The poll
+// is amortized so heavily that it is invisible in the event-loop
+// benchmarks; contexts that can never be cancelled (Done() == nil, e.g.
+// context.Background()) drain in one chunk and never poll.
 const CtxCheckInterval = 4096
 
 // RunContext executes the run prepared by the preceding Reset, aborting
@@ -736,9 +737,10 @@ const CtxCheckInterval = 4096
 // the simulator needs a fresh Reset). The returned Results aliases the
 // simulator's buffers and is valid until the next Reset.
 //
-// RunContext is built on the stepping primitives' machinery (start, peel,
-// dispatch), so a run that was partially advanced with ProcessNextEvent may
-// be finished with RunContext — the remaining events process identically.
+// RunContext drains to the horizon with the same loop as DrainUntil (see
+// drain), so a run that was partially advanced with ProcessNextEvent or
+// DrainUntil may be finished with RunContext — the remaining events
+// process identically.
 func (sim *Simulator) RunContext(ctx context.Context) (*Results, error) {
 	if !sim.ready {
 		return nil, errors.New("simulate: Run requires a successful Reset first")
@@ -746,8 +748,14 @@ func (sim *Simulator) RunContext(ctx context.Context) (*Results, error) {
 	sim.ready = false
 	s := &sim.s
 	s.start()
-	if err := s.loop(ctx); err != nil {
-		return nil, err
+	if ctx.Done() == nil {
+		s.drain(s.cfg.Horizon, math.MaxInt)
+	} else {
+		for s.drain(s.cfg.Horizon, CtxCheckInterval) == CtxCheckInterval {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 	}
 	if s.arrivalErr != nil {
 		return nil, s.arrivalErr
@@ -812,12 +820,12 @@ func (sim *Simulator) ProcessNextEvent() bool {
 }
 
 // DrainUntil processes every pending event with time <= t (capped at the
-// horizon) in one tight loop and returns the number of events processed.
-// It is the batch counterpart of ProcessNextEvent for window-based external
-// schedulers (see internal/cluster's conservative-window driver): draining a
-// datacenter to a barrier costs one call — no per-event staging round-trips,
-// no exported-method dispatch in the hot loop — while popping the exact same
-// (time, seq) event order as a ProcessNextEvent loop would.
+// horizon) and returns the number of events processed. It is the batch
+// counterpart of ProcessNextEvent for window-based external schedulers (see
+// internal/cluster's conservative-window driver): draining a datacenter to a
+// barrier costs one call, running the same loop as RunContext (see drain),
+// while popping the exact same (time, seq) event order as a
+// ProcessNextEvent loop would.
 //
 // max > 0 bounds how many events this call may process, so a driver can
 // interleave cancellation checks between chunks; max <= 0 drains without
@@ -830,42 +838,10 @@ func (sim *Simulator) DrainUntil(t float64, max int) int {
 	}
 	s := &sim.s
 	s.start()
-	if h := s.cfg.Horizon; t > h {
-		t = h
-	}
 	if max <= 0 {
 		max = math.MaxInt
 	}
-	n := 0
-	// Consume any staged (peeked) event up front so the hot loop below pops
-	// the agenda directly — one call layer and one event copy fewer per
-	// event than going through peel.
-	if s.hasStaged {
-		e := s.staged
-		if e.time > t {
-			return 0
-		}
-		s.hasStaged = false
-		s.now = e.time
-		s.dispatch(e)
-		n++
-	}
-	a := &s.agenda
-	for n < max {
-		e, ok := a.pop()
-		if !ok {
-			return n
-		}
-		if e.time > t {
-			s.staged = e
-			s.hasStaged = true
-			return n
-		}
-		s.now = e.time
-		s.dispatch(e)
-		n++
-	}
-	return n
+	return s.drain(min(t, s.cfg.Horizon), max)
 }
 
 // Finalize ends a stepped run, publishing its measurements: the counterpart
@@ -1021,16 +997,6 @@ func (s *simulation) stage() bool {
 	s.staged = e
 	s.hasStaged = true
 	return true
-}
-
-// peel returns the next event in (time, seq) order, consuming the staged
-// event when one is present.
-func (s *simulation) peel() (event, bool) {
-	if s.hasStaged {
-		s.hasStaged = false
-		return s.staged, true
-	}
-	return s.agenda.pop()
 }
 
 // resetResults clears the reused Results, retaining its maps and the
@@ -1256,35 +1222,44 @@ func (s *simulation) nextRow() (float64, int32, bool) {
 	}
 }
 
-// loop drains the agenda until the horizon, or until ctx fires (checked
-// every CtxCheckInterval events; a non-cancellable ctx costs one perfectly
-// predicted branch per event).
-func (s *simulation) loop(ctx context.Context) error {
-	horizon := s.cfg.Horizon
-	done := ctx.Done()
-	check := CtxCheckInterval
-	for {
-		if done != nil {
-			check--
-			if check <= 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				check = CtxCheckInterval
-			}
+// drain is the event loop: it dispatches, in (time, seq) order, at most max
+// pending events with time <= t, and returns how many it dispatched. The
+// staged event, if any, goes first; after it every event is popped from the
+// agenda straight into dispatch, copied out once. An event later than t is
+// left staged, so a drain that stops short of max has processed everything
+// up to t. RunContext and DrainUntil both run on it.
+func (s *simulation) drain(t float64, max int) int {
+	n := 0
+	if s.hasStaged {
+		e := s.staged
+		if e.time > t {
+			return 0
 		}
-		e, ok := s.peel()
-		if !ok || e.time > horizon {
-			break
+		s.hasStaged = false
+		s.now = e.time
+		s.dispatch(e)
+		n++
+	}
+	a := &s.agenda
+	for n < max {
+		e, ok := a.pop()
+		if !ok {
+			return n
+		}
+		if e.time > t {
+			s.staged = e
+			s.hasStaged = true
+			return n
 		}
 		s.now = e.time
 		s.dispatch(e)
+		n++
 	}
-	return nil
+	return n
 }
 
 // dispatch runs one event's handler; s.now has already been advanced to the
-// event's time. This is the single dispatch point shared by loop and
+// event's time. This is the single dispatch point shared by drain and
 // ProcessNextEvent.
 func (s *simulation) dispatch(e event) {
 	// evService leads: with due-now arrivals dispatched directly, service

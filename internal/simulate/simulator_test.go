@@ -233,7 +233,7 @@ func TestFiniteBufferMatchesMM1K(t *testing.T) {
 		t.Fatal("no arrivals")
 	}
 	dropFrac := float64(res.Dropped) / float64(arrivals)
-	want, err := (queueing.MM1K{Lambda: lambda, Mu: mu, K: buffer + 1}).BlockingProb()
+	want, err := (MM1K{Lambda: lambda, Mu: mu, K: buffer + 1}).BlockingProb()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestFiniteBufferMatchesMM1K(t *testing.T) {
 		t.Errorf("drop fraction %v vs M/M/1/K blocking %v", dropFrac, want)
 	}
 	// Mean sojourn of accepted packets matches too.
-	wantT, err := (queueing.MM1K{Lambda: lambda, Mu: mu, K: buffer + 1}).MeanResponseTime()
+	wantT, err := (MM1K{Lambda: lambda, Mu: mu, K: buffer + 1}).MeanResponseTime()
 	if err != nil {
 		t.Fatal(err)
 	}

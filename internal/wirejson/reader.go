@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf16"
@@ -386,53 +385,6 @@ func (r *Reader) newString(b []byte) string {
 	return r.arena.String()[start:]
 }
 
-// Int decodes a JSON number that is an integer literal in int's range, as
-// encoding/json requires for an int target (1.0 and 1e2 are errors); null
-// decodes to 0.
-func (r *Reader) Int() int {
-	lit := r.number("int")
-	if lit == nil {
-		return 0
-	}
-	n, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
-	if err != nil {
-		r.failf("cannot decode number %s into int", lit)
-		return 0
-	}
-	return int(n)
-}
-
-// Float decodes a JSON number into a float64 (out-of-range literals are
-// errors); null decodes to 0.
-func (r *Reader) Float() float64 {
-	lit := r.number("float64")
-	if lit == nil {
-		return 0
-	}
-	f, err := strconv.ParseFloat(string(lit), 64)
-	if err != nil {
-		r.failf("cannot decode number %s into float64", lit)
-		return 0
-	}
-	return f
-}
-
-// Uint64 decodes a JSON number that is an integer literal in uint64's
-// range, as encoding/json requires for a uint64 target (-1, 1.0 and 1e2
-// are errors); null decodes to 0.
-func (r *Reader) Uint64() uint64 {
-	lit := r.number("uint64")
-	if lit == nil {
-		return 0
-	}
-	n, err := strconv.ParseUint(string(lit), 10, 64)
-	if err != nil {
-		r.failf("cannot decode number %s into uint64", lit)
-		return 0
-	}
-	return n
-}
-
 // Bool decodes true or false; null decodes to false.
 func (r *Reader) Bool() bool {
 	if r.Null() || r.err != nil {
@@ -497,66 +449,6 @@ func (r *Reader) skip() {
 	default:
 		r.unexpected("looking for beginning of value")
 	}
-}
-
-// number consumes a number literal checked against JSON's grammar
-// (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?) and returns it; it
-// returns nil for null or on error.
-func (r *Reader) number(target string) []byte {
-	if r.Null() || r.err != nil {
-		return nil
-	}
-	if c := r.peek(); c != '-' && (c < '0' || c > '9') {
-		r.mismatch(target)
-		return nil
-	}
-	d := r.data
-	start, i := r.pos, r.pos
-	if d[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(d) && d[i] == '0':
-		i++
-	case i < len(d) && '1' <= d[i] && d[i] <= '9':
-		i = digits(d, i+1)
-	default:
-		r.pos = i
-		r.unexpected("in numeric literal")
-		return nil
-	}
-	if i < len(d) && d[i] == '.' {
-		if j := digits(d, i+1); j > i+1 {
-			i = j
-		} else {
-			r.pos = i + 1
-			r.unexpected("after decimal point in numeric literal")
-			return nil
-		}
-	}
-	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
-		i++
-		if i < len(d) && (d[i] == '+' || d[i] == '-') {
-			i++
-		}
-		if j := digits(d, i); j > i {
-			i = j
-		} else {
-			r.pos = i
-			r.unexpected("in exponent of numeric literal")
-			return nil
-		}
-	}
-	r.pos = i
-	return d[start:i]
-}
-
-// digits returns the offset of the first non-digit at or after i.
-func digits(d []byte, i int) int {
-	for i < len(d) && '0' <= d[i] && d[i] <= '9' {
-		i++
-	}
-	return i
 }
 
 // str consumes a string literal (the reader is at its opening quote) and

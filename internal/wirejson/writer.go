@@ -11,6 +11,13 @@
 // (DisallowUnknownFields) accepts and decodes it to the same values, with
 // one deliberate difference: a repeated object key is an error instead of
 // a merge. encoding/json itself is kept only as the test oracle.
+//
+// Reader converts a number during the scan that checks its grammar (see
+// number.go): up to 19 significant digits go into a uint64 mantissa with a
+// decimal exponent, and a float is built from them by Clinger's exact fast
+// path or by Eisel–Lemire over a 128-bit power-of-ten table. strconv is the
+// fallback for everything else, so every decoded value and every error is
+// exactly what strconv gives for the same literal.
 package wirejson
 
 import (
